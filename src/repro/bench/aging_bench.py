@@ -1,12 +1,11 @@
 """Engine micro-benchmarks for the aging simulators.
 
-The harness answers one question, repeatedly and over the repo's history: how
-much faster is the vectorized *packed* fast engine than the legacy per-block
-*blockwise* fast engine on realistic weight-memory workloads?  Each benchmark
-case evaluates the full mitigation-policy suite on one configuration with
-both engines, checks that the deterministic policies agree byte-for-byte,
-and (on a small configuration) cross-validates the packed engine against the
-exact write-by-write :class:`~repro.core.simulation.ExplicitAgingSimulator`.
+The harness tracks, over the repo's history, how long the packed closed-form
+:class:`~repro.core.simulation.AgingSimulator` takes on realistic
+weight-memory workloads.  Each benchmark case times the full
+mitigation-policy suite on one configuration, and (on small configurations)
+the packed engine is cross-validated against the exact write-by-write
+:class:`~repro.core.simulation.ExplicitAgingSimulator`.
 
 Results are written to ``BENCH_aging.json`` (schema
 :data:`BENCH_SCHEMA`), which CI uploads as a build artifact so the
@@ -37,13 +36,13 @@ from repro.utils.units import KB
 from repro.utils.validation import check_positive_int
 
 #: Schema tag stamped into every benchmark payload.
-BENCH_SCHEMA = "dnn-life-bench/v1"
+BENCH_SCHEMA = "dnn-life-bench/v2"
 
 #: Default output file of ``dnn-life bench``.
 DEFAULT_OUTPUT = "BENCH_aging.json"
 
 #: Policies timed on every case; ``dnn_life`` is stochastic, the rest are
-#: deterministic and must agree byte-for-byte between the engines.
+#: deterministic.
 BENCH_POLICIES = ("none", "inversion", "barrel_shifter", "dnn_life")
 
 _DETERMINISTIC = ("none", "inversion", "inversion_per_location", "barrel_shifter")
@@ -296,13 +295,13 @@ def _bench_stream_store(case: BenchCase, stream, cold_seconds: float,
 
 def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
                stream_store=None) -> Dict[str, object]:
-    """Time both fast engines across the case's policy suite.
+    """Time the packed engine across the case's policy suite.
 
-    The packed tensor build is timed separately and charged to the packed
-    engine's total: it is the one-time cost every policy evaluation after the
-    first gets for free.  The ``stream_store`` entry of the result records
-    the store's cold-build vs warm-mmap-load trade for this case (measured
-    against ``stream_store`` or an ephemeral one).
+    The packed tensor build is timed separately and charged to the total:
+    it is the one-time cost every policy evaluation after the first gets for
+    free.  The ``stream_store`` entry of the result records the store's
+    cold-build vs warm-mmap-load trade for this case (measured against
+    ``stream_store`` or an ephemeral one).
     """
     build_start = time.perf_counter()
     stream = case.build_stream(seed=seed)
@@ -311,33 +310,18 @@ def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
     packed_build_seconds, packed = _best_of(1, stream.packed_bits)
 
     policies: Dict[str, Dict[str, object]] = {}
-    blockwise_total = 0.0
     packed_total = packed_build_seconds
     for policy_name in case.policies:
-        def run(engine: str):
-            simulator = AgingSimulator(stream, _policy_for(case, policy_name, seed),
-                                       num_inferences=case.num_inferences,
-                                       seed=seed, engine=engine)
-            return simulator.run()
+        def run():
+            return AgingSimulator(stream, _policy_for(case, policy_name, seed),
+                                  num_inferences=case.num_inferences,
+                                  seed=seed).run()
 
-        blockwise_seconds, blockwise_result = _best_of(repeats, run, "blockwise")
-        packed_seconds, packed_result = _best_of(repeats, run, "packed")
-        deterministic = policy_name in _DETERMINISTIC
-        exact = (bool(np.array_equal(blockwise_result.duty_cycles,
-                                     packed_result.duty_cycles))
-                 if deterministic else None)
-        if deterministic and not exact:
-            raise AssertionError(
-                f"engines disagree on deterministic policy '{policy_name}' "
-                f"for case '{case.name}'")
-        blockwise_total += blockwise_seconds
+        packed_seconds, _ = _best_of(repeats, run)
         packed_total += packed_seconds
         policies[policy_name] = {
-            "blockwise_seconds": blockwise_seconds,
             "packed_seconds": packed_seconds,
-            "speedup": blockwise_seconds / packed_seconds if packed_seconds else None,
-            "deterministic": deterministic,
-            "exact_match": exact,
+            "deterministic": policy_name in _DETERMINISTIC,
         }
 
     return {
@@ -350,9 +334,7 @@ def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
             case, stream, cold_seconds=stream_build_seconds + packed_build_seconds,
             seed=seed, repeats=repeats, store=stream_store),
         "policies": policies,
-        "blockwise_total_seconds": blockwise_total,
         "packed_total_seconds": packed_total,
-        "speedup": blockwise_total / packed_total if packed_total else None,
     }
 
 
@@ -372,8 +354,8 @@ def verify_against_explicit(seed: int = 0) -> Dict[str, object]:
     checks: Dict[str, bool] = {}
     for policy_name in _DETERMINISTIC:
         fast = AgingSimulator(stream, _policy_for(case, policy_name, seed),
-                              num_inferences=case.num_inferences, seed=seed,
-                              engine="packed").run()
+                              num_inferences=case.num_inferences,
+                              seed=seed).run()
         exact = ExplicitAgingSimulator(stream, _policy_for(case, policy_name, seed),
                                        num_inferences=case.num_inferences).run()
         checks[policy_name] = bool(np.array_equal(fast.duty_cycles, exact.duty_cycles))
@@ -455,12 +437,11 @@ def bench_leveling(case: Optional[BenchCase] = None, repeats: int = 3,
                    seed: int = 0, verify: bool = True) -> Dict[str, object]:
     """Time the packed engine with and without each wear-leveling policy.
 
-    Leveling has no blockwise counterpart (the remap composes with the packed
-    closed-form kernels only), so the reference point is the *unleveled*
-    packed run of the same policy: the reported ``overhead`` is the factor a
-    leveling schedule adds on top of it.  Each entry also records the
-    region-imbalance movement so the perf trajectory doubles as a sanity
-    check that the levelers keep doing their job.
+    The reference point is the *unleveled* packed run of the same policy:
+    the reported ``overhead`` is the factor a leveling schedule adds on top
+    of it.  Each entry also records the region-imbalance movement so the
+    perf trajectory doubles as a sanity check that the levelers keep doing
+    their job.
     """
     from repro.leveling import make_leveler
     from repro.memory.wear_map import WearMap
@@ -933,7 +914,6 @@ def run_aging_bench(cases: Optional[Sequence[BenchCase]] = None, repeats: int = 
         store = StreamStore(root)
         results = [bench_case(case, repeats=repeats, seed=seed,
                               stream_store=store) for case in cases]
-    speedups = [entry["speedup"] for entry in results if entry["speedup"]]
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         # deliberate wall-clock: the trajectory file records *when* each
@@ -947,9 +927,6 @@ def run_aging_bench(cases: Optional[Sequence[BenchCase]] = None, repeats: int = 
             "machine": platform.machine(),
         },
         "cases": results,
-        "min_speedup": min(speedups) if speedups else None,
-        "geomean_speedup": (float(np.exp(np.mean(np.log(speedups))))
-                            if speedups else None),
     }
     if leveling:
         payload["leveling"] = bench_leveling(repeats=repeats, seed=seed, verify=verify)
@@ -971,28 +948,18 @@ def render_bench_report(payload: Dict[str, object]) -> str:
     from repro.utils.tables import AsciiTable
 
     table = AsciiTable(
-        ["case", "policy", "blockwise (s)", "packed (s)", "speedup", "exact"],
-        title=(f"aging-engine benchmark — blockwise vs packed fast engine "
+        ["case", "policy", "packed (s)"],
+        title=(f"aging-engine benchmark — packed engine "
                f"(best of {payload['repeats']})"),
         precision=4,
     )
     for entry in payload["cases"]:
         case_name = entry["case"]["name"]
         for policy_name, row in entry["policies"].items():
-            exact = row["exact_match"]
-            table.add_row([
-                case_name, policy_name,
-                row["blockwise_seconds"], row["packed_seconds"],
-                f"{row['speedup']:.1f}x",
-                "=" if exact else ("n/a" if exact is None else "MISMATCH"),
-            ])
+            table.add_row([case_name, policy_name, row["packed_seconds"]])
         table.add_row([case_name, "TOTAL (+pack)",
-                       entry["blockwise_total_seconds"],
-                       entry["packed_total_seconds"],
-                       f"{entry['speedup']:.1f}x", ""])
+                       entry["packed_total_seconds"]])
     lines = [table.render()]
-    lines.append(f"minimum case speedup: {payload['min_speedup']:.1f}x, "
-                 f"geometric mean: {payload['geomean_speedup']:.1f}x")
     store_lines = []
     for entry in payload["cases"]:
         store_entry = entry.get("stream_store")

@@ -9,16 +9,14 @@ accelerator:
   by the functional accelerator path.
 * :class:`AgingSimulator` — the fast engine.  It exploits the periodic
   structure of the workload (the same stream repeats every inference) to
-  account an arbitrary number of inferences in closed form per policy.  Its
-  default ``packed`` engine operates on the
-  :class:`~repro.accelerator.scheduler.PackedBitTensor` of the stream — the
-  whole inference quantized and bit-unpacked once — so every kernel is a few
-  whole-tensor NumPy reductions; the legacy ``blockwise`` engine walks the
-  blocks in Python and is kept as the ``dnn-life bench`` reference.  This is
-  what makes simulating a 512 KB weight memory under a 61M-parameter DNN for
-  100 inferences tractable on a laptop, and it matches the explicit engine
-  exactly for deterministic policies (and in distribution for the stochastic
-  DNN-Life policy).
+  account an arbitrary number of inferences in closed form per policy.  It
+  operates on the :class:`~repro.accelerator.scheduler.PackedBitTensor` of
+  the stream — the whole inference quantized and bit-unpacked once — so
+  every kernel is a few whole-tensor NumPy reductions.  This is what makes
+  simulating a 512 KB weight memory under a 61M-parameter DNN for 100
+  inferences tractable on a laptop, and it matches the explicit engine
+  exactly for deterministic policies (and in distribution for the
+  stochastic DNN-Life policy).
 
 Both produce an :class:`AgingResult` holding per-cell duty-cycles and the
 SNM-degradation statistics derived from them.
@@ -33,21 +31,12 @@ so the scenario cross-check engine shares the exact same write accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.accelerator.scheduler import (
     PackedBitTensor,
-    WeightBlock,
     WeightStreamScheduler,
     as_stride_indexer,
     block_axis_sum,
@@ -66,7 +55,7 @@ from repro.core.policies import (
     NoMitigationPolicy,
     PeriodicInversionPolicy,
 )
-from repro.core.span_compose import BatchedCounts, SpanComposer
+from repro.core.span_compose import BatchedCounts, compose_leveled
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive_int
@@ -99,7 +88,7 @@ class PackedSpanKernel:
     additionally expose :meth:`counts_batch`, the entry point of the fused
     leveling composition (:class:`~repro.core.span_compose.SpanComposer`);
     stochastic kernels (DNN-Life's TRBG draws fresh randomness per span, in
-    call order) have no batched form and keep the per-span loop.
+    call order) have no batched form and are composed span by span.
     """
 
     def __init__(self, counts: CountsKernel,
@@ -391,47 +380,30 @@ class ExplicitAgingSimulator:
 class AgingSimulator:
     """Vectorized aging simulator exploiting the periodic weight stream.
 
-    Two fast engines share the closed-form-over-inferences math:
-
-    * ``engine="packed"`` (default) — the whole block stream is quantized and
-      bit-unpacked *once* into a :class:`~repro.accelerator.scheduler.PackedBitTensor`
-      (reused across policies when the stream is a
-      :class:`~repro.accelerator.scheduler.CachedWeightStream`), and every
-      kernel is a handful of whole-tensor NumPy reductions with no per-block
-      Python loop.  This engine also supports schedules with an unpadded
-      final block.
-    * ``engine="blockwise"`` — the legacy streaming kernels that walk the
-      blocks of one inference in Python and unpack bits per block.  Kept as
-      the reference point for the ``dnn-life bench`` perf-regression harness.
-
-    For the deterministic policies the two engines produce byte-identical
-    duty-cycles; for the stochastic DNN-Life policy they agree in
-    distribution (the vectorized engine draws the same binomial law in a
-    different RNG order).
+    The whole block stream is quantized and bit-unpacked *once* into a
+    :class:`~repro.accelerator.scheduler.PackedBitTensor` (reused across
+    policies when the stream is a
+    :class:`~repro.accelerator.scheduler.CachedWeightStream`), and every
+    policy kernel is a handful of whole-tensor NumPy reductions with no
+    per-block Python loop; schedules with an unpadded final block are
+    supported.  For the deterministic policies the duty-cycles are
+    byte-identical to :class:`ExplicitAgingSimulator`; for the stochastic
+    DNN-Life policy the two agree in distribution (the closed form draws the
+    same binomial law in a different RNG order).
     """
-
-    ENGINES = ("packed", "blockwise")
 
     def __init__(self, scheduler: WeightStreamScheduler, policy: MitigationPolicy,
                  num_inferences: int = 100, seed: SeedLike = None,
                  snm_model: Optional[SnmDegradationModel] = None,
-                 engine: str = "packed", leveler: Optional["WearLeveler"] = None):
+                 leveler: Optional["WearLeveler"] = None):
         self.scheduler = scheduler
         self.policy = policy
         self.num_inferences = check_positive_int(num_inferences, "num_inferences")
         self.rng = as_rng(seed)
         self.snm_model = snm_model or default_snm_model()
-        if engine not in self.ENGINES:
-            raise ValueError(f"unknown engine '{engine}' "
-                             f"(expected one of: {', '.join(self.ENGINES)})")
-        if leveler is not None and engine != "packed":
-            raise NotImplementedError(
-                "wear leveling is only composed with the packed engine; the "
-                "legacy blockwise kernels have no remap support")
         if leveler is not None and leveler.rows != scheduler.geometry.rows:
             raise ValueError(f"leveler covers {leveler.rows} rows but the memory "
                              f"has {scheduler.geometry.rows}")
-        self.engine = engine
         self.leveler = leveler
         self._packed_tensor: Optional[PackedBitTensor] = None
 
@@ -458,15 +430,11 @@ class AgingSimulator:
         (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates per
         phase: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
-        Packed engine only — the blockwise kernels have no span form.
         """
-        if self.engine != "packed":
-            raise NotImplementedError(
-                "counts_kernel is only available on the packed engine")
         return self._packed_kernel(self.policy)
 
     def last_bits_kernel(self) -> Tuple[LastBitsKernel, np.ndarray]:
-        """Closed-form "value left behind" factory (packed engine only).
+        """Closed-form "value left behind" factory.
 
         Returns ``(last_bits, written_rows)``.  ``written_rows`` is the
         boolean per-row mask of rows the stream writes at all, and
@@ -481,9 +449,6 @@ class AgingSimulator:
         input of the scenario layer: idle phases hold exactly what the
         preceding phase's last epoch wrote.
         """
-        if self.engine != "packed":
-            raise NotImplementedError(
-                "last_bits_kernel is only available on the packed engine")
         packed = self._packed()
         rows, word_bits = packed.geometry.rows, packed.word_bits
         words_per_block = packed.words_per_block
@@ -563,24 +528,17 @@ class AgingSimulator:
 
     # -- dispatch ---------------------------------------------------------- #
     def _simulate_duty(self) -> np.ndarray:
-        policy = self.policy
-        if self.engine == "packed":
-            kernel = self._packed_kernel(policy)
-            if self.leveler is None:
-                numerator, writes = kernel(0, self.num_inferences)
-                return _duty_from_counts(numerator, writes)
-            return self._packed_with_leveling(kernel)
-        if isinstance(policy, NoMitigationPolicy):
-            return self._blockwise_no_mitigation()
-        if isinstance(policy, PeriodicInversionPolicy):
-            return self._blockwise_periodic_inversion(policy)
-        if isinstance(policy, BarrelShifterPolicy):
-            return self._blockwise_barrel_shifter(policy)
-        if isinstance(policy, DnnLifePolicy):
-            return self._blockwise_dnn_life(policy)
-        raise NotImplementedError(
-            f"no fast path for policy type {type(policy).__name__}; "
-            "use ExplicitAgingSimulator instead")
+        kernel = self._packed_kernel(self.policy)
+        leveler = self.leveler
+        if leveler is None:
+            numerator, writes = kernel(0, self.num_inferences)
+            return _duty_from_counts(numerator, writes)
+        # Batched kernels collapse the leveler's span tables into a constant
+        # number of NumPy passes; the stochastic DNN-Life kernel is composed
+        # span by span, in draw order (see compose_leveled).
+        leveler.reset()
+        ones, writes, _ = compose_leveled(kernel, leveler, self.num_inferences)
+        return _duty_from_counts(ones, writes)
 
     def _packed_kernel(self, policy: MitigationPolicy) -> PackedSpanKernel:
         """Resolve the policy's closed-form counts kernel.
@@ -607,74 +565,6 @@ class AgingSimulator:
         raise NotImplementedError(
             f"no fast path for policy type {type(policy).__name__}; "
             "use ExplicitAgingSimulator instead")
-
-    def _packed_with_leveling(self, kernel: PackedSpanKernel) -> np.ndarray:
-        """Compose the counts kernel with the leveler's permutation spans.
-
-        The batched fast path: the leveler's :meth:`~repro.leveling.remap.WearLeveler.span_tables`
-        chunks feed a :class:`~repro.core.span_compose.SpanComposer`, which
-        collapses the whole composition — per-region rotation spans and
-        explicit permutation chunks alike — into a constant number of NumPy
-        passes, bit-identically to the iterative span walk.  Feedback-driven
-        levelers observe the accumulated physical stress between chunks, from
-        the composer's ``(rows,)`` running totals.  Kernels without a batched
-        form (the stochastic DNN-Life policy) keep the legacy per-span loop.
-        """
-        from repro.leveling.remap import mean_duty_from_row_counts
-
-        if not kernel.supports_batch:
-            return self._packed_with_leveling_loop(kernel)
-        packed = self._packed()
-        rows, word_bits = packed.geometry.rows, packed.word_bits
-        leveler = self.leveler
-        leveler.reset()
-        composer = SpanComposer(rows, word_bits, leveler.region_rows,
-                                track_feedback=leveler.uses_feedback)
-        for table in leveler.span_tables(self.num_inferences):
-            if not table.num_spans:
-                continue
-            composer.add_table(
-                table, kernel.counts_batch(table.starts, table.lengths))
-            if leveler.uses_feedback:
-                row_ones, row_writes = composer.row_totals()
-                leveler.observe(
-                    int(table.starts[-1] + table.lengths[-1]),
-                    mean_duty_from_row_counts(row_ones,
-                                              row_writes * float(word_bits)))
-        ones, writes = composer.finalize()
-        return _duty_from_counts(ones, writes)
-
-    def _packed_with_leveling_loop(self, kernel: PackedSpanKernel) -> np.ndarray:
-        """Per-span reference composition (and the stochastic-kernel path).
-
-        Each constant-mapping span contributes its closed-form logical counts,
-        gathered into physical rows through the span's permutation — one fancy
-        row-gather per span, never a per-block Python loop.  Feedback-driven
-        levelers observe the accumulated physical stress at span boundaries.
-        Kept verbatim as the RNG-draw-order-preserving path for DNN-Life and
-        as the cross-check reference for the batched composition.
-        """
-        from repro.leveling.remap import mean_duty_per_row
-
-        packed = self._packed()
-        rows, word_bits = packed.geometry.rows, packed.word_bits
-        leveler = self.leveler
-        leveler.reset()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.float64)
-        for start, length in leveler.spans(self.num_inferences):
-            permutation = leveler.permutation(start)
-            span_ones, span_writes = kernel(start, length)
-            ones[permutation] += span_ones
-            writes[permutation] += span_writes
-            if leveler.uses_feedback:
-                leveler.observe(start + length,
-                                mean_duty_per_row(ones, writes * float(word_bits)))
-        return _duty_from_counts(ones, writes)
-
-    def _geometry(self) -> Tuple[int, int, int]:
-        geometry = self.scheduler.geometry
-        return geometry.rows, geometry.word_bits, self.scheduler.words_per_block
 
     # ------------------------------------------------------------------ #
     # Packed engine: whole-tensor kernels over the PackedBitTensor
@@ -979,160 +869,9 @@ class AgingSimulator:
             return numerator, writes * n
 
         # No batched form: the TRBG draws fresh randomness per span, in call
-        # order, so the leveled composition keeps the per-span loop (which
-        # preserves the RNG draw sequence the blockwise/packed cross-checks
-        # and golden results pin down).
+        # order, so the leveled composition evaluates it span by span (which
+        # preserves the RNG draw sequence the golden results pin down).
         return PackedSpanKernel(counts)
-
-    # ------------------------------------------------------------------ #
-    # Blockwise engine: the legacy per-block streaming kernels
-    # ------------------------------------------------------------------ #
-    def _iter_block_bits(self) -> Iterator[Tuple[WeightBlock, np.ndarray, slice]]:
-        """Yield (block, bit matrix, row slice) for one inference."""
-        rows, word_bits, words_per_block = self._geometry()
-        for block in self.scheduler.iter_blocks():
-            if block.num_words != words_per_block:
-                raise ValueError(
-                    "the blockwise simulator requires memory-sized (padded) "
-                    "blocks; rebuild the scheduler with pad_final_block=True "
-                    "or use the packed engine")
-            bits = unpack_bits(block.words, word_bits)
-            start_row = block.region * words_per_block
-            yield block, bits, slice(start_row, start_row + words_per_block)
-
-    def _blockwise_no_mitigation(self) -> np.ndarray:
-        rows, word_bits, _ = self._geometry()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.int64)
-        for _, bits, row_slice in self._iter_block_bits():
-            ones[row_slice] += bits
-            writes[row_slice] += 1
-        return _duty_from_counts(ones, writes)
-
-    def _blockwise_periodic_inversion(self, policy: PeriodicInversionPolicy) -> np.ndarray:
-        rows, word_bits, words_per_block = self._geometry()
-        depth = self.scheduler.fifo_depth_tiles
-        num_blocks = self.scheduler.num_blocks
-        # Sums of raw bits split by the parity class of each block: for
-        # granularity "write" the class is the parity of the block's first
-        # word-write index (block_index * words_per_block); for "location" it
-        # is the parity of the block's ordinal within its memory region.
-        sums = {0: np.zeros((rows, word_bits), dtype=np.float64),
-                1: np.zeros((rows, word_bits), dtype=np.float64)}
-        counts = {0: np.zeros(rows, dtype=np.int64), 1: np.zeros(rows, dtype=np.int64)}
-        for block, bits, row_slice in self._iter_block_bits():
-            if policy.granularity == "write":
-                parity_class = (block.index * words_per_block) % 2
-            else:
-                parity_class = (block.index // depth) % 2
-            sums[parity_class][row_slice] += bits
-            counts[parity_class][row_slice] += 1
-        writes = counts[0] + counts[1]
-
-        # Inversion parity of a word = parity_class + row_offset (granularity
-        # "write" only) + per-inference drift offset.
-        if policy.granularity == "write":
-            # The parity a word sees depends on its offset within the block,
-            # i.e. the row index *within its memory region*.
-            row_parity = ((np.arange(rows) % words_per_block) % 2)[:, None]
-            drift = (num_blocks * words_per_block) % 2
-        else:
-            row_parity = np.zeros((rows, 1), dtype=np.int64)
-            # For per-location inversion the drift depends on the number of
-            # writes each row receives per inference.
-            drift = None
-
-        def pattern(offset: np.ndarray) -> np.ndarray:
-            """Duty numerator when the global parity offset is ``offset``."""
-            # A block of class c is stored inverted when (c + offset) is odd.
-            offset = np.broadcast_to(offset, (rows, 1))
-            class0_inverted = (offset % 2) == 1
-            class1_inverted = ((1 + offset) % 2) == 1
-            numerator = np.where(class0_inverted,
-                                 counts[0][:, None] - sums[0], sums[0])
-            numerator = numerator + np.where(class1_inverted,
-                                             counts[1][:, None] - sums[1], sums[1])
-            return numerator
-
-        if policy.granularity == "write":
-            if drift == 0:
-                numerator = pattern(row_parity) * self.num_inferences
-            else:
-                t_even = (self.num_inferences + 1) // 2
-                t_odd = self.num_inferences // 2
-                numerator = (pattern(row_parity) * t_even
-                             + pattern(row_parity + 1) * t_odd)
-        else:
-            writes_per_row = writes  # K_r: writes per row per inference
-            drift_per_row = (writes_per_row % 2)[:, None]
-            t_even = (self.num_inferences + 1) // 2
-            t_odd = self.num_inferences - t_even
-            numerator_no_drift = pattern(np.zeros((rows, 1), dtype=np.int64))
-            numerator_drift = (pattern(np.zeros((rows, 1), dtype=np.int64)) * t_even
-                               + pattern(np.ones((rows, 1), dtype=np.int64)) * t_odd)
-            numerator = np.where(drift_per_row == 0,
-                                 numerator_no_drift * self.num_inferences,
-                                 numerator_drift)
-        duty = _duty_from_counts(numerator, writes * self.num_inferences)
-        return duty
-
-    def _blockwise_barrel_shifter(self, policy: BarrelShifterPolicy) -> np.ndarray:
-        rows, word_bits, words_per_block = self._geometry()
-        if words_per_block % word_bits != 0:
-            raise NotImplementedError(
-                "the blockwise barrel-shifter path requires the block size to "
-                "be a multiple of the word width; use the packed engine or "
-                "ExplicitAgingSimulator for this configuration")
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.int64)
-        for _, bits, row_slice in self._iter_block_bits():
-            ones[row_slice] += bits
-            writes[row_slice] += 1
-        # Every word written to row r is rotated left by (r mod n); the bit
-        # stored in column p therefore originates from column (p + r) mod n.
-        row_shift = np.arange(rows) % word_bits
-        column = (np.arange(word_bits)[None, :] + row_shift[:, None]) % word_bits
-        rotated = np.take_along_axis(ones, column, axis=1)
-        return _duty_from_counts(rotated, writes)
-
-    def _blockwise_dnn_life(self, policy: DnnLifePolicy) -> np.ndarray:
-        rows, word_bits, words_per_block = self._geometry()
-        num_blocks = self.scheduler.num_blocks
-        num_inferences = self.num_inferences
-        bias = policy.controller.trbg.nominal_bias
-        balancer = policy.controller.bias_balancer
-
-        # Deterministic bias-balancing phase of every (inference, block) pair:
-        # the register ticks once per block, its MSB is the inversion phase.
-        if balancer is not None:
-            global_index = (np.arange(num_inferences)[:, None] * num_blocks
-                            + np.arange(num_blocks)[None, :])
-            counts = (global_index + 1) % balancer.period
-            phases = (counts >> (balancer.num_bits - 1)) & 0x1
-            inferences_in_phase_one = phases.sum(axis=0)
-        else:
-            inferences_in_phase_one = np.zeros(num_blocks, dtype=np.int64)
-
-        group = policy.words_per_enable
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        enables_total = np.zeros(rows, dtype=np.float64)
-        crossed = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.int64)
-        for block, bits, row_slice in self._iter_block_bits():
-            t_one = int(inferences_in_phase_one[block.index])
-            t_zero = num_inferences - t_one
-            num_groups = (words_per_block + group - 1) // group
-            # Number of inferences (out of num_inferences) in which this
-            # group's enable bit comes out as 1.
-            group_enables = (self.rng.binomial(t_zero, bias, size=num_groups)
-                             + self.rng.binomial(t_one, 1.0 - bias, size=num_groups))
-            word_enables = np.repeat(group_enables, group)[:words_per_block].astype(np.float64)
-            ones[row_slice] += bits
-            enables_total[row_slice] += word_enables
-            crossed[row_slice] += bits * word_enables[:, None]
-            writes[row_slice] += 1
-        numerator = (ones * num_inferences + enables_total[:, None] - 2.0 * crossed)
-        return _duty_from_counts(numerator, writes * num_inferences)
 
 
 def _describe_with_leveling(policy: MitigationPolicy,

@@ -28,6 +28,12 @@ span)`` index matrix (SciPy's ``csr_matvecs`` when available, a per-span
 gather fallback otherwise), while the per-chunk feedback signal is maintained
 as ``(rows,)`` running row totals — never a full-matrix reduction.
 
+Kernels without a batched form (DNN-Life's TRBG draws fresh randomness per
+span, in call order) are folded span by span through
+:meth:`SpanComposer.add_spans`, which keeps the draw order.  Both forms meet
+in :func:`compose_leveled`, the one leveled walk of the packed single-run
+and scenario engines.
+
 Exactness: every basis entry, coefficient, and weight is an exact integer
 held in float64 (far below 2**53), so products and partial sums are exact and
 *any* regrouping of the summation — by channel, by offset, through a
@@ -44,9 +50,10 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.leveling.remap import SpanTable
+    from repro.core.simulation import PackedSpanKernel
+    from repro.leveling.remap import SpanTable, WearLeveler
 
-__all__ = ["BatchedCounts", "SpanComposer"]
+__all__ = ["BatchedCounts", "SpanComposer", "compose_leveled"]
 
 try:  # SciPy is optional: the composer falls back to per-span gathers.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -191,7 +198,8 @@ class SpanComposer:
     """Accumulates leveled span tables and materialises physical counts.
 
     Drivers feed every :class:`~repro.leveling.remap.SpanTable` chunk with
-    its :class:`BatchedCounts` through :meth:`add_table`; :meth:`finalize`
+    its :class:`BatchedCounts` through :meth:`add_table` (or, for kernels
+    without a batched form, through :meth:`add_spans`); :meth:`finalize`
     then produces the composed ``(ones, writes)`` physical counts in a
     constant number of passes.  With ``track_feedback`` the composer also
     maintains ``(rows,)`` running totals of the physical ones/writes after
@@ -220,6 +228,8 @@ class SpanComposer:
         self._row_writes = (np.zeros(self.rows, dtype=np.float64)
                             if self._track else None)
         self._identity32 = None
+        #: Dense ``(ones, writes)`` accumulators of :meth:`add_spans`.
+        self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _bind(self, batched: BatchedCounts) -> None:
         if self._bases is None:
@@ -266,6 +276,31 @@ class SpanComposer:
                 self._row_ones += gathered
                 self._row_writes += length * self._writes_base[inverse]
 
+    def add_spans(self, table: "SpanTable", kernel: "PackedSpanKernel",
+                  origin: int) -> None:
+        """Fold one span table through a per-span ``counts(start, n)`` kernel.
+
+        The kernel is called once per span, in span order, with the span's
+        start shifted by ``origin`` (a scenario phase's first epoch: policy
+        state is phase-local), and its logical counts are scattered into
+        physical rows through the span's permutation.  Every count is an
+        exact integer, so this path composes bit-identically with
+        :meth:`add_table`; it exists for kernels whose draws must stay in
+        call order.
+        """
+        if self._dense is None:
+            self._dense = (np.zeros((self.rows, self.word_bits), dtype=np.float64),
+                           np.zeros(self.rows, dtype=np.float64))
+        ones, writes = self._dense
+        for index, (start, length) in enumerate(table.iter_spans()):
+            permutation = table.permutation(index)
+            span_ones, span_writes = kernel(start - origin, length)
+            ones[permutation] += span_ones
+            writes[permutation] += span_writes
+            if self._track:
+                self._row_ones[permutation] += span_ones.sum(axis=1)
+                self._row_writes[permutation] += span_writes
+
     def row_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Running physical ``(row_ones, row_writes)`` totals (feedback)."""
         if not self._track:
@@ -274,9 +309,12 @@ class SpanComposer:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts."""
-        ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
-        writes = np.zeros(self.rows, dtype=np.float64)
-        if self._bases is None:  # no spans at all
+        if self._dense is not None:
+            ones, writes = self._dense
+        else:
+            ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
+            writes = np.zeros(self.rows, dtype=np.float64)
+        if self._bases is None:  # no batched spans
             return ones, writes
         num_channels = len(self._bases)
         if self._offset_records:
@@ -316,3 +354,54 @@ class SpanComposer:
                                        self._perm_lengths):
                 writes += length * self._writes_base[inverse]
         return ones, writes
+
+
+def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
+                    horizon: int, start: int = 0, stop: Optional[int] = None,
+                    prior_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                    ) -> Tuple[np.ndarray, np.ndarray, List["SpanTable"]]:
+    """Compose ``kernel`` over the leveler's spans of ``[start, stop)``.
+
+    The one leveled walk of the packed engines.  ``horizon`` is the length
+    of the leveler's whole schedule; ``start`` doubles as the kernel origin,
+    so kernel starts are window-local while the tables keep addressing the
+    leveler by global epoch.  Batched kernels go through
+    :meth:`SpanComposer.add_table`, the others span by span through
+    :meth:`SpanComposer.add_spans`.  Feedback levelers observe the
+    accumulated physical stress at the end of every table — on top of the
+    ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
+    which are advanced in place by this window's totals.
+
+    Returns the physical ``(ones, writes)`` counts of the window and the
+    composed span tables, oldest first.
+    """
+    from repro.leveling.remap import mean_duty_from_row_counts
+
+    word_bits = leveler.geometry.word_bits
+    feedback = leveler.uses_feedback
+    composer = SpanComposer(leveler.rows, word_bits, leveler.region_rows,
+                            track_feedback=feedback)
+    tables: List["SpanTable"] = []
+    for table in leveler.span_tables(horizon, start=start, stop=stop):
+        if not table.num_spans:
+            continue
+        if kernel.supports_batch:
+            composer.add_table(table, kernel.counts_batch(table.starts - start,
+                                                          table.lengths))
+        else:
+            composer.add_spans(table, kernel, start)
+        tables.append(table)
+        if feedback:
+            row_ones, row_writes = composer.row_totals()
+            if prior_rows is not None:
+                row_ones = prior_rows[0] + row_ones
+                row_writes = prior_rows[1] + row_writes
+            leveler.observe(int(table.starts[-1] + table.lengths[-1]),
+                            mean_duty_from_row_counts(row_ones,
+                                                      row_writes * float(word_bits)))
+    if feedback and prior_rows is not None:
+        row_ones, row_writes = composer.row_totals()
+        prior_rows[0][...] += row_ones
+        prior_rows[1][...] += row_writes
+    ones, writes = composer.finalize()
+    return ones, writes, tables

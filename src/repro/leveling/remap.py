@@ -8,9 +8,10 @@ within one inference epoch and may change between epochs, which is exactly
 the granularity both simulation paths consume it at:
 
 * the fast packed engine (:class:`repro.core.simulation.AgingSimulator`)
-  splits the inference range into :meth:`WearLeveler.spans` of constant
-  mapping, evaluates each span's closed-form duty counts once, and gathers
-  the logical counts into physical rows through the span's permutation;
+  walks the :meth:`WearLeveler.span_tables` of constant mapping through
+  :func:`repro.core.span_compose.compose_leveled`, which composes each
+  span's closed-form duty counts into physical rows through the span's
+  permutation;
 * the explicit paths (:class:`repro.core.simulation.ExplicitAgingSimulator`
   and :meth:`repro.memory.trace.WriteTrace.replay`) query
   :meth:`WearLeveler.permutation` every epoch and route each block write

@@ -27,8 +27,9 @@ one shared contract:
 
 The fast driver evaluates each active phase through the policy's closed-form
 ``counts(start, n)`` kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`)
-— one kernel build per phase, one cheap combination per leveling span, never
-a per-block Python loop.  The explicit engine replays every phase write by
+— one kernel build per phase, composed over the phase's leveling spans by
+:func:`repro.core.span_compose.compose_leveled`, never a per-block Python
+loop.  The explicit engine replays every phase write by
 write via :func:`repro.core.simulation.replay_inference`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
 the reference temperature reproduces :class:`~repro.core.simulation.AgingSimulator`
@@ -57,8 +58,8 @@ from repro.core.simulation import (
     _duty_from_counts,
     replay_inference,
 )
-from repro.core.span_compose import SpanComposer
-from repro.leveling.remap import mean_duty_from_row_counts, mean_duty_per_row
+from repro.core.span_compose import compose_leveled
+from repro.leveling.remap import mean_duty_per_row
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -541,10 +542,12 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
     Per active phase, one :class:`~repro.core.simulation.AgingSimulator` is
     built on the phase's (cached) stream and its
     :meth:`~repro.core.simulation.AgingSimulator.counts_kernel` evaluated —
-    once for the whole phase without a leveler, or once per constant-mapping
-    leveling span with one.  Kernel ``start`` arguments are phase-local
-    (policy state resets at boundaries) while leveler permutations are
-    addressed by the global active-epoch cursor (remap state persists).
+    once for the whole phase without a leveler, or composed over the phase's
+    window of the leveler's span tables with one
+    (:func:`~repro.core.span_compose.compose_leveled`).  Kernel ``start``
+    arguments are phase-local (policy state resets at boundaries) while
+    leveler permutations are addressed by the global active-epoch cursor
+    (remap state persists).
     """
 
     engine_name = "packed"
@@ -581,41 +584,16 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
                 # whatever its final write of the final epoch stored.
                 self._held[written] = last_bits(phase.duration - 1)[written]
             return kernel(0, phase.duration)
-        if not kernel.supports_batch:
-            return self._phase_counts_loop(kernel, phase, cursor,
-                                           last_bits if track_held else None,
-                                           written if track_held else None)
-        rows, word_bits = self._geometry()
-        track_feedback = self._track_feedback
-        composer = SpanComposer(rows, word_bits, leveler.region_rows,
-                                track_feedback=track_feedback)
-        tables: List["SpanTable"] = []
-        for table in leveler.span_tables(self._total_active, start=cursor,
-                                         stop=cursor + phase.duration):
-            if not table.num_spans:
-                continue
-            # Kernel starts are phase-local (policy state resets at phase
-            # boundaries); the table's global starts keep addressing the
-            # persistent leveler schedule.
-            composer.add_table(
-                table, kernel.counts_batch(table.starts - cursor,
-                                           table.lengths))
-            tables.append(table)
-            if track_feedback:
-                row_ones, row_writes = composer.row_totals()
-                leveler.observe(
-                    int(table.starts[-1] + table.lengths[-1]),
-                    mean_duty_from_row_counts(
-                        self._row_acc_ones + row_ones,
-                        (self._row_acc_writes + row_writes)
-                        * float(word_bits)))
+        # Kernel starts are phase-local (policy state resets at phase
+        # boundaries); the tables' global starts keep addressing the
+        # persistent leveler schedule.
+        prior_rows = ((self._row_acc_ones, self._row_acc_writes)
+                      if self._track_feedback else None)
+        ones, writes, tables = compose_leveled(
+            kernel, leveler, self._total_active, start=cursor,
+            stop=cursor + phase.duration, prior_rows=prior_rows)
         if track_held:
             self._scatter_held(tables, cursor, last_bits, written)
-        ones, writes = composer.finalize()
-        if track_feedback:
-            row_ones, row_writes = composer.row_totals()
-            self._row_acc_ones += row_ones
-            self._row_acc_writes += row_writes
         return ones, writes
 
     def _scatter_held(self, tables: List["SpanTable"], cursor: int,
@@ -650,44 +628,6 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
                     remaining -= int(np.count_nonzero(need))
                 if remaining <= 0:
                     return
-
-    def _phase_counts_loop(self, kernel: Callable, phase: Phase, cursor: int,
-                           last_bits: Optional[Callable[[int], np.ndarray]],
-                           written: Optional[np.ndarray]
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-span reference walk for kernels without a batched form.
-
-        The stochastic DNN-Life kernel draws fresh randomness per span in
-        call order, so its leveled composition keeps the original span loop
-        (the batched path would reorder the draws).  Feedback still runs on
-        the persistent ``(rows,)`` physical totals — the row reduction of a
-        span's exact-integer counts commutes with the permutation scatter, so
-        the observed stress is unchanged bit for bit.
-        """
-        leveler = self.leveler
-        rows, word_bits = self._geometry()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.float64)
-        for start, length in leveler.spans(self._total_active, start=cursor,
-                                           stop=cursor + phase.duration):
-            permutation = leveler.permutation(start)
-            span_ones, span_writes = kernel(start - cursor, length)
-            ones[permutation] += span_ones
-            writes[permutation] += span_writes
-            if last_bits is not None:
-                # Within a constant-mapping span every written row's last
-                # write is in the span's final epoch; later spans overwrite
-                # earlier ones in stream order, so after the loop each
-                # physical cell holds exactly its last-written value.
-                stored = last_bits(start - cursor + length - 1)
-                self._held[permutation[written]] = stored[written]
-            if self._track_feedback:
-                self._row_acc_ones[permutation] += span_ones.sum(axis=1)
-                self._row_acc_writes[permutation] += span_writes
-                leveler.observe(start + length, mean_duty_from_row_counts(
-                    self._row_acc_ones,
-                    self._row_acc_writes * float(word_bits)))
-        return ones, writes
 
 
 # --------------------------------------------------------------------------- #

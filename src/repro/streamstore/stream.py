@@ -5,7 +5,7 @@ surface the simulators consume — ``geometry`` / ``words_per_block`` /
 ``fifo_depth_tiles`` / ``num_blocks`` / ``iter_blocks()`` / ``packed_bits()``
 — backed entirely by a memory-mapped :class:`PackedBitTensor`.  The packed
 fast path costs nothing extra (``packed_bits()`` returns the mmap-backed
-tensor directly); the explicit/blockwise cross-check engines get their
+tensor directly); the explicit cross-check engines get their
 :class:`WeightBlock` sequence reconstructed lazily from the stored bits via
 :func:`~repro.quantization.bitops.pack_bits_to_words`, which is the exact
 inverse of the unpacking done at build time — so both engines see the same
@@ -62,7 +62,7 @@ class StoredWeightStream:
         """Reconstruct the block sequence from the stored bits, lazily.
 
         Word values are repacked from the bit tensor with the exact inverse
-        of the build-time unpacking, so the blockwise engines replay the
+        of the build-time unpacking, so the explicit engines replay the
         stream bit-identically to a freshly-built one.  Layer provenance is
         not persisted; blocks carry a placeholder layer name.
         """

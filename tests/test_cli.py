@@ -341,17 +341,15 @@ class TestStreamStoreCli:
         assert main(argv + self.SWEEP) == 0
         assert "stream store at" not in capsys.readouterr().out
 
-    def test_dask_backend_unavailable_is_usage_error(self, capsys):
-        try:
-            import dask.distributed  # noqa: F401
-            pytest.skip("dask.distributed is installed here")
-        except ImportError:
-            pass
-        code = main(["sweep", "aging", "--grid", "policy=none",
-                     "--backend", "dask"])
-        assert code == 2
+    def test_removed_dask_backend_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "aging", "--grid", "policy=none",
+                  "--backend", "dask"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "dask.distributed" in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "invalid choice: 'dask'" in errors[0]
         assert "Traceback" not in err
 
     def test_unknown_backend_rejected_by_parser(self, capsys):

@@ -213,12 +213,6 @@ class TestEngineEquivalence:
             trace.replay(SramArray(tiny_stream.geometry),
                          leveler=make_leveler("rotation", tiny_stream.geometry))
 
-    def test_blockwise_engine_rejects_leveler(self, tiny_stream):
-        with pytest.raises(NotImplementedError):
-            AgingSimulator(tiny_stream, make_policy("none", 8),
-                           engine="blockwise",
-                           leveler=make_leveler("rotation", tiny_stream.geometry))
-
     def test_leveler_geometry_mismatch_rejected(self, tiny_stream, geometry):
         with pytest.raises(ValueError):
             AgingSimulator(tiny_stream, make_policy("none", 8),

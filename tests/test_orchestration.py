@@ -361,22 +361,12 @@ class TestSweepBackends:
             "num_inferences": [2], "seed": [0],
             "policy": ["none", "inversion", "barrel_shifter", "dnn_life"]}
 
-    def test_make_executor_unknown_backend(self):
+    @pytest.mark.parametrize("backend", ["threads", "dask"])
+    def test_make_executor_unknown_backend(self, backend):
         from repro.orchestration import make_executor
 
         with pytest.raises(ValueError, match="unknown sweep backend"):
-            make_executor("threads")
-
-    def test_make_executor_dask_requires_dependency(self):
-        from repro.orchestration import make_executor
-
-        try:
-            import dask.distributed  # noqa: F401
-            pytest.skip("dask.distributed is installed here")
-        except ImportError:
-            pass
-        with pytest.raises(ValueError, match="dask.distributed"):
-            make_executor("dask")
+            make_executor(backend)
 
     def test_named_backends_construct(self):
         from repro.orchestration import (

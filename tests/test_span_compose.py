@@ -8,10 +8,11 @@ Three layers of protection for the fused remap composition
   :meth:`WearLeveler.spans` walk for every shipped leveler across sampled
   schedules and ``[start, stop)`` windows;
 * unit tests of the span window-contract validator and its debug flag;
-* byte-identity regressions pinning the batched engine's ``AgingResult``
-  payloads to SHAs captured on the pre-refactor per-span loop, including a
-  >255-span schedule that would expose any narrow-dtype shortcut in the
-  composition, plus live batched-vs-loop and scipy-vs-numpy cross-checks.
+* byte-identity regressions pinning the leveled ``AgingResult`` payloads
+  (and leveled dnn_life scenario payloads) to SHAs captured on the
+  pre-refactor per-span loops, including a >255-span schedule that would
+  expose any narrow-dtype shortcut in the composition, plus live
+  batched-vs-per-span and scipy-vs-numpy cross-checks.
 """
 
 import hashlib
@@ -23,7 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.span_compose as span_compose
-from repro.bench.aging_bench import BenchCase, _policy_for
+from repro.bench.aging_bench import (
+    BenchCase,
+    _policy_for,
+    _scenario_bench_factory,
+)
 from repro.core.simulation import AgingSimulator, PackedSpanKernel
 from repro.leveling import (
     make_leveler,
@@ -32,6 +37,8 @@ from repro.leveling import (
 )
 from repro.leveling.remap import _check_span_tiling
 from repro.memory.geometry import MemoryGeometry
+from repro.scenario.driver import ScenarioAgingSimulator
+from repro.scenario.phases import LifetimeScenario
 from repro.utils.units import KB
 
 # --------------------------------------------------------------------------- #
@@ -219,6 +226,28 @@ GOLDEN_8KB_SHAS = {
         "8dc69c71584626113edca1a11e3de4fde893745718198ab62519ac9cb8a467a4",
     ("inversion", "wear_swap"):
         "a3712b6f344d5d7d90b4659d1240d4cc15d7d6880c183dd37d191c06f9fd7258",
+    # The stochastic TRBG kernel composes span by span, in draw order.
+    ("dnn_life", "rotation"):
+        "0410001e6493a5c7f7872dfa58bcbc1ba415a0be65407fb9ad3270af50c67776",
+    ("dnn_life", "start_gap"):
+        "df703541eec583b39e982c27f7b0cc0470c05a4add161c62529873f2b3581236",
+    ("dnn_life", "wear_swap"):
+        "92a3c0b19964de0df1a344ba90e6b2e41f99dfa52a41aaa3a39f9ca90c7d913c",
+}
+
+#: A seeded dnn_life timeline (two active phases around an idle retention
+#: stretch) run through the packed scenario driver under each leveler.
+GOLDEN_SCENARIO_SPEC = ("custom_mnist:int8:dnn_life:7@85C,idle:3@45C,"
+                        "custom_mnist:int8:dnn_life:6@60C")
+
+#: sha256 of the sorted-key JSON ``ScenarioResult`` payload per leveler.
+GOLDEN_SCENARIO_SHAS = {
+    "rotation":
+        "100535a98ab0c0b83bcf6e0f125e64a675a88366344a519d03f4061a81869d46",
+    "start_gap":
+        "cd4fdb532b94030e488a65c8219068196285064fe77352b772578e996013dbf6",
+    "wear_swap":
+        "0db7680d0d1e20b4a7da0c648be6286870132647a7fe28b1d0570a96059c8777",
 }
 
 #: Pre-refactor SHA of a 300-span rotation schedule (period 8, step 1): more
@@ -257,7 +286,7 @@ def _leveled_payload_sha(case: BenchCase, policy_name: str,
 class TestGoldenPayloads:
     """The batched path must reproduce the pre-refactor loop byte-for-byte."""
 
-    @pytest.mark.parametrize("policy_name", ["none", "inversion"])
+    @pytest.mark.parametrize("policy_name", ["none", "inversion", "dnn_life"])
     @pytest.mark.parametrize("leveler_name,options",
                              GOLDEN_LEVELERS, ids=lambda v: str(v))
     def test_golden_8kb(self, policy_name, leveler_name, options):
@@ -278,9 +307,29 @@ class TestGoldenPayloads:
                                    {"period": 8, "step": 1})
         assert sha == GOLDEN_300SPAN_SHA
 
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_golden_dnn_life_scenario(self, leveler_name, options):
+        """Leveled dnn_life phases: draw order, feedback and held values."""
+        scenario = LifetimeScenario.from_spec(GOLDEN_SCENARIO_SPEC)
+        factory = _scenario_bench_factory(seed=3)
+        geometry = factory(scenario.active_phases[0]).geometry
+        leveler = make_leveler(leveler_name, geometry, 4, **options)
+        result = ScenarioAgingSimulator(scenario, stream_factory=factory,
+                                        seed=3, leveler=leveler).run()
+        payload = json.dumps(result.to_payload(), sort_keys=True)
+        sha = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert sha == GOLDEN_SCENARIO_SHAS[leveler_name]
+
 
 class TestBatchedMatchesLoop:
-    """Live cross-check: fused composition vs the retained per-span loop."""
+    """Live cross-check: batched tables vs the per-span branch of the walk.
+
+    Forcing ``supports_batch`` off routes deterministic kernels through
+    :meth:`SpanComposer.add_spans` — the branch the stochastic DNN-Life
+    kernel always takes — so both branches of ``compose_leveled`` are held
+    to the same bits.
+    """
 
     @staticmethod
     def _force_loop(monkeypatch):
