@@ -9,6 +9,7 @@ engine-performance regressions show up as data instead of anecdotes.
 from repro.bench.aging_bench import (
     BENCH_SCHEMA,
     DEFAULT_OUTPUT,
+    DNN_LIFE_OVERHEAD_LIMITS,
     DVFS_BENCH_SPEC,
     FLEET_BENCH_MIX,
     LEVELING_OVERHEAD_LIMIT,
@@ -33,6 +34,7 @@ from repro.bench.aging_bench import (
 __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_OUTPUT",
+    "DNN_LIFE_OVERHEAD_LIMITS",
     "DVFS_BENCH_SPEC",
     "FLEET_BENCH_MIX",
     "LEVELING_OVERHEAD_LIMIT",

@@ -31,7 +31,7 @@ so the scenario cross-check engine shares the exact same write accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,9 +86,11 @@ class PackedSpanKernel:
     cross-check tests keep consuming them.  Kernels whose span counts
     decompose into fixed basis matrices with per-span scalar coefficients
     additionally expose :meth:`counts_batch`, the entry point of the fused
-    leveling composition (:class:`~repro.core.span_compose.SpanComposer`);
-    stochastic kernels (DNN-Life's TRBG draws fresh randomness per span, in
-    call order) have no batched form and are composed span by span.
+    leveling composition (:class:`~repro.core.span_compose.SpanComposer`).
+    The stochastic DNN-Life kernel has no fixed basis (its TRBG draws fresh
+    randomness per span, in call order); it is a :class:`TrbgSpanKernel`
+    instead, whose separate draw and linear reduce stages let the composer
+    draw every span in order and reduce them all in one fused pass.
     """
 
     def __init__(self, counts: CountsKernel,
@@ -109,8 +111,8 @@ class PackedSpanKernel:
         """Per-span counts decomposition over a whole span table."""
         if self._batch is None:
             raise NotImplementedError(
-                "this kernel has no batched form (stochastic per-span "
-                "draws); evaluate counts(start, n) per span instead")
+                "this kernel has no basis decomposition (stochastic per-span "
+                "draws); compose it through its draw/reduce stages instead")
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
         return self._batch(starts, lengths)
@@ -425,8 +427,9 @@ class AgingSimulator:
 
         Returns the :class:`PackedSpanKernel` described in
         :meth:`_packed_kernel` — callable as ``counts(start_inference, n) ->
-        (numerator, writes)``, with :meth:`PackedSpanKernel.counts_batch` on
-        top for span-table batches.  This is what the scenario driver
+        (numerator, writes)``, with :meth:`PackedSpanKernel.counts_batch`
+        (or, for DNN-Life, the :class:`TrbgSpanKernel` draw/reduce stages)
+        on top for span-table batches.  This is what the scenario driver
         (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates per
         phase: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
@@ -534,8 +537,9 @@ class AgingSimulator:
             numerator, writes = kernel(0, self.num_inferences)
             return _duty_from_counts(numerator, writes)
         # Batched kernels collapse the leveler's span tables into a constant
-        # number of NumPy passes; the stochastic DNN-Life kernel is composed
-        # span by span, in draw order (see compose_leveled).
+        # number of NumPy passes; the DNN-Life kernel draws every span in
+        # order and reduces all of them in one fused pass (see
+        # compose_leveled).
         leveler.reset()
         ones, writes, _ = compose_leveled(kernel, leveler, self.num_inferences)
         return _duty_from_counts(ones, writes)
@@ -546,11 +550,12 @@ class AgingSimulator:
         A kernel is a :class:`PackedSpanKernel`: callable as
         ``counts(start_inference, n) -> (numerator, writes)`` returning the
         per-logical-cell ones numerator and per-row write denominator
-        accumulated over inferences ``[start, start + n)``, and (for the
-        deterministic policies) exposing the batched
-        :meth:`PackedSpanKernel.counts_batch` decomposition over whole span
-        tables.  The heavy tensor reductions happen once in the factory; each
-        call is a cheap combination, which is what lets the leveling driver
+        accumulated over inferences ``[start, start + n)``, and exposing
+        either the batched :meth:`PackedSpanKernel.counts_batch`
+        decomposition over whole span tables (deterministic policies) or the
+        draw/reduce stages of a :class:`TrbgSpanKernel` (DNN-Life).  The
+        heavy tensor reductions happen once in the factory; each call is a
+        cheap combination, which is what lets the leveling driver
         evaluate many constant-mapping spans without re-reducing the packed
         tensor.
         """
@@ -815,20 +820,16 @@ class AgingSimulator:
 
         return PackedSpanKernel(counts, batch)
 
-    def _packed_dnn_life_kernel(self, policy: DnnLifePolicy) -> PackedSpanKernel:
+    def _packed_dnn_life_kernel(self, policy: DnnLifePolicy) -> "TrbgSpanKernel":
         packed = self._packed()
         num_blocks = packed.num_blocks
-        words = packed.words_per_block
         bias = policy.controller.trbg.nominal_bias
         balancer = policy.controller.bias_balancer
-        group = policy.words_per_enable
-        num_groups = (words + group - 1) // group
-        valid = packed.valid_mask()
-        ones = packed.rows_ones()
-        writes = packed.rows_writes()
+        reduction = TrbgReduction(packed, policy.words_per_enable)
+        num_groups = reduction.num_groups
         rng = self.rng
 
-        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        def draw(start: int, n: int) -> np.ndarray:
             # Deterministic bias-balancing phase of every (inference, block)
             # pair in the span: the register ticks once per block, its MSB is
             # the inversion phase.
@@ -858,20 +859,176 @@ class AgingSimulator:
                     group_enables[selected] = (
                         rng.binomial(int(n - phase_count), bias, size=count)
                         + rng.binomial(int(phase_count), 1.0 - bias, size=count))
-            if n <= 255:
-                group_enables = group_enables.astype(np.uint8, copy=False)
-            word_enables = np.repeat(group_enables, group, axis=1)[:, :words]
-            word_enables = word_enables * valid
+            # Held in the narrowest exact dtype (uint8 up to 255 inferences).
+            return group_enables.astype(np.min_scalar_type(n), copy=False)
 
-            enables_total = packed.rows_sum(word_enables, max_value=n)
-            crossed = packed.rows_sum(packed.bits, weights=word_enables, max_value=1)
-            numerator = (ones * n + enables_total[:, None] - 2.0 * crossed)
-            return numerator, writes * n
+        return TrbgSpanKernel(draw, reduction)
 
-        # No batched form: the TRBG draws fresh randomness per span, in call
-        # order, so the leveled composition evaluates it span by span (which
-        # preserves the RNG draw sequence the golden results pin down).
-        return PackedSpanKernel(counts)
+
+#: Target size of one chunk's operands in the fused TRBG reduction: the
+#: per-chunk temporaries stay cache-sized however many mappings are folded.
+_TRBG_CHUNK_BYTES = 1 << 20
+
+
+class TrbgReduction:
+    """Reduce stage of the DNN-Life kernel: span counts linear in the enables.
+
+    A span of ``n`` inferences whose TRBG drew the ``(num_blocks,
+    num_groups)`` enable counts ``E`` (how many of the ``n`` inferences
+    inverted each enable group) accumulates, per logical cell,
+    ``numerator = ones * n + enables_total - 2 * crossed`` where
+    ``enables_total[row] = sum_b E[b, g(w)]`` over the valid words landing
+    on the row and ``crossed[row, c] = sum_b E[b, g(w)] * bits[b, w, c]``.
+    Both sums are linear in ``E``, so spans sharing a mapping can reduce
+    their summed enables once, and :meth:`numerator_chunks` evaluates any
+    number of such enable sets in a single pass over the packed tensor (one
+    batched matmul per region and chunk of enable groups).  Every operand is
+    a small integer, so the products and sums are exact and the result is
+    bit-identical to any other summation order.
+    """
+
+    def __init__(self, packed: PackedBitTensor, words_per_enable: int):
+        self.packed = packed
+        self.group = int(words_per_enable)
+        self.num_groups = -(-packed.words_per_block // self.group)
+        self.ones = packed.rows_ones()
+        self.writes = packed.rows_writes()
+        self._row_ones: Optional[np.ndarray] = None
+        self._row_weights: Optional[np.ndarray] = None
+
+    def counts(self, enables: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One span's ``(numerator, writes)`` from its drawn enable counts."""
+        numerator = np.zeros_like(self.ones)
+        for rows, numerators in self.numerator_chunks(enables[None],
+                                                      np.asarray([n])):
+            numerator[rows] += numerators[0]
+        return numerator, self.writes * n
+
+    def row_totals(self, enables: np.ndarray, n: int) -> np.ndarray:
+        """``counts(enables, n)[0].sum(axis=1)`` from a ``(B, W)`` pass.
+
+        Summed over the bit axis, ``enables_total`` counts ``word_bits``
+        times and ``sum_c crossed[row, c] = sum_b E[b, g(w)] *
+        popcount(bits[b, w])``, so the per-row feedback signal is one
+        integer pass over per-word weights ``word_bits * valid - 2 *
+        popcount``, never over the bit axis.
+        """
+        packed = self.packed
+        if self._row_weights is None:
+            self._row_ones = self.ones.sum(axis=1)
+            # Column-wise adds: ~4x faster than a reduction over the short
+            # bit axis.
+            popcount = packed.bits[..., 0].astype(np.int16)
+            for column in range(1, packed.word_bits):
+                popcount += packed.bits[..., column]
+            weights = np.zeros((packed.num_blocks, self.num_groups * self.group),
+                               dtype=np.int16)
+            weights[:, :packed.words_per_block] = (
+                packed.word_bits * packed.valid_mask() - 2 * popcount)
+            self._row_weights = weights.reshape(packed.num_blocks,
+                                                self.num_groups, self.group)
+        totals = self._row_ones * n
+        for row_slice, indexer in packed.region_indexers():
+            region_enables = enables[indexer]
+            count = region_enables.shape[0]
+            if not count:
+                continue
+            # |sum| <= count * n * word_bits: int32 is exact below 2**31.
+            exact = (np.int32 if count * n * packed.word_bits < 2 ** 31
+                     else np.int64)
+            weighted = np.einsum("bg,bgk->gk", region_enables.astype(exact),
+                                 self._row_weights[indexer].astype(exact))
+            totals[row_slice] += weighted.reshape(-1)[:packed.words_per_block]
+        return totals
+
+    def numerator_chunks(self, enables: np.ndarray, lengths: np.ndarray
+                         ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Yield ``(rows, numerators)`` for ``K`` enable sets in one pass.
+
+        ``enables`` is ``(K, num_blocks, num_groups)`` and ``lengths`` the
+        ``(K,)`` inference count each set spans; every yielded
+        ``numerators`` block is ``(K, rows, word_bits)`` over a slice of
+        logical rows inside one region (a view of a per-chunk buffer: add it,
+        do not keep it).  Regions no block writes are skipped (their
+        numerator is zero).
+
+        Per chunk of enable groups, one batched matmul ``(K x R) @ (R x group
+        * word_bits)`` yields the numerator itself, straight in ``(K, rows,
+        word_bits)`` layout.  Its ``R`` contraction rows are, per word:
+        ``bits[b, w, c]`` of every block (coefficient ``-2 E[k, b, g]``), a
+        row of ones (``sum_b E[k, b, g]``: every word's ``enables_total``),
+        ``ones[w, c]`` (``lengths[k]``), and for each short block a row
+        marking its padding words (``-E[k, b, g]``: padding stores nothing).
+        The bits are only widened, never transformed, and the product runs
+        in float32 when every partial sum provably stays below 2**24, in
+        float64 otherwise.
+        """
+        packed = self.packed
+        group, word_bits = self.group, packed.word_bits
+        words, num_groups = packed.words_per_block, self.num_groups
+        width = group * word_bits
+        num_sets = enables.shape[0]
+        lengths = np.asarray(lengths)
+        for row_slice, indexer in packed.region_indexers():
+            region_bits = packed.bits[indexer]
+            count = region_bits.shape[0]
+            if not count:
+                continue
+            region_enables = enables[:, indexer]
+            enables_total = region_enables.sum(axis=1, dtype=np.int64)
+            region_valid = packed.valid_words[indexer]
+            short = np.flatnonzero(region_valid < words)
+            region_ones = self.ones[row_slice]
+            terms = count + 2 + short.size
+            # Every partial sum is bounded by sum |term| <= (2 + 1 + 1) * count
+            # * max n (bits, enables total, ones) + short.size * max n.
+            dtype = (np.float32
+                     if (4 * count + short.size) * int(lengths.max()) < 2 ** 24
+                     else np.float64)
+            step = max(1, _TRBG_CHUNK_BYTES // ((terms + num_sets) * width * 8))
+            for first in range(0, num_groups, step):
+                last = min(first + step, num_groups)
+                start, stop = first * group, min(last * group, words)
+                size, used = last - first, stop - start
+                chunk_enables = region_enables[:, :, first:last].transpose(2, 0, 1)
+                cells = np.empty((terms, size * group, word_bits), dtype=dtype)
+                cells[:count, :used] = region_bits[:, start:stop]
+                cells[count, :used] = 1
+                cells[count + 1, :used] = region_ones[start:stop]
+                cells[count + 2:, :used] = 0
+                cells[:, used:] = 0  # a short last group: dropped, kept finite
+                left = np.empty((size, num_sets, terms), dtype=dtype)
+                np.multiply(chunk_enables, dtype(-2), out=left[:, :, :count])
+                left[:, :, count] = enables_total[:, first:last].T
+                left[:, :, count + 1] = lengths
+                for term, block in enumerate(short, start=count + 2):
+                    cells[term, max(region_valid[block] - start, 0):used] = 1
+                    np.multiply(chunk_enables[:, :, block], dtype(-1),
+                                out=left[:, :, term])
+                sums = np.empty((num_sets, size, width), dtype=dtype)
+                np.matmul(left, cells.reshape(terms, size, width)
+                          .transpose(1, 0, 2), out=sums.transpose(1, 0, 2))
+                yield (slice(row_slice.start + start, row_slice.start + stop),
+                       sums.reshape(num_sets, -1, word_bits)[:, :used])
+
+
+class TrbgSpanKernel(PackedSpanKernel):
+    """The DNN-Life kernel as a draw stage and a linear reduce stage.
+
+    ``draw(start, n)`` makes the span's ``(num_blocks, num_groups)`` TRBG
+    enable counts — one call per span, in call order, which is the RNG
+    sequence the golden results pin — and :attr:`reduction` turns enable
+    counts into duty counts.  Calling the kernel runs both stages; the
+    leveled composition instead draws every span first and reduces all of a
+    run's mappings in one fused pass
+    (:meth:`~repro.core.span_compose.SpanComposer.add_draws`).
+    """
+
+    def __init__(self, draw: Callable[[int, int], np.ndarray],
+                 reduction: TrbgReduction):
+        self.draw = draw
+        self.reduction = reduction
+        super().__init__(lambda start, n: reduction.counts(draw(start, n), n))
 
 
 def _describe_with_leveling(policy: MitigationPolicy,

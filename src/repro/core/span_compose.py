@@ -28,11 +28,17 @@ span)`` index matrix (SciPy's ``csr_matvecs`` when available, a per-span
 gather fallback otherwise), while the per-chunk feedback signal is maintained
 as ``(rows,)`` running row totals — never a full-matrix reduction.
 
-Kernels without a batched form (DNN-Life's TRBG draws fresh randomness per
-span, in call order) are folded span by span through
-:meth:`SpanComposer.add_spans`, which keeps the draw order.  Both forms meet
-in :func:`compose_leveled`, the one leveled walk of the packed single-run
-and scenario engines.
+DNN-Life's kernel has no fixed basis — its TRBG draws fresh randomness per
+span, in call order — but it splits into a *draw* stage (the per-span
+``(num_blocks, num_groups)`` enable counts) and a *reduce* stage linear in
+those counts (:class:`~repro.core.simulation.TrbgReduction`).
+:meth:`SpanComposer.add_draws` draws every span in table order, sums the
+enables of spans sharing a mapping (a roll offset), keeps the feedback row
+totals from a cheap popcount-weighted ``(blocks, words)`` pass, and
+:meth:`SpanComposer.finalize` reduces all mappings in one fused pass over the
+packed tensor, rolling or scattering each chunk into the physical counts.
+Both forms meet in :func:`compose_leveled`, the one leveled walk of the
+packed single-run and scenario engines.
 
 Exactness: every basis entry, coefficient, and weight is an exact integer
 held in float64 (far below 2**53), so products and partial sums are exact and
@@ -45,12 +51,12 @@ packed-vs-explicit batteries in the test suite pin this down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.simulation import PackedSpanKernel
+    from repro.core.simulation import PackedSpanKernel, TrbgSpanKernel
     from repro.leveling.remap import SpanTable, WearLeveler
 
 __all__ = ["BatchedCounts", "SpanComposer", "compose_leveled"]
@@ -65,6 +71,12 @@ except Exception:  # pragma: no cover - exercised only without SciPy
 #: Offset supports up to this size are composed as direct slice-roll adds;
 #: larger supports go through the cumulative-sum window decomposition.
 _DIRECT_ROLLS = 6
+
+#: Pending TRBG mappings are reduced (one fused pass) once this many have
+#: accumulated, or once their summed enables hold this many bytes: bounds the
+#: composer's memory and the per-chunk work on long feedback runs.
+_FOLD_MAPPINGS = 64
+_FOLD_BYTES = 32 << 20
 
 
 @dataclass
@@ -198,14 +210,14 @@ class SpanComposer:
     """Accumulates leveled span tables and materialises physical counts.
 
     Drivers feed every :class:`~repro.leveling.remap.SpanTable` chunk with
-    its :class:`BatchedCounts` through :meth:`add_table` (or, for kernels
-    without a batched form, through :meth:`add_spans`); :meth:`finalize`
-    then produces the composed ``(ones, writes)`` physical counts in a
-    constant number of passes.  With ``track_feedback`` the composer also
-    maintains ``(rows,)`` running totals of the physical ones/writes after
-    each chunk (:meth:`row_totals`) — the wear-map stress signal
-    feedback-driven levelers observe between chunks — at per-chunk vector
-    cost instead of a full-matrix reduction.
+    its :class:`BatchedCounts` through :meth:`add_table` (or, for the
+    DNN-Life kernel, its TRBG draws through :meth:`add_draws`);
+    :meth:`finalize` then produces the composed ``(ones, writes)`` physical
+    counts in a constant number of passes.  With ``track_feedback`` the
+    composer also maintains ``(rows,)`` running totals of the physical
+    ones/writes after each chunk (:meth:`row_totals`) — the wear-map stress
+    signal feedback-driven levelers observe between chunks — at per-chunk
+    vector cost instead of a full-matrix reduction.
     """
 
     def __init__(self, rows: int, word_bits: int, region_rows: int,
@@ -228,7 +240,16 @@ class SpanComposer:
         self._row_writes = (np.zeros(self.rows, dtype=np.float64)
                             if self._track else None)
         self._identity32 = None
-        #: Dense ``(ones, writes)`` accumulators of :meth:`add_spans`.
+        #: Pending TRBG mappings of :meth:`add_draws`: the kernel's reduce
+        #: stage, then per mapping its roll offset (offset-form spans, slot
+        #: index in ``_draw_slots``) or permutation, summed enables and summed
+        #: span length.
+        self._reduction = None
+        self._draw_slots: Dict[int, int] = {}
+        self._draw_maps: List[Union[int, np.ndarray]] = []
+        self._draw_enables: List[np.ndarray] = []
+        self._draw_lengths: List[int] = []
+        #: Dense ``(ones, writes)`` accumulators of the folded TRBG mappings.
         self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _bind(self, batched: BatchedCounts) -> None:
@@ -276,30 +297,90 @@ class SpanComposer:
                 self._row_ones += gathered
                 self._row_writes += length * self._writes_base[inverse]
 
-    def add_spans(self, table: "SpanTable", kernel: "PackedSpanKernel",
+    def add_draws(self, table: "SpanTable", kernel: "TrbgSpanKernel",
                   origin: int) -> None:
-        """Fold one span table through a per-span ``counts(start, n)`` kernel.
+        """Draw one span table's TRBG enables and fold them by mapping.
 
-        The kernel is called once per span, in span order, with the span's
-        start shifted by ``origin`` (a scenario phase's first epoch: policy
-        state is phase-local), and its logical counts are scattered into
-        physical rows through the span's permutation.  Every count is an
-        exact integer, so this path composes bit-identically with
-        :meth:`add_table`; it exists for kernels whose draws must stay in
-        call order.
+        The kernel's draw stage runs once per span, in span order, with the
+        span's start shifted by ``origin`` (a scenario phase's first epoch:
+        policy state is phase-local), so the RNG sequence is the per-span
+        walk's.  Spans sharing a roll offset share a mapping and have their
+        enable counts summed (exact for integers); permutation-form spans
+        (feedback chunks) each keep their own.  The reduce stage runs later,
+        for all pending mappings at once (:meth:`_fold_draws`).
         """
+        reduction = self._reduction = kernel.reduction
+        for index, (start, length) in enumerate(table.iter_spans()):
+            enables = kernel.draw(start - origin, length)
+            if table.offsets is None:
+                mapping, slot = table.permutation(index), None
+            else:
+                mapping = int(table.offsets[index])
+                slot = self._draw_slots.get(mapping)
+            if slot is None:
+                if table.offsets is not None:
+                    self._draw_slots[mapping] = len(self._draw_maps)
+                self._draw_maps.append(mapping)
+                self._draw_enables.append(enables)
+                self._draw_lengths.append(length)
+            else:
+                self._draw_lengths[slot] += length
+                self._draw_enables[slot] = np.add(
+                    self._draw_enables[slot], enables,
+                    dtype=np.min_scalar_type(self._draw_lengths[slot]))
+            if self._track:
+                permutation = table.permutation(index)
+                self._row_ones[permutation] += reduction.row_totals(enables,
+                                                                    length)
+                self._row_writes[permutation] += reduction.writes * length
+            if (len(self._draw_maps) >= _FOLD_MAPPINGS
+                    or sum(e.nbytes for e in self._draw_enables) >= _FOLD_BYTES):
+                self._fold_draws()
+
+    def _fold_draws(self) -> None:
+        """Reduce every pending TRBG mapping in one fused pass.
+
+        One :meth:`~repro.core.simulation.TrbgReduction.numerator_chunks`
+        pass over the packed tensor yields every mapping's logical counts a
+        chunk of rows at a time; each chunk is rolled (offset form) or
+        scattered (permutation form) into the dense physical accumulators.
+        """
+        if not self._draw_maps:
+            return
         if self._dense is None:
             self._dense = (np.zeros((self.rows, self.word_bits), dtype=np.float64),
                            np.zeros(self.rows, dtype=np.float64))
         ones, writes = self._dense
-        for index, (start, length) in enumerate(table.iter_spans()):
-            permutation = table.permutation(index)
-            span_ones, span_writes = kernel(start - origin, length)
-            ones[permutation] += span_ones
-            writes[permutation] += span_writes
-            if self._track:
-                self._row_ones[permutation] += span_ones.sum(axis=1)
-                self._row_writes[permutation] += span_writes
+        reduction = self._reduction
+        region_rows = self.region_rows
+        for rows, numerators in reduction.numerator_chunks(
+                np.stack(self._draw_enables), np.asarray(self._draw_lengths)):
+            count = rows.stop - rows.start
+            base = rows.start - rows.start % region_rows
+            for mapping, numerator in zip(self._draw_maps, numerators):
+                if isinstance(mapping, np.ndarray):
+                    # A bijection has no repeated targets: gather, add, put
+                    # (faster than a fancy-index ``+=``).
+                    targets = mapping[rows]
+                    gathered = np.take(ones, targets, axis=0)
+                    gathered += numerator
+                    ones[targets] = gathered
+                    continue
+                first = (rows.start - base + mapping) % region_rows
+                head = min(count, region_rows - first)
+                ones[base + first:base + first + head] += numerator[:head]
+                ones[base:base + count - head] += numerator[head:]
+        for mapping, length in zip(self._draw_maps, self._draw_lengths):
+            if isinstance(mapping, np.ndarray):
+                writes[mapping] += reduction.writes * length
+            else:
+                _roll_axpy(writes.reshape(-1, region_rows, 1),
+                           reduction.writes.reshape(-1, region_rows, 1),
+                           mapping, float(length))
+        self._draw_slots.clear()
+        self._draw_maps.clear()
+        self._draw_enables.clear()
+        self._draw_lengths.clear()
 
     def row_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Running physical ``(row_ones, row_writes)`` totals (feedback)."""
@@ -309,6 +390,7 @@ class SpanComposer:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts."""
+        self._fold_draws()
         if self._dense is not None:
             ones, writes = self._dense
         else:
@@ -366,8 +448,9 @@ def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
     of the leveler's whole schedule; ``start`` doubles as the kernel origin,
     so kernel starts are window-local while the tables keep addressing the
     leveler by global epoch.  Batched kernels go through
-    :meth:`SpanComposer.add_table`, the others span by span through
-    :meth:`SpanComposer.add_spans`.  Feedback levelers observe the
+    :meth:`SpanComposer.add_table`; the DNN-Life kernel draws every span in
+    order through :meth:`SpanComposer.add_draws` and is reduced in one fused
+    pass at :meth:`SpanComposer.finalize`.  Feedback levelers observe the
     accumulated physical stress at the end of every table — on top of the
     ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
     which are advanced in place by this window's totals.
@@ -389,7 +472,7 @@ def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
             composer.add_table(table, kernel.counts_batch(table.starts - start,
                                                           table.lengths))
         else:
-            composer.add_spans(table, kernel, start)
+            composer.add_draws(table, kernel, start)
         tables.append(table)
         if feedback:
             row_ones, row_writes = composer.row_totals()

@@ -30,6 +30,20 @@ def _nanmean(values: np.ndarray, axis=None) -> np.ndarray:
         return np.nanmean(values, axis=axis)
 
 
+def _column_means(degradation: np.ndarray) -> np.ndarray:
+    """NaN-aware mean of each bit column of a degradation matrix."""
+    return _nanmean(degradation, axis=0)
+
+
+def _region_means(degradation: np.ndarray, num_regions: int) -> np.ndarray:
+    """NaN-aware mean of each of ``num_regions`` equal row bands."""
+    region_rows = degradation.shape[0] // num_regions
+    return np.array([
+        _nanmean(degradation[index * region_rows:(index + 1) * region_rows])
+        for index in range(num_regions)
+    ])
+
+
 @dataclass
 class WearMap:
     """Spatial aging summary of a weight memory."""
@@ -73,16 +87,11 @@ class WearMap:
         Never-written cells are excluded; a column with no written cell at
         all reports NaN (check :attr:`coverage`).
         """
-        return _nanmean(self.degradation, axis=0)
+        return _column_means(self.degradation)
 
     def per_region(self) -> np.ndarray:
         """Mean SNM degradation of each FIFO region / tile (NaN-cell aware)."""
-        region_rows = self.duty_cycles.shape[0] // self.num_regions
-        degradation = self.degradation
-        return np.array([
-            _nanmean(degradation[index * region_rows:(index + 1) * region_rows])
-            for index in range(self.num_regions)
-        ])
+        return _region_means(self.degradation, self.num_regions)
 
     def worst_cells(self, count: int = 10) -> Dict[str, np.ndarray]:
         """Coordinates and degradation of the ``count`` most-aged cells.
@@ -107,8 +116,8 @@ class WearMap:
         """Headline spatial statistics (NaN-cell aware, see :attr:`coverage`)."""
         degradation = self.degradation
         defined = degradation[np.isfinite(degradation)]
-        per_column = self.per_bit_column()
-        per_region = self.per_region()
+        per_column = _column_means(degradation)
+        per_region = _region_means(degradation, self.num_regions)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=RuntimeWarning)
             column_max = np.nanmax(per_column) if per_column.size else np.nan

@@ -189,11 +189,35 @@ class TestBenchHarness:
         assert any(v.startswith("inversion+wear_swap:") for v in violations)
         assert check_leveling_overheads({"entries": {}}) == []
 
+    def test_dnn_life_leveling_gate(self):
+        """dnn_life entries have their own per-leveler budgets."""
+        from repro.bench import (
+            DNN_LIFE_OVERHEAD_LIMITS,
+            WEAR_SWAP_OVERHEAD_LIMIT,
+            check_leveling_overheads,
+        )
+
+        limits = DNN_LIFE_OVERHEAD_LIMITS
+        assert set(limits) == {"rotation", "start_gap", "wear_swap"}
+        payload = {"entries": {
+            "dnn_life+rotation": {"overhead": limits["rotation"] + 1.0},
+            "dnn_life+start_gap": {"overhead": limits["start_gap"] - 1.0},
+            "dnn_life+wear_swap": {"overhead": limits["wear_swap"] + 0.5},
+            # the deterministic budgets still apply to other policies
+            "none+rotation": {"overhead": limits["rotation"] - 1.0},
+            "none+wear_swap": {"overhead": WEAR_SWAP_OVERHEAD_LIMIT - 1.0},
+        }}
+        violations = check_leveling_overheads(payload)
+        assert sorted(v.split(":")[0] for v in violations) == [
+            "dnn_life+rotation", "dnn_life+wear_swap", "none+rotation"]
+
     def test_leveling_smoke_case_within_budget(self, smoke_payload):
         """The bench's own leveling entries respect the CI overhead gate."""
         from repro.bench import check_leveling_overheads
 
         assert check_leveling_overheads(smoke_payload["leveling"]) == []
+        assert {"dnn_life+rotation", "dnn_life+start_gap",
+                "dnn_life+wear_swap"} <= set(smoke_payload["leveling"]["entries"])
 
     def test_leveling_render(self, smoke_payload):
         text = render_bench_report(smoke_payload)

@@ -92,6 +92,29 @@ class TestWearMap:
         assert np.argmax(per_region) == 3
         assert wear.summary()["worst_region"] == 3
 
+    def test_summary_matches_public_aggregations(self):
+        """summary() reduces one degradation matrix into the same values
+        per_bit_column()/per_region() report, bit for bit."""
+        duty = np.random.default_rng(3).random((64, 8))
+        duty[40:44] = np.nan  # a never-written stretch inside region 2
+        wear = WearMap(duty_cycles=duty, num_regions=4)
+        summary = wear.summary()
+        per_column = wear.per_bit_column()
+        per_region = wear.per_region()
+        assert summary["worst_bit_column"] == int(np.nanargmax(per_column))
+        assert summary["worst_bit_column_mean_percent"] == np.nanmax(per_column)
+        assert summary["best_bit_column_mean_percent"] == np.nanmin(per_column)
+        assert summary["column_imbalance_pp"] == (np.nanmax(per_column)
+                                                  - np.nanmin(per_column))
+        assert summary["worst_region"] == int(np.nanargmax(per_region))
+        assert summary["worst_region_mean_percent"] == np.nanmax(per_region)
+        assert summary["region_imbalance_pp"] == (np.nanmax(per_region)
+                                                  - np.nanmin(per_region))
+        degradation = wear.degradation
+        defined = degradation[np.isfinite(degradation)]
+        assert summary["mean_degradation_percent"] == defined.mean()
+        assert summary["max_degradation_percent"] == defined.max()
+
     def test_worst_cells(self):
         duty = np.full((16, 8), 0.5)
         duty[5, 2] = 1.0

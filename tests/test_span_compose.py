@@ -12,7 +12,9 @@ Three layers of protection for the fused remap composition
   (and leveled dnn_life scenario payloads) to SHAs captured on the
   pre-refactor per-span loops, including a >255-span schedule that would
   expose any narrow-dtype shortcut in the composition, plus live
-  batched-vs-per-span and scipy-vs-numpy cross-checks.
+  cross-checks of the fused composition (batched deterministic kernels and
+  the draw/reduce dnn_life kernel) against a literal per-span walk, of the
+  TRBG reduce stage against the encoder arithmetic, and of scipy vs numpy.
 """
 
 import hashlib
@@ -29,13 +31,20 @@ from repro.bench.aging_bench import (
     _policy_for,
     _scenario_bench_factory,
 )
-from repro.core.simulation import AgingSimulator, PackedSpanKernel
+from repro.accelerator.scheduler import (
+    CachedWeightStream,
+    WeightStreamScheduler,
+    packed_bit_tensor,
+)
+from repro.core.policies import DnnLifePolicy
+from repro.core.simulation import AgingSimulator, TrbgReduction
+from repro.core.span_compose import compose_leveled
 from repro.leveling import (
     make_leveler,
     set_span_validation,
     span_validation_enabled,
 )
-from repro.leveling.remap import _check_span_tiling
+from repro.leveling.remap import _check_span_tiling, mean_duty_from_row_counts
 from repro.memory.geometry import MemoryGeometry
 from repro.scenario.driver import ScenarioAgingSimulator
 from repro.scenario.phases import LifetimeScenario
@@ -322,19 +331,85 @@ class TestGoldenPayloads:
         assert sha == GOLDEN_SCENARIO_SHAS[leveler_name]
 
 
-class TestBatchedMatchesLoop:
-    """Live cross-check: batched tables vs the per-span branch of the walk.
+def _per_span_walk(kernel, leveler, horizon, start=0, stop=None,
+                   prior_rows=None):
+    """Test-local reference: the literal per-span leveled walk.
 
-    Forcing ``supports_batch`` off routes deterministic kernels through
-    :meth:`SpanComposer.add_spans` — the branch the stochastic DNN-Life
-    kernel always takes — so both branches of ``compose_leveled`` are held
-    to the same bits.
+    ``kernel(span_start - start, n)`` per span, in table order, scattered
+    through ``table.permutation(k)``; feedback levelers observe the dense
+    physical stress (on top of ``prior_rows``, advanced in place) at every
+    table end, exactly as the fused path must.
     """
+    word_bits = leveler.geometry.word_bits
+    ones = np.zeros((leveler.rows, word_bits))
+    writes = np.zeros(leveler.rows)
+    for table in leveler.span_tables(horizon, start=start, stop=stop):
+        for index, (span_start, length) in enumerate(table.iter_spans()):
+            permutation = table.permutation(index)
+            span_ones, span_writes = kernel(span_start - start, length)
+            ones[permutation] += span_ones
+            writes[permutation] += span_writes
+        if leveler.uses_feedback:
+            row_ones, row_writes = ones.sum(axis=1), writes
+            if prior_rows is not None:
+                row_ones = prior_rows[0] + row_ones
+                row_writes = prior_rows[1] + row_writes
+            leveler.observe(int(table.starts[-1] + table.lengths[-1]),
+                            mean_duty_from_row_counts(
+                                row_ones, row_writes * float(word_bits)))
+    if leveler.uses_feedback and prior_rows is not None:
+        prior_rows[0][...] += ones.sum(axis=1)
+        prior_rows[1][...] += writes
+    return ones, writes
 
-    @staticmethod
-    def _force_loop(monkeypatch):
-        monkeypatch.setattr(PackedSpanKernel, "supports_batch",
-                            property(lambda self: False))
+
+def _assert_fused_matches_walk(stream, make_policy_, leveler_name, options,
+                               tiles, horizon, start=0, stop=None,
+                               prior_rows=None, seed=0):
+    """Fused ``compose_leveled`` == the per-span walk, bit for bit.
+
+    Each side gets its own simulator (same seed, so the same RNG stream) and
+    its own leveler; ``prior_rows`` is copied so both advance it.
+    """
+    results = []
+    for compose in (compose_leveled, _per_span_walk):
+        kernel = AgingSimulator(stream, make_policy_(), num_inferences=horizon,
+                                seed=seed).counts_kernel()
+        leveler = make_leveler(leveler_name, stream.geometry, tiles, **options)
+        prior = (None if prior_rows is None
+                 else tuple(rows.copy() for rows in prior_rows))
+        ones, writes = compose(kernel, leveler, horizon, start=start,
+                               stop=stop, prior_rows=prior)[:2]
+        results.append((ones, writes, prior))
+    (fused_ones, fused_writes, fused_prior), (ones, writes, prior) = results
+    assert np.array_equal(fused_ones, ones)
+    assert np.array_equal(fused_writes, writes)
+    if prior_rows is not None:
+        assert np.array_equal(fused_prior[0], prior[0])
+        assert np.array_equal(fused_prior[1], prior[1])
+    return fused_ones
+
+
+class TestBatchedMatchesLoop:
+    """Live cross-check: batched tables vs the literal per-span walk."""
+
+    @pytest.mark.parametrize("policy_name",
+                             ["none", "inversion", "barrel_shifter"])
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_bitwise_equal_results(self, policy_name, leveler_name, options):
+        case = _golden_8kb_case()
+        _assert_fused_matches_walk(
+            case.build_stream(seed=0),
+            lambda: _policy_for(case, policy_name, 0), leveler_name, options,
+            case.fifo_depth_tiles, case.num_inferences)
+
+    def test_300_span_schedule_bitwise_equal(self):
+        case = _golden_300span_case()
+        _assert_fused_matches_walk(
+            case.build_stream(seed=0), lambda: _policy_for(case, "inversion", 0),
+            "rotation", {"period": 8, "step": 1}, case.fifo_depth_tiles,
+            case.num_inferences)
 
     def _run(self, case, policy_name, leveler_name, options):
         stream = case.build_stream(seed=0)
@@ -343,27 +418,6 @@ class TestBatchedMatchesLoop:
         return AgingSimulator(stream, _policy_for(case, policy_name, 0),
                               num_inferences=case.num_inferences, seed=0,
                               leveler=leveler).run()
-
-    @pytest.mark.parametrize("policy_name",
-                             ["none", "inversion", "barrel_shifter"])
-    @pytest.mark.parametrize("leveler_name,options",
-                             GOLDEN_LEVELERS, ids=lambda v: str(v))
-    def test_bitwise_equal_results(self, monkeypatch, policy_name,
-                                   leveler_name, options):
-        case = _golden_8kb_case()
-        batched = self._run(case, policy_name, leveler_name, options)
-        self._force_loop(monkeypatch)
-        loop = self._run(case, policy_name, leveler_name, options)
-        assert np.array_equal(batched.duty_cycles, loop.duty_cycles)
-
-    def test_300_span_schedule_bitwise_equal(self, monkeypatch):
-        case = _golden_300span_case()
-        batched = self._run(case, "inversion", "rotation",
-                            {"period": 8, "step": 1})
-        self._force_loop(monkeypatch)
-        loop = self._run(case, "inversion", "rotation",
-                         {"period": 8, "step": 1})
-        assert np.array_equal(batched.duty_cycles, loop.duty_cycles)
 
     def test_permutation_matvec_fallback_is_bitwise_equal(self, monkeypatch):
         """The numpy gather fallback must match the scipy csr_matvecs path."""
@@ -378,3 +432,127 @@ class TestBatchedMatchesLoop:
                                  {"interval": 2, "swap_fraction": 0.25})
         assert np.array_equal(scipy_result.duty_cycles,
                               numpy_result.duty_cycles)
+
+
+#: TRBG configurations of the fused dnn_life battery: an unbiased TRBG, and a
+#: biased one whose bias-balancing register splits the draws by phase.
+TRBG_CONFIGS = {
+    "unbiased": {"trbg_bias": 0.5},
+    "biased_balanced": {"trbg_bias": 0.7, "bias_balancing": True},
+}
+
+
+def _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler):
+    """The tiny FIFO workload with a short (unpadded) final block."""
+    scheduler = WeightStreamScheduler(
+        tiny_network, "int8_symmetric", tiny_fifo_scheduler.geometry,
+        tiny_fifo_scheduler.parallel_filters, fifo_depth_tiles=4,
+        pad_final_block=False)
+    assert list(scheduler.iter_blocks())[-1].num_words < scheduler.words_per_block
+    return CachedWeightStream(scheduler)
+
+
+class TestFusedTrbgMatchesWalk:
+    """The fused dnn_life composition against the literal per-span walk.
+
+    The draw stage keeps the RNG call order, and every count is an exact
+    integer in float64, so summing enables per mapping and reducing all
+    mappings in one pass must reproduce the walk bit for bit.
+    """
+
+    @pytest.mark.parametrize("words_per_enable", [1, 8, 3])
+    @pytest.mark.parametrize("trbg", sorted(TRBG_CONFIGS))
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_bitwise_equal(self, leveler_name, options, trbg, words_per_enable):
+        case = _golden_8kb_case()
+        stream = case.build_stream(seed=0)
+        # 3 does not divide the 2048-word blocks: a short last enable group.
+        assert stream.words_per_block % 3
+        _assert_fused_matches_walk(
+            stream, lambda: DnnLifePolicy(case.word_bits, seed=5,
+                                          words_per_enable=words_per_enable,
+                                          **TRBG_CONFIGS[trbg]),
+            leveler_name, options, case.fifo_depth_tiles, case.num_inferences,
+            seed=5)
+
+    @pytest.mark.parametrize("words_per_enable", [1, 3])
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_unpadded_final_block(self, tiny_network, tiny_fifo_scheduler,
+                                  leveler_name, options, words_per_enable):
+        stream = _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler)
+        _assert_fused_matches_walk(
+            stream, lambda: DnnLifePolicy(8, seed=2, trbg_bias=0.7,
+                                          words_per_enable=words_per_enable),
+            leveler_name, options, 4, 9, seed=2)
+
+    @pytest.mark.parametrize("trbg", sorted(TRBG_CONFIGS))
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_scenario_window(self, leveler_name, options, trbg):
+        """A phase window: origin != 0, feedback on top of prior rows."""
+        case = _golden_8kb_case()
+        stream = case.build_stream(seed=0)
+        rows = stream.geometry.rows
+        generator = np.random.default_rng(9)
+        prior_rows = (generator.integers(0, 50, rows).astype(np.float64),
+                      generator.integers(50, 60, rows).astype(np.float64))
+        _assert_fused_matches_walk(
+            stream, lambda: DnnLifePolicy(case.word_bits, seed=4,
+                                          **TRBG_CONFIGS[trbg]),
+            leveler_name, options, case.fifo_depth_tiles, 30, start=7,
+            stop=26, prior_rows=prior_rows, seed=4)
+
+    @pytest.mark.parametrize("fold_mappings", [3, None])
+    @pytest.mark.parametrize("leveler_name,options", [
+        ("start_gap", {"interval": 1}),
+        ("wear_swap", {"interval": 1, "swap_fraction": 0.25}),
+    ], ids=lambda v: str(v))
+    def test_one_mapping_per_span(self, monkeypatch, leveler_name, options,
+                                  fold_mappings):
+        """Eleven mappings: one fused pass, or several when the pending
+        mappings exceed the fold limit."""
+        if fold_mappings is not None:
+            monkeypatch.setattr(span_compose, "_FOLD_MAPPINGS", fold_mappings)
+        case = _golden_8kb_case()
+        _assert_fused_matches_walk(
+            case.build_stream(seed=0), lambda: DnnLifePolicy(8, seed=6),
+            leveler_name, options, case.fifo_depth_tiles, 11, seed=6)
+
+
+class TestTrbgReduction:
+    """The reduce stage against the literal per-block encoder arithmetic."""
+
+    @staticmethod
+    def _literal_numerator(packed, enables, group, n):
+        """Per block: stored ones = n * bits + E - 2 * E * bits on valid words."""
+        words, word_bits = packed.words_per_block, packed.word_bits
+        word_enables = (np.repeat(enables.astype(np.int64), group, axis=1)
+                        [:, :words] * packed.valid_mask())
+        numerator = np.zeros((packed.geometry.rows, word_bits))
+        for block in range(packed.num_blocks):
+            rows = slice(packed.regions[block] * words,
+                         (packed.regions[block] + 1) * words)
+            bits = packed.bits[block].astype(np.int64)
+            inverted = word_enables[block][:, None]
+            numerator[rows] += (n * bits + inverted
+                                - 2 * inverted * bits)
+        return numerator
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 5_000_000])
+    @pytest.mark.parametrize("group", [1, 3, 8])
+    def test_counts_and_row_totals(self, tiny_network, tiny_fifo_scheduler,
+                                   group, n):
+        packed = packed_bit_tensor(
+            _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler))
+        reduction = TrbgReduction(packed, group)
+        enables = np.random.default_rng(n).integers(
+            0, n + 1, (packed.num_blocks, reduction.num_groups)).astype(
+                np.min_scalar_type(n))
+        numerator, writes = reduction.counts(enables, n)
+        assert np.array_equal(numerator,
+                              self._literal_numerator(packed, enables, group, n))
+        assert np.array_equal(writes, packed.rows_writes() * n)
+        assert np.array_equal(reduction.row_totals(enables, n),
+                              numerator.sum(axis=1))
