@@ -21,17 +21,23 @@ accelerator:
 Both produce an :class:`AgingResult` holding per-cell duty-cycles and the
 SNM-degradation statistics derived from them.
 
+Every deterministic policy has exactly one closed form, a
+:class:`PackedSpanKernel` (fixed basis matrices with per-span scalar
+coefficients); DNN-Life is a :class:`TrbgSpanKernel` (TRBG draw stage plus a
+linear reduce stage).  Leveled packed runs compose either kernel through
+:func:`repro.core.span_compose.compose_leveled`; leveled explicit runs walk
+:func:`replay_epochs`, its oracle.
+
 Both engines also power the multi-phase scenario layer
-(:mod:`repro.scenario`): the fast engine exposes its closed-form
-``counts(start, n)`` factory through :meth:`AgingSimulator.counts_kernel`,
-and the explicit per-epoch replay is factored into :func:`replay_inference`
-so the scenario cross-check engine shares the exact same write accounting.
+(:mod:`repro.scenario`): the fast engine exposes its kernel through
+:meth:`AgingSimulator.counts_kernel`, and the scenario cross-check engine
+replays each phase through the same :func:`replay_epochs` walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,66 +62,73 @@ from repro.core.policies import (
     PeriodicInversionPolicy,
 )
 from repro.core.span_compose import BatchedCounts, compose_leveled
+from repro.leveling.remap import (
+    WearLeveler,
+    check_leveler,
+    mean_duty_from_row_counts,
+)
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.leveling.remap import WearLeveler
-
-#: Closed-form counts factory: ``counts(start_inference, n)`` returns the
-#: per-logical-cell ones numerator and the per-row write denominator
-#: accumulated over inferences ``[start, start + n)``.
-CountsKernel = Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
 
 #: ``last_bits(t)`` — the ``(rows, word_bits)`` matrix of bits the final
 #: write of inference ``t`` leaves behind (NaN on unwritten rows).
 LastBitsKernel = Callable[[int], np.ndarray]
 
-#: Batched counts factory: ``batch(starts, lengths)`` returns the
-#: :class:`~repro.core.span_compose.BatchedCounts` decomposition of the
-#: per-span counts over a whole span table at once.
-BatchedCountsBuilder = Callable[[np.ndarray, np.ndarray], BatchedCounts]
+#: ``coefficients(starts, lengths)`` — the ``(C, num_spans)`` float64 basis
+#: coefficients of every span ``[starts[k], starts[k] + lengths[k])``.
+SpanCoefficients = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class PackedSpanKernel:
-    """A policy's closed-form counts kernel, with an optional batched form.
+    """A deterministic policy's closed-form counts kernel.
 
-    Instances are callable exactly like the legacy ``counts(start, n)``
-    closures (:data:`CountsKernel`), which is how the scenario driver and the
-    cross-check tests keep consuming them.  Kernels whose span counts
-    decompose into fixed basis matrices with per-span scalar coefficients
-    additionally expose :meth:`counts_batch`, the entry point of the fused
-    leveling composition (:class:`~repro.core.span_compose.SpanComposer`).
-    The stochastic DNN-Life kernel has no fixed basis (its TRBG draws fresh
-    randomness per span, in call order); it is a :class:`TrbgSpanKernel`
-    instead, whose separate draw and linear reduce stages let the composer
-    draw every span in order and reduce them all in one fused pass.
+    Every deterministic policy's counts over a span of inferences decompose
+    into ``C`` fixed basis matrices with cheap per-span scalar coefficients:
+    ``ones = sum_c coefficients[c] * bases[c]`` and ``writes = n * writes``.
+    That is the kernel's one closed form.  :meth:`counts_batch` evaluates it
+    over a whole span table (the fused leveling composition,
+    :class:`~repro.core.span_compose.SpanComposer`); calling the kernel as
+    ``counts(start, n)`` evaluates the single-span batch, which is how the
+    unleveled runs, the scenario driver and the cross-check tests consume
+    it.  Every basis entry and coefficient is an exact integer in float64,
+    so both evaluations produce the same bits as any other summation order.
     """
 
-    def __init__(self, counts: CountsKernel,
-                 batch: Optional[BatchedCountsBuilder] = None):
-        self._counts = counts
-        self._batch = batch
+    def __init__(self, bases: List[np.ndarray], writes: np.ndarray,
+                 coefficients: SpanCoefficients):
+        self._bases = [np.ascontiguousarray(basis, dtype=np.float64)
+                       for basis in bases]
+        self._writes = np.ascontiguousarray(writes, dtype=np.float64)
+        self._coefficients = coefficients
+        self._row_bases: Optional[List[np.ndarray]] = None
 
     def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self._counts(start, n)
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether :meth:`counts_batch` is available for this kernel."""
-        return self._batch is not None
+        """Per-logical-cell ones and per-row writes over ``[start, start + n)``."""
+        coeffs = self._coefficients(np.asarray([start], dtype=np.int64),
+                                    np.asarray([n], dtype=np.int64))[:, 0]
+        ones = coeffs[0] * self._bases[0]
+        scaled = None
+        for coeff, basis in zip(coeffs[1:], self._bases[1:]):
+            if coeff:
+                scaled = np.multiply(coeff, basis, out=scaled)
+                ones += scaled
+        return ones, self._writes * n
 
     def counts_batch(self, starts: np.ndarray,
                      lengths: np.ndarray) -> BatchedCounts:
         """Per-span counts decomposition over a whole span table."""
-        if self._batch is None:
-            raise NotImplementedError(
-                "this kernel has no basis decomposition (stochastic per-span "
-                "draws); compose it through its draw/reduce stages instead")
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        return self._batch(starts, lengths)
+        if self._row_bases is None:
+            self._row_bases = [basis.sum(axis=1) for basis in self._bases]
+        return BatchedCounts(self._bases, self._coefficients(starts, lengths),
+                             self._writes, self._row_bases)
+
+
+def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Single-channel coefficients: every span weighs its basis by its length."""
+    return lengths.astype(np.float64)[None, :]
 
 
 # --------------------------------------------------------------------------- #
@@ -302,7 +315,8 @@ def replay_inference(stream: WeightStreamScheduler, policy: MitigationPolicy,
     physical cell (the retention-phase input).  Both
     :class:`ExplicitAgingSimulator` and the scenario phase-replay engine
     (:class:`repro.scenario.driver.ExplicitScenarioSimulator`) are built on
-    this function, so their per-epoch accounting cannot diverge.
+    this function (through :func:`replay_epochs`), so their per-epoch
+    accounting cannot diverge.
     """
     word_bits = stream.geometry.word_bits
     words_per_block = stream.words_per_block
@@ -326,6 +340,47 @@ def replay_inference(stream: WeightStreamScheduler, policy: MitigationPolicy,
             stored[target] = bits
 
 
+def replay_epochs(stream: WeightStreamScheduler, policy: MitigationPolicy,
+                  start: int, stop: int,
+                  leveler: Optional["WearLeveler"] = None,
+                  prior_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                  stored: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay epochs ``[start, stop)`` write by write, through ``leveler``.
+
+    The one leveled explicit walk, the oracle of
+    :func:`~repro.core.span_compose.compose_leveled`: the policy is reset,
+    then every epoch routes its :func:`replay_inference` through
+    ``leveler.permutation(epoch)`` (epochs are global leveler epochs; policy
+    state starts fresh at ``start``).  Feedback levelers observe the
+    accumulated physical stress after every epoch — on top of the
+    ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
+    which are advanced in place by this window's totals.  ``stored`` is
+    passed through to :func:`replay_inference`.
+
+    Returns the window's physical ``(ones, writes)`` counts.
+    """
+    rows, word_bits = stream.geometry.rows, stream.geometry.word_bits
+    ones = np.zeros((rows, word_bits), dtype=np.float64)
+    writes = np.zeros(rows, dtype=np.float64)
+    feedback = leveler is not None and leveler.uses_feedback
+    policy.reset()
+    for epoch in range(start, stop):
+        remap = None if leveler is None else leveler.permutation(epoch)
+        replay_inference(stream, policy, ones, writes, remap, stored=stored)
+        if feedback:
+            row_ones, row_writes = ones.sum(axis=1), writes
+            if prior_rows is not None:
+                row_ones = prior_rows[0] + row_ones
+                row_writes = prior_rows[1] + row_writes
+            leveler.observe(epoch + 1, mean_duty_from_row_counts(
+                row_ones, row_writes * float(word_bits)))
+    if feedback and prior_rows is not None:
+        prior_rows[0][...] += ones.sum(axis=1)
+        prior_rows[1][...] += writes
+    return ones, writes
+
+
 class ExplicitAgingSimulator:
     """Replays every write of every inference through the policy.
 
@@ -339,37 +394,23 @@ class ExplicitAgingSimulator:
                  num_inferences: int = 100,
                  snm_model: Optional[SnmDegradationModel] = None,
                  leveler: Optional["WearLeveler"] = None):
+        check_leveler(leveler, scheduler.geometry)
         self.scheduler = scheduler
         self.policy = policy
         self.num_inferences = check_positive_int(num_inferences, "num_inferences")
         self.snm_model = snm_model or default_snm_model()
         self.leveler = leveler
-        if leveler is not None and leveler.rows != scheduler.geometry.rows:
-            raise ValueError(f"leveler covers {leveler.rows} rows but the memory "
-                             f"has {scheduler.geometry.rows}")
 
     def run(self) -> AgingResult:
         """Simulate ``num_inferences`` inferences write-by-write."""
-        geometry = self.scheduler.geometry
-        rows, word_bits = geometry.rows, geometry.word_bits
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.int64)
-        self.policy.reset()
-        leveler = self.leveler
-        if leveler is not None:
-            leveler.reset()
-            from repro.leveling.remap import mean_duty_per_row
-        for epoch in range(self.num_inferences):
-            remap = None if leveler is None else leveler.permutation(epoch)
-            replay_inference(self.scheduler, self.policy, ones, writes, remap)
-            if leveler is not None and leveler.uses_feedback:
-                leveler.observe(epoch + 1,
-                                mean_duty_per_row(ones, writes * float(word_bits)))
-        duty = _duty_from_counts(ones, writes)
+        if self.leveler is not None:
+            self.leveler.reset()
+        ones, writes = replay_epochs(self.scheduler, self.policy, 0,
+                                     self.num_inferences, self.leveler)
         return AgingResult(
             policy_name=self.policy.name,
-            policy_description=_describe_with_leveling(self.policy, leveler),
-            duty_cycles=duty,
+            policy_description=_describe_with_leveling(self.policy, self.leveler),
+            duty_cycles=_duty_from_counts(ones, writes),
             num_inferences=self.num_inferences,
             num_blocks=self.scheduler.num_blocks,
             snm_model=self.snm_model,
@@ -403,9 +444,7 @@ class AgingSimulator:
         self.num_inferences = check_positive_int(num_inferences, "num_inferences")
         self.rng = as_rng(seed)
         self.snm_model = snm_model or default_snm_model()
-        if leveler is not None and leveler.rows != scheduler.geometry.rows:
-            raise ValueError(f"leveler covers {leveler.rows} rows but the memory "
-                             f"has {scheduler.geometry.rows}")
+        check_leveler(leveler, scheduler.geometry)
         self.leveler = leveler
         self._packed_tensor: Optional[PackedBitTensor] = None
 
@@ -422,14 +461,14 @@ class AgingSimulator:
             snm_model=self.snm_model,
         )
 
-    def counts_kernel(self) -> PackedSpanKernel:
-        """The policy's closed-form counts factory (public driver entry point).
+    def counts_kernel(self) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:
+        """The policy's closed-form kernel (public driver entry point).
 
-        Returns the :class:`PackedSpanKernel` described in
-        :meth:`_packed_kernel` — callable as ``counts(start_inference, n) ->
-        (numerator, writes)``, with :meth:`PackedSpanKernel.counts_batch`
-        (or, for DNN-Life, the :class:`TrbgSpanKernel` draw/reduce stages)
-        on top for span-table batches.  This is what the scenario driver
+        Returns the kernel described in :meth:`_packed_kernel` — callable as
+        ``counts(start_inference, n) -> (numerator, writes)``, with
+        :meth:`PackedSpanKernel.counts_batch` (or, for DNN-Life, the
+        :class:`TrbgSpanKernel` draw/reduce stages) on top for span-table
+        batches.  This is what the scenario driver
         (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates per
         phase: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
@@ -536,28 +575,28 @@ class AgingSimulator:
         if leveler is None:
             numerator, writes = kernel(0, self.num_inferences)
             return _duty_from_counts(numerator, writes)
-        # Batched kernels collapse the leveler's span tables into a constant
-        # number of NumPy passes; the DNN-Life kernel draws every span in
-        # order and reduces all of them in one fused pass (see
+        # Deterministic kernels collapse the leveler's span tables into a
+        # constant number of NumPy passes; the DNN-Life kernel draws every
+        # span in order and reduces all of them in one fused pass (see
         # compose_leveled).
         leveler.reset()
         ones, writes, _ = compose_leveled(kernel, leveler, self.num_inferences)
         return _duty_from_counts(ones, writes)
 
-    def _packed_kernel(self, policy: MitigationPolicy) -> PackedSpanKernel:
+    def _packed_kernel(self, policy: MitigationPolicy
+                       ) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:
         """Resolve the policy's closed-form counts kernel.
 
-        A kernel is a :class:`PackedSpanKernel`: callable as
-        ``counts(start_inference, n) -> (numerator, writes)`` returning the
-        per-logical-cell ones numerator and per-row write denominator
-        accumulated over inferences ``[start, start + n)``, and exposing
-        either the batched :meth:`PackedSpanKernel.counts_batch`
-        decomposition over whole span tables (deterministic policies) or the
-        draw/reduce stages of a :class:`TrbgSpanKernel` (DNN-Life).  The
-        heavy tensor reductions happen once in the factory; each call is a
-        cheap combination, which is what lets the leveling driver
-        evaluate many constant-mapping spans without re-reducing the packed
-        tensor.
+        Either kernel is callable as ``counts(start_inference, n) ->
+        (numerator, writes)``, returning the per-logical-cell ones numerator
+        and per-row write denominator accumulated over inferences ``[start,
+        start + n)``.  Deterministic policies return a
+        :class:`PackedSpanKernel` (one basis decomposition, batched over
+        whole span tables by :meth:`PackedSpanKernel.counts_batch`);
+        DNN-Life returns the draw/reduce stages of a :class:`TrbgSpanKernel`.
+        The heavy tensor reductions happen once in the factory; each call is
+        a cheap combination, which is what lets the leveling driver evaluate
+        many constant-mapping spans without re-reducing the packed tensor.
         """
         if isinstance(policy, NoMitigationPolicy):
             return self._packed_no_mitigation_kernel()
@@ -590,22 +629,9 @@ class AgingSimulator:
 
     def _packed_no_mitigation_kernel(self) -> PackedSpanKernel:
         packed = self._packed()
-        ones = packed.rows_ones()
-        writes = packed.rows_writes()
-
-        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-            return ones * n, writes * n
-
-        # Batched form: one channel, coefficient = span length.
-        bases = [np.ascontiguousarray(ones, dtype=np.float64)]
-        row_bases = [bases[0].sum(axis=1)]
-        writes_base = np.ascontiguousarray(writes, dtype=np.float64)
-
-        def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
-            return BatchedCounts(bases, lengths.astype(np.float64)[None, :],
-                                 writes_base, row_bases)
-
-        return PackedSpanKernel(counts, batch)
+        # One channel: the stored bits themselves, weighted by span length.
+        return PackedSpanKernel([packed.rows_ones()], packed.rows_writes(),
+                                _span_lengths)
 
     def _packed_periodic_inversion_kernel(
             self, policy: PeriodicInversionPolicy) -> PackedSpanKernel:
@@ -683,42 +709,21 @@ class AgingSimulator:
             drift_per_row = writes.astype(np.int64) % 2
             if not drift_per_row.any():
                 drift_per_row = None
-        # flipped = (writes - base): every write's stored value inverts.
-        flipped = None if drift_per_row is None else writes[:, None] - base
+        if drift_per_row is None:
+            return PackedSpanKernel([base], writes, _span_lengths)
+        # Inference t adds a parity offset of (t * d_r) mod 2, so a row with
+        # drift stores the flipped pattern ``writes - base`` on the span's odd
+        # inferences.  The span counts
+        #   base * (n - d_r * odd) + (writes - base) * (d_r * odd)
+        #     = n * base + odd * [(writes - 2 * base) * d_r]
+        # are two fixed channels with per-span scalar coefficients (n, odd).
+        drifted = (writes[:, None] - 2.0 * base) * drift_per_row[:, None]
 
-        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-            if drift_per_row is None:
-                return base * n, writes * n
-            # Inference t adds a parity offset of (t * d_r) mod 2, so a row
-            # with drift sees the flipped pattern on every odd t in
-            # [start, start + n).
-            odd = (start + n) // 2 - start // 2
-            odd_per_row = (drift_per_row * odd)[:, None]
-            numerator = base * (n - odd_per_row) + flipped * odd_per_row
-            return numerator, writes * n
+        def coefficients(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+            odd = (starts + lengths) // 2 - starts // 2
+            return np.stack([lengths, odd]).astype(np.float64)
 
-        # Batched form.  Rewriting the span counts as
-        #   base * (n - d_r * odd) + flipped * (d_r * odd)
-        #     = n * base + odd * [(flipped - base) * d_r]
-        # exposes two fixed channels with per-span scalar coefficients
-        # (n, odd); every term is an exact integer in float64, so the
-        # regrouping is bitwise-neutral.
-        bases = [np.ascontiguousarray(base, dtype=np.float64)]
-        if drift_per_row is not None:
-            drifted = (flipped - base) * drift_per_row[:, None].astype(np.float64)
-            bases.append(np.ascontiguousarray(drifted, dtype=np.float64))
-        row_bases = [channel.sum(axis=1) for channel in bases]
-        writes_base = np.ascontiguousarray(writes, dtype=np.float64)
-
-        def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
-            coeff_rows = [lengths.astype(np.float64)]
-            if drift_per_row is not None:
-                odd = (starts + lengths) // 2 - starts // 2
-                coeff_rows.append(odd.astype(np.float64))
-            return BatchedCounts(bases, np.stack(coeff_rows), writes_base,
-                                 row_bases)
-
-        return PackedSpanKernel(counts, batch)
+        return PackedSpanKernel([base, drifted], writes, coefficients)
 
     def _packed_barrel_shifter_kernel(
             self, policy: BarrelShifterPolicy) -> PackedSpanKernel:
@@ -767,58 +772,35 @@ class AgingSimulator:
                 index = (column[None, :] + offset + word_index[:, None]) % word_bits
                 aligned[row_slice] += np.take_along_axis(class_sum, index, axis=1)
         writes = packed.rows_writes()
-
-        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-            if drift == 0:
-                # Every inference repeats the same rotations — no correlation.
-                return aligned * n, writes * n
-            # Count how many of the span's inferences land on each extra
-            # rotation k, then fold them in via a circular correlation with
-            # the rotation histogram.
-            extra = np.bincount(((start + np.arange(n, dtype=np.int64)) * drift)
-                                % word_bits, minlength=word_bits).astype(np.float64)
-            correlation = extra[(column[:, None] - column[None, :]) % word_bits]
-            return aligned @ correlation, writes * n
-
-        # Batched form.  The correlation fold is a weighted sum of the
-        # word_bits column-rolls of ``aligned``: one channel per extra
-        # rotation j, with coefficient |{t in span : (t * drift) % word_bits
-        # == j}|.  The per-rotation counts are closed-form over the schedule's
-        # period word_bits/gcd(drift, word_bits) via a prefix-count table, so
-        # no per-inference work remains; integer exactness again makes the
-        # regrouping (rolls vs matmul) bitwise-neutral.
-        writes_base = np.ascontiguousarray(writes, dtype=np.float64)
         if drift == 0:
-            bases = [np.ascontiguousarray(aligned)]
-            row_bases = [bases[0].sum(axis=1)]
+            # Every inference repeats the same rotations.
+            return PackedSpanKernel([aligned], writes, _span_lengths)
+        # Inference t adds the extra rotation j = (t * drift) % word_bits, so
+        # the span counts are a weighted sum of the column-rolls of
+        # ``aligned``: one channel per reachable rotation j, with coefficient
+        # |{t in span : (t * drift) % word_bits == j}|.  The rotations repeat
+        # with period word_bits / gcd(drift, word_bits), so a prefix-count
+        # table gives every coefficient in closed form.
+        period = word_bits // int(np.gcd(drift, word_bits))
+        hits = np.zeros((period, word_bits), dtype=np.int64)
+        hits[np.arange(period),
+             (np.arange(period, dtype=np.int64) * drift) % word_bits] = 1
+        prefix = np.zeros((period + 1, word_bits), dtype=np.int64)
+        np.cumsum(hits, axis=0, out=prefix[1:])
+        rotations = np.flatnonzero(prefix[period])
+        bases = [np.roll(aligned, -int(j), axis=1) for j in rotations]
 
-            def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
-                return BatchedCounts(bases, lengths.astype(np.float64)[None, :],
-                                     writes_base, row_bases)
-        else:
-            period = word_bits // int(np.gcd(drift, word_bits))
-            hits = np.zeros((period, word_bits), dtype=np.int64)
-            hits[np.arange(period),
-                 (np.arange(period, dtype=np.int64) * drift) % word_bits] = 1
-            prefix = np.zeros((period + 1, word_bits), dtype=np.int64)
-            np.cumsum(hits, axis=0, out=prefix[1:])
-            rotations = np.flatnonzero(prefix[period])
-            bases = [np.ascontiguousarray(np.roll(aligned, -int(j), axis=1))
-                     for j in rotations]
-            row_bases = [channel.sum(axis=1) for channel in bases]
+        def rotation_counts(epochs: np.ndarray) -> np.ndarray:
+            # F[t, j]: rotations j seen by inferences [0, t).
+            full = (epochs // period)[:, None] * prefix[period][None, :]
+            return full + prefix[epochs % period]
 
-            def rotation_counts(epochs: np.ndarray) -> np.ndarray:
-                # F[t, j]: rotations j seen by inferences [0, t).
-                full = (epochs // period)[:, None] * prefix[period][None, :]
-                return full + prefix[epochs % period]
+        def coefficients(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+            spans = (rotation_counts(starts + lengths)
+                     - rotation_counts(starts))[:, rotations]
+            return spans.T.astype(np.float64)
 
-            def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
-                spans = (rotation_counts(starts + lengths)
-                         - rotation_counts(starts))[:, rotations]
-                return BatchedCounts(bases, spans.T.astype(np.float64),
-                                     writes_base, row_bases)
-
-        return PackedSpanKernel(counts, batch)
+        return PackedSpanKernel(bases, writes, coefficients)
 
     def _packed_dnn_life_kernel(self, policy: DnnLifePolicy) -> "TrbgSpanKernel":
         packed = self._packed()
@@ -1012,23 +994,26 @@ class TrbgReduction:
                        sums.reshape(num_sets, -1, word_bits)[:, :used])
 
 
-class TrbgSpanKernel(PackedSpanKernel):
+class TrbgSpanKernel:
     """The DNN-Life kernel as a draw stage and a linear reduce stage.
 
-    ``draw(start, n)`` makes the span's ``(num_blocks, num_groups)`` TRBG
-    enable counts — one call per span, in call order, which is the RNG
-    sequence the golden results pin — and :attr:`reduction` turns enable
-    counts into duty counts.  Calling the kernel runs both stages; the
-    leveled composition instead draws every span first and reduces all of a
-    run's mappings in one fused pass
-    (:meth:`~repro.core.span_compose.SpanComposer.add_draws`).
+    DNN-Life has no fixed basis: its TRBG draws fresh randomness per span, in
+    call order.  ``draw(start, n)`` makes the span's ``(num_blocks,
+    num_groups)`` TRBG enable counts — one call per span, in call order,
+    which is the RNG sequence the golden results pin — and :attr:`reduction`
+    turns enable counts into duty counts.  Calling the kernel as
+    ``counts(start, n)`` runs both stages; the leveled composition instead
+    draws every span first and reduces all of a run's mappings in one fused
+    pass (:meth:`~repro.core.span_compose.SpanComposer.add_draws`).
     """
 
     def __init__(self, draw: Callable[[int, int], np.ndarray],
                  reduction: TrbgReduction):
         self.draw = draw
         self.reduction = reduction
-        super().__init__(lambda start, n: reduction.counts(draw(start, n), n))
+
+    def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        return self.reduction.counts(self.draw(start, n), n)
 
 
 def _describe_with_leveling(policy: MitigationPolicy,

@@ -11,9 +11,11 @@ of structure:
 * **Channel decomposition** — every deterministic policy kernel's span counts
   are a small linear combination ``span_ones_k = sum_c coeffs[c, k] *
   bases[c]`` of *fixed* basis matrices with cheap per-span scalar
-  coefficients (:class:`BatchedCounts`, built by the per-policy
-  ``counts_batch`` closed forms).  Composing the whole run then only needs
-  the per-*mapping* totals of each channel's coefficients, never a per-span
+  coefficients (:class:`BatchedCounts`, from
+  :meth:`~repro.core.simulation.PackedSpanKernel.counts_batch`: the kernel's
+  one closed form, of which a single ``counts(start, n)`` call is the
+  one-span case).  Composing the whole run then only needs the
+  per-*mapping* totals of each channel's coefficients, never a per-span
   tensor.
 * **Offset grouping** — schedule-driven levelers (rotation, start-gap) remap
   by per-region row rolls, so spans sharing a roll offset collapse into one
@@ -84,10 +86,10 @@ class BatchedCounts:
     """A policy kernel's closed form over a batch of spans.
 
     ``span_ones_k = sum_c coeffs[c, k] * bases[c]`` and ``span_writes_k =
-    lengths[k] * writes`` reproduce the scalar ``counts(start, n)`` kernel
-    exactly (same integers, hence the same float64 bits).  ``bases`` must be
-    identical objects across every ``counts_batch`` call of one kernel — the
-    composer folds coefficients across chunks under that identity.
+    lengths[k] * writes`` are span ``k``'s counts; every entry is an exact
+    integer, so any regrouping yields the same float64 bits.  ``bases`` must
+    be identical objects across every ``counts_batch`` call of one kernel —
+    the composer folds coefficients across chunks under that identity.
     """
 
     #: ``C`` fixed basis matrices, each ``(rows, word_bits)`` float64.
@@ -438,7 +440,8 @@ class SpanComposer:
         return ones, writes
 
 
-def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
+def compose_leveled(kernel: Union["PackedSpanKernel", "TrbgSpanKernel"],
+                    leveler: "WearLeveler",
                     horizon: int, start: int = 0, stop: Optional[int] = None,
                     prior_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, List["SpanTable"]]:
@@ -447,10 +450,12 @@ def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
     The one leveled walk of the packed engines.  ``horizon`` is the length
     of the leveler's whole schedule; ``start`` doubles as the kernel origin,
     so kernel starts are window-local while the tables keep addressing the
-    leveler by global epoch.  Batched kernels go through
-    :meth:`SpanComposer.add_table`; the DNN-Life kernel draws every span in
+    leveler by global epoch.  Deterministic kernels go through
+    :meth:`SpanComposer.add_table`; the DNN-Life kernel
+    (:class:`~repro.core.simulation.TrbgSpanKernel`) draws every span in
     order through :meth:`SpanComposer.add_draws` and is reduced in one fused
-    pass at :meth:`SpanComposer.finalize`.  Feedback levelers observe the
+    pass at :meth:`SpanComposer.finalize`.  The explicit engines' leveled
+    walk, :func:`~repro.core.simulation.replay_epochs`, is its oracle.  Feedback levelers observe the
     accumulated physical stress at the end of every table — on top of the
     ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
     which are advanced in place by this window's totals.
@@ -458,6 +463,7 @@ def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
     Returns the physical ``(ones, writes)`` counts of the window and the
     composed span tables, oldest first.
     """
+    from repro.core.simulation import TrbgSpanKernel
     from repro.leveling.remap import mean_duty_from_row_counts
 
     word_bits = leveler.geometry.word_bits
@@ -468,11 +474,11 @@ def compose_leveled(kernel: "PackedSpanKernel", leveler: "WearLeveler",
     for table in leveler.span_tables(horizon, start=start, stop=stop):
         if not table.num_spans:
             continue
-        if kernel.supports_batch:
+        if isinstance(kernel, TrbgSpanKernel):
+            composer.add_draws(table, kernel, start)
+        else:
             composer.add_table(table, kernel.counts_batch(table.starts - start,
                                                           table.lengths))
-        else:
-            composer.add_draws(table, kernel, start)
         tables.append(table)
         if feedback:
             row_ones, row_writes = composer.row_totals()

@@ -18,11 +18,9 @@ from repro.leveling.policies import (
 from repro.leveling.remap import (
     SpanTable,
     WearLeveler,
+    check_leveler,
     check_permutation,
     mean_duty_from_row_counts,
-    mean_duty_per_row,
-    set_span_validation,
-    span_validation_enabled,
 )
 
 __all__ = [
@@ -32,10 +30,8 @@ __all__ = [
     "StartGapLeveler",
     "WearSwapLeveler",
     "WearLeveler",
+    "check_leveler",
     "check_permutation",
     "make_leveler",
     "mean_duty_from_row_counts",
-    "mean_duty_per_row",
-    "set_span_validation",
-    "span_validation_enabled",
 ]

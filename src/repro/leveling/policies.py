@@ -103,8 +103,9 @@ class WearSwapLeveler(WearLeveler):
     """Hot/cold remap-table swap guided by the accumulated wear map.
 
     Every ``interval`` inferences the leveler ranks all physical rows by
-    their mean duty-cycle so far (the :func:`~repro.leveling.remap.mean_duty_per_row`
-    stress both engines report), pairs the hottest ``swap_fraction`` of rows
+    their mean duty-cycle so far (the
+    :func:`~repro.leveling.remap.mean_duty_from_row_counts` stress both
+    engines report), pairs the hottest ``swap_fraction`` of rows
     with the coldest, and swaps each pair's logical occupants — the remap
     analogue of the FTL practice of moving hot data into the least-worn
     blocks.  Pairs whose stress difference is not strictly positive are left
@@ -154,8 +155,7 @@ class WearSwapLeveler(WearLeveler):
         Each chunk's permutation is resolved only when the driver pulls it —
         i.e. after the driver has composed the previous chunk and fed the
         accumulated stress through :meth:`observe` — so the chunked walk
-        makes exactly the same swap decisions as the iterative
-        :meth:`~repro.leveling.remap.WearLeveler.spans` loop.
+        makes exactly the same swap decisions as an epoch-by-epoch walk.
         """
         starts, lengths = self._span_bounds(num_inferences, start, stop)
         for span_start, length in zip(starts, lengths):

@@ -7,54 +7,34 @@ decides which *physical* rows actually store them.  The mapping is constant
 within one inference epoch and may change between epochs, which is exactly
 the granularity both simulation paths consume it at:
 
-* the fast packed engine (:class:`repro.core.simulation.AgingSimulator`)
-  walks the :meth:`WearLeveler.span_tables` of constant mapping through
-  :func:`repro.core.span_compose.compose_leveled`, which composes each
-  span's closed-form duty counts into physical rows through the span's
-  permutation;
-* the explicit paths (:class:`repro.core.simulation.ExplicitAgingSimulator`
-  and :meth:`repro.memory.trace.WriteTrace.replay`) query
-  :meth:`WearLeveler.permutation` every epoch and route each block write
+* the fast packed engines walk the :meth:`WearLeveler.span_tables` of
+  constant mapping through :func:`repro.core.span_compose.compose_leveled`,
+  which composes each span's closed-form duty counts into physical rows
+  through the span's permutation;
+* the explicit engines replay write by write through
+  :func:`repro.core.simulation.replay_epochs`, which queries
+  :meth:`WearLeveler.permutation` every epoch and routes each block write
   through it.
 
 Feedback-driven policies (the wear-map-guided swap) additionally receive the
 accumulated per-physical-row stress through :meth:`WearLeveler.observe`; both
-simulation paths report the same quantity (:func:`mean_duty_per_row` over
-exact integral counts), so the permutations they derive are bit-identical.
+walks report the same quantity (:func:`mean_duty_from_row_counts` over exact
+integral counts), so the permutations they derive are bit-identical.
+:func:`check_leveler` is the one geometry check every engine applies to the
+leveler it is given.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.memory.geometry import MemoryGeometry
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SpanTable", "WearLeveler", "check_permutation",
-           "mean_duty_from_row_counts", "mean_duty_per_row",
-           "set_span_validation", "span_validation_enabled"]
-
-#: Debug switch for the span window contract (gaps/overlap detection).  Off by
-#: default — the check costs one pass over the span table per call — and
-#: enabled either through :func:`set_span_validation` or by exporting
-#: ``DNN_LIFE_CHECK_SPANS=1`` before the interpreter starts.
-_VALIDATE_SPANS = os.environ.get("DNN_LIFE_CHECK_SPANS", "") not in ("", "0")
-
-
-def set_span_validation(enabled: bool) -> bool:
-    """Toggle span window-contract validation; returns the previous setting."""
-    global _VALIDATE_SPANS
-    previous = _VALIDATE_SPANS
-    _VALIDATE_SPANS = bool(enabled)
-    return previous
-
-
-def span_validation_enabled() -> bool:
-    """Whether :meth:`WearLeveler.spans` validates its window contract."""
-    return _VALIDATE_SPANS
+__all__ = ["SpanTable", "WearLeveler", "check_leveler", "check_permutation",
+           "mean_duty_from_row_counts"]
 
 
 def _check_span_tiling(starts: np.ndarray, lengths: np.ndarray,
@@ -93,29 +73,33 @@ def check_permutation(permutation: np.ndarray, rows: int) -> np.ndarray:
     return permutation
 
 
-def mean_duty_per_row(ones: np.ndarray, hold_per_row: np.ndarray) -> np.ndarray:
-    """Per-physical-row mean duty-cycle: the stress signal of guided levelers.
+def check_leveler(leveler: Optional["WearLeveler"],
+                  geometry: MemoryGeometry) -> None:
+    """Reject a leveler whose memory geometry differs from the stream's.
 
-    ``ones`` is the accumulated per-cell ones count/time (``(rows, bits)``)
-    and ``hold_per_row`` the accumulated per-row cell-hold total.  Both
-    simulation paths accumulate exact integers in float64, so the ratio — and
-    therefore any ordering a leveler derives from it — is bit-identical
-    between the packed and explicit engines.  Never-written rows report 0.
+    A leveler remaps whole rows of one memory: its row count and word width
+    must both match the memory it is applied to (``None`` passes).
     """
-    ones = np.asarray(ones, dtype=np.float64)
-    hold = np.asarray(hold_per_row, dtype=np.float64).reshape(-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(hold > 0, ones.sum(axis=1) / hold, 0.0)
+    if leveler is None:
+        return
+    have = (leveler.rows, leveler.geometry.word_bits)
+    want = (geometry.rows, geometry.word_bits)
+    if have != want:
+        raise ValueError(f"leveler covers {have[0]} rows x {have[1]}-bit words "
+                         f"but the memory has {want[0]} rows x {want[1]}-bit "
+                         "words")
 
 
 def mean_duty_from_row_counts(row_ones: np.ndarray,
                               hold_per_row: np.ndarray) -> np.ndarray:
-    """:func:`mean_duty_per_row` when the per-row ones sum is already reduced.
+    """Per-physical-row mean duty-cycle: the stress signal of guided levelers.
 
-    The batched span composition keeps physical wear as ``(rows,)`` running
-    totals instead of re-reducing a ``(rows, bits)`` matrix at every feedback
-    boundary.  Both inputs are exact integers in float64, so the ratio is
-    bit-identical to the matrix form for the same accumulated counts.
+    ``row_ones`` is the accumulated per-row ones count (the ``(rows, bits)``
+    ones matrix summed over its bit axis) and ``hold_per_row`` the
+    accumulated per-row cell-hold total.  Both walks accumulate exact
+    integers in float64, so the ratio — and therefore any ordering a leveler
+    derives from it — is bit-identical between the packed and explicit
+    engines.  Never-written rows report 0.
     """
     row_ones = np.asarray(row_ones, dtype=np.float64).reshape(-1)
     hold = np.asarray(hold_per_row, dtype=np.float64).reshape(-1)
@@ -126,9 +110,9 @@ def mean_duty_from_row_counts(row_ones: np.ndarray,
 class SpanTable:
     """A batch of constant-mapping leveling spans.
 
-    The vectorized counterpart of :meth:`WearLeveler.spans`: ``starts`` and
-    ``lengths`` are ``(num_spans,)`` int64 arrays tiling the requested epoch
-    window.  The mapping of each span comes in one of two forms:
+    ``starts`` and ``lengths`` are ``(num_spans,)`` int64 arrays tiling the
+    requested epoch window.  The mapping of each span comes in one of two
+    forms:
 
     * ``offsets`` — ``(num_spans,)`` per-region rotation offsets, for levelers
       whose permutations are pure region rolls (the closed-form schedule
@@ -191,7 +175,7 @@ class WearLeveler:
       ``epoch`` epochs (only consulted when :attr:`uses_feedback`);
     * :meth:`change_epochs` lists every epoch at which the map may differ
       from the previous epoch's, so the fast engine can batch the constant
-      stretches; :meth:`spans` turns that into ``(start, length)`` segments.
+      stretches; :meth:`span_tables` cuts them into span tables.
     """
 
     #: Registry name of the policy (overridden by subclasses).
@@ -234,24 +218,17 @@ class WearLeveler:
         changes = np.flatnonzero(np.diff(offsets)) + 1
         return np.concatenate([[0], changes]).astype(np.int64)
 
-    def spans(self, num_inferences: int, start: int = 0,
-              stop: Optional[int] = None) -> Iterator[Tuple[int, int]]:
-        """Yield ``(start_epoch, length)`` stretches of constant mapping.
-
-        ``change_epochs`` is evaluated over the full ``num_inferences``
-        horizon; the optional ``[start, stop)`` window restricts the yielded
-        spans to a sub-range of it — the scenario driver walks one phase's
-        window at a time while the leveler's schedule spans the whole
-        timeline.
-        """
-        starts, lengths = self._span_bounds(num_inferences, start, stop)
-        for span_start, length in zip(starts, lengths):
-            yield int(span_start), int(length)
-
     def _span_bounds(self, num_inferences: int, start: int = 0,
                      stop: Optional[int] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cut ``change_epochs`` down to the ``[start, stop)`` window."""
+        """Cut ``change_epochs`` down to the ``[start, stop)`` window.
+
+        ``change_epochs`` is evaluated over the full ``num_inferences``
+        horizon; the window restricts the spans to a sub-range of it (the
+        scenario driver walks one phase's window at a time while the
+        leveler's schedule spans the whole timeline).  The result is checked
+        to tile the window exactly.
+        """
         check_positive_int(num_inferences, "num_inferences")
         start = int(start)
         stop = num_inferences if stop is None else int(stop)
@@ -265,13 +242,12 @@ class WearLeveler:
         else:
             starts = np.empty(0, dtype=np.int64)
             lengths = np.empty(0, dtype=np.int64)
-        if _VALIDATE_SPANS:
-            _check_span_tiling(starts, lengths, start, stop, self.name)
+        _check_span_tiling(starts, lengths, start, stop, self.name)
         return starts, lengths
 
     def span_table(self, num_inferences: int, start: int = 0,
                    stop: Optional[int] = None) -> SpanTable:
-        """Vectorized :meth:`spans`: the window's full table in one shot.
+        """The window's constant-mapping spans as one table.
 
         Returns a :class:`SpanTable` whose spans tile ``[start, stop)``
         exactly, carrying the per-span region-rotation ``offsets`` closed
@@ -300,7 +276,7 @@ class WearLeveler:
         :meth:`observe` with the accumulated physical stress *before* pulling
         the next chunk — the generator resolves the next chunk's mapping only
         after control returns, so feedback-driven tables see exactly the
-        stress the iterative :meth:`spans` walk would have shown them.
+        stress an epoch-by-epoch walk would have shown them.
         Schedule-driven levelers yield the whole window as a single table.
         """
         yield self.span_table(num_inferences, start=start, stop=stop)

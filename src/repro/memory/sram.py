@@ -102,19 +102,13 @@ class SramArray:
         self._content[row_indices] = unpack_bits(words, self.geometry.word_bits)
 
     def write_block(self, words: np.ndarray, residency: float = 1.0,
-                    start_row: int = 0,
-                    row_map: Optional[np.ndarray] = None) -> None:
+                    start_row: int = 0) -> None:
         """Write a block starting at ``start_row``, then hold it for ``residency``.
 
         This matches the paper's dataflow assumption: each block occupies the
         memory for an equal amount of time and is fetched once per inference.
         Blocks shorter than the memory only overwrite the rows they cover;
         FIFO-organised memories pass the tile offset as ``start_row``.
-
-        ``row_map`` optionally routes the write through a wear-leveling remap
-        table: a full logical-to-physical row permutation (length ``rows``),
-        so the block's *logical* rows ``start_row ...`` land on the mapped
-        physical rows (see :mod:`repro.leveling`).
         """
         words = np.asarray(words).reshape(-1)
         if start_row < 0 or start_row + words.size > self.geometry.rows:
@@ -122,15 +116,7 @@ class SramArray:
                 f"block of {words.size} words at row {start_row} does not fit in "
                 f"{self.geometry.rows} rows"
             )
-        rows_to_write = np.arange(start_row, start_row + words.size)
-        if row_map is not None:
-            row_map = np.asarray(row_map, dtype=np.int64).reshape(-1)
-            if row_map.size != self.geometry.rows:
-                raise ValueError(
-                    f"row_map must map all {self.geometry.rows} rows, "
-                    f"got {row_map.size} entries")
-            rows_to_write = row_map[rows_to_write]
-        self.write_rows(rows_to_write, words)
+        self.write_rows(np.arange(start_row, start_row + words.size), words)
         self.advance_time(residency)
 
     def read_rows(self, row_indices: np.ndarray) -> np.ndarray:

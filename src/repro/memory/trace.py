@@ -5,7 +5,8 @@ issues to its weight memory (block index, encoded words, residency and the
 encoding metadata).  Traces decouple the dataflow generation from the aging
 simulation: a trace recorded once can be replayed against different memory
 models or aging models, and traces are small enough to serialise for
-regression tests.
+regression tests.  Replay writes every record to its own rows; wear-leveled
+explicit runs go through :func:`repro.core.simulation.replay_epochs`.
 """
 
 from __future__ import annotations
@@ -79,56 +80,21 @@ class WriteTrace:
         """Total number of cell writes in the trace."""
         return self.total_words_written * self.word_bits
 
-    def replay(self, array: SramArray, leveler=None,
-               blocks_per_epoch: Optional[int] = None) -> SramArray:
+    def replay(self, array: SramArray) -> SramArray:
         """Replay the trace into an SRAM array (explicit simulation path).
 
-        With a :class:`~repro.leveling.remap.WearLeveler`, every record's rows
-        are routed through the leveler's logical-to-physical remap table.
-        ``blocks_per_epoch`` tells the replay where the inference-epoch
-        boundaries fall in the record stream (the schedule's blocks per
-        inference): the mapping is refreshed at each boundary.  Wear-guided
-        levelers observe the same per-write *count*-based stress signal the
-        aging engines report (not the array's residency-weighted holds, which
-        additionally count the time rows spend holding their initial content
-        before the first write), so the swap decisions — and the resulting
-        permutations — are bit-identical to the simulators' on any stream.
+        Records land on their own rows in trace order, each held for its
+        residency.  Leveled explicit runs replay the schedule itself instead
+        (:func:`repro.core.simulation.replay_epochs`).
         """
         if array.geometry.word_bits != self.word_bits:
             raise ValueError(
                 f"trace word width {self.word_bits} does not match memory word width "
                 f"{array.geometry.word_bits}"
             )
-        if leveler is None:
-            for record in self.records:
-                array.write_block(record.words, residency=record.residency,
-                                  start_row=record.start_row)
-            array.finalize()
-            return array
-        if blocks_per_epoch is None or blocks_per_epoch <= 0:
-            raise ValueError("replaying with a leveler requires blocks_per_epoch "
-                             "(the number of records per inference epoch)")
-        from repro.leveling.remap import mean_duty_per_row
-        from repro.quantization.bitops import unpack_bits
-
-        leveler.reset()
-        track_stress = leveler.uses_feedback
-        if track_stress:
-            rows, word_bits = array.geometry.rows, array.geometry.word_bits
-            ones_counts = np.zeros((rows, word_bits), dtype=np.float64)
-            write_counts = np.zeros(rows, dtype=np.float64)
-        for index, record in enumerate(self.records):
-            epoch = index // blocks_per_epoch
-            remap = leveler.permutation(epoch)
+        for record in self.records:
             array.write_block(record.words, residency=record.residency,
-                              start_row=record.start_row, row_map=remap)
-            if track_stress:
-                target = remap[record.start_row:record.start_row + record.words.size]
-                ones_counts[target] += unpack_bits(record.words, self.word_bits)
-                write_counts[target] += 1
-            if (index + 1) % blocks_per_epoch == 0 and track_stress:
-                leveler.observe(epoch + 1, mean_duty_per_row(
-                    ones_counts, write_counts * float(word_bits)))
+                              start_row=record.start_row)
         array.finalize()
         return array
 

@@ -12,8 +12,8 @@ duration and DVFS :class:`~repro.scenario.operating_point.OperatingPoint`
 Two engines evaluate a scenario:
 
 * :class:`~repro.scenario.driver.ScenarioAgingSimulator` — the fast driver.
-  Each phase is accounted through its policy's closed-form
-  ``counts(start, n)`` kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`),
+  Each phase is accounted through its policy's closed-form kernel
+  (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`),
   wear-leveling remap state persists across phase boundaries, the exact
   last-written value of every cell is tracked closed-form
   (:meth:`repro.core.simulation.AgingSimulator.last_bits_kernel`) for the
@@ -22,10 +22,10 @@ Two engines evaluate a scenario:
   with each phase's voltage and frequency weighting stress-time and
   wall-clock time respectively.
 * :class:`~repro.scenario.driver.ExplicitScenarioSimulator` — the exact
-  phase-replay cross-check, built on the same
-  :func:`repro.core.simulation.replay_inference` primitive as the classic
-  explicit engine; bit-identical to the fast driver for deterministic
-  policies, retention reports included.
+  phase-replay cross-check, built on the same leveled explicit walk
+  (:func:`repro.core.simulation.replay_epochs`) as the classic explicit
+  engine; bit-identical to the fast driver for deterministic policies,
+  retention reports included.
 
 Scenarios are described programmatically or through the phase-spec
 mini-language (``dnn-life scenario --spec ...``)::

@@ -26,11 +26,13 @@ one shared contract:
   (:meth:`~repro.scenario.phases.LifetimeScenario.phase_years`).
 
 The fast driver evaluates each active phase through the policy's closed-form
-``counts(start, n)`` kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`)
-— one kernel build per phase, composed over the phase's leveling spans by
+kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`) — one
+kernel build per phase, called once as ``counts(0, n)`` without a leveler or
+composed over the phase's leveling spans by
 :func:`repro.core.span_compose.compose_leveled`, never a per-block Python
-loop.  The explicit engine replays every phase write by
-write via :func:`repro.core.simulation.replay_inference`; for deterministic
+loop.  The explicit engine replays every phase write by write via
+:func:`repro.core.simulation.replay_epochs`, the same leveled walk as
+:class:`~repro.core.simulation.ExplicitAgingSimulator`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
 the reference temperature reproduces :class:`~repro.core.simulation.AgingSimulator`
 exactly.
@@ -56,10 +58,10 @@ from repro.core.simulation import (
     AgingResult,
     AgingSimulator,
     _duty_from_counts,
-    replay_inference,
+    replay_epochs,
 )
 from repro.core.span_compose import compose_leveled
-from repro.leveling.remap import mean_duty_per_row
+from repro.leveling.remap import check_leveler
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -323,9 +325,7 @@ class _ScenarioEngineBase:
                     f"{signature[2]}-bit words but {reference[0]} established "
                     f"{reference[1]} rows x {reference[2]}-bit words; all "
                     "phases of a scenario must share one weight-memory geometry")
-        if self.leveler is not None and self.leveler.rows != reference[1]:
-            raise ValueError(f"leveler covers {self.leveler.rows} rows but the "
-                             f"scenario memory has {reference[1]}")
+        check_leveler(self.leveler, next(iter(streams.values())).geometry)
         self._streams = streams
         return streams
 
@@ -411,17 +411,19 @@ class _ScenarioEngineBase:
     def _prepare(self, total_active: int) -> None:
         """One-time setup before the timeline walk (after leveler reset).
 
-        The base hook records the timeline horizon (the leveler's change
-        schedule spans all active epochs) and whether the leveler consumes
-        the scenario-cumulative wear feedback; engines allocate their own
-        feedback accumulators on top — the packed engine keeps ``(rows,)``
-        physical row totals, the explicit engine full count matrices.  Both
-        accumulate exact integers in float64, so the stress ratios they feed
-        to :meth:`WearLeveler.observe` are bit-identical.
+        Records the timeline horizon (the leveler's change schedule spans
+        all active epochs) and, for feedback-driven levelers, allocates the
+        scenario-cumulative ``(row_ones, row_writes)`` physical totals both
+        engines' leveled walks observe on top of and advance per phase.
+        Both accumulate exact integers in float64, so the stress ratios they
+        feed to :meth:`WearLeveler.observe` are bit-identical.
         """
         self._total_active = total_active
-        self._track_feedback = (self.leveler is not None
-                                and self.leveler.uses_feedback)
+        self._prior_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if self.leveler is not None and self.leveler.uses_feedback:
+            rows, _ = self._geometry()
+            self._prior_rows = (np.zeros(rows, dtype=np.float64),
+                                np.zeros(rows, dtype=np.float64))
 
     def _phase_counts(self, stream: object, policy: MitigationPolicy,
                       phase: Phase, cursor: int, rng: np.random.Generator
@@ -430,9 +432,8 @@ class _ScenarioEngineBase:
 
         ``cursor`` is the phase's first global active epoch; implementations
         must route writes through the (persistent) leveler, and — for
-        feedback-driven levelers — maintain their scenario-cumulative
-        physical wear accumulators and feed the accumulated stress to
-        :meth:`WearLeveler.observe`.
+        feedback-driven levelers — observe on top of and advance the
+        scenario-cumulative ``_prior_rows`` totals.
         """
         raise NotImplementedError
 
@@ -556,17 +557,6 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
         """Evaluate the whole timeline; returns the scenario result."""
         return _run_timeline(self)
 
-    def _prepare(self, total_active: int) -> None:
-        # The leveler's change schedule spans the whole timeline; per-phase
-        # span tables are cut out of it through the (start, stop) window of
-        # :meth:`WearLeveler.span_tables`.  Feedback runs on (rows,) physical
-        # row totals persisted across phases.
-        super()._prepare(total_active)
-        if self._track_feedback:
-            rows, _ = self._geometry()
-            self._row_acc_ones = np.zeros(rows, dtype=np.float64)
-            self._row_acc_writes = np.zeros(rows, dtype=np.float64)
-
     def _phase_counts(self, stream: object, policy: MitigationPolicy,
                       phase: Phase, cursor: int, rng: np.random.Generator
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -587,11 +577,9 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
         # Kernel starts are phase-local (policy state resets at phase
         # boundaries); the tables' global starts keep addressing the
         # persistent leveler schedule.
-        prior_rows = ((self._row_acc_ones, self._row_acc_writes)
-                      if self._track_feedback else None)
         ones, writes, tables = compose_leveled(
             kernel, leveler, self._total_active, start=cursor,
-            stop=cursor + phase.duration, prior_rows=prior_rows)
+            stop=cursor + phase.duration, prior_rows=self._prior_rows)
         if track_held:
             self._scatter_held(tables, cursor, last_bits, written)
         return ones, writes
@@ -636,11 +624,12 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
 class ExplicitScenarioSimulator(_ScenarioEngineBase):
     """Replays every phase write-by-write for bit-exact cross-checks.
 
-    Built on the same :func:`repro.core.simulation.replay_inference`
-    primitive as :class:`~repro.core.simulation.ExplicitAgingSimulator`,
-    under the scenario contract (policy resets per phase, leveler persists,
-    global active-epoch addressing for permutations).  For deterministic
-    policies its duty-cycles — per phase and effective — match
+    Each phase is one :func:`repro.core.simulation.replay_epochs` window —
+    the same leveled walk as
+    :class:`~repro.core.simulation.ExplicitAgingSimulator` — under the
+    scenario contract (policy resets per phase, leveler persists, global
+    active-epoch addressing for permutations).  For deterministic policies
+    its duty-cycles — per phase and effective — match
     :class:`ScenarioAgingSimulator` bit-for-bit.
     """
 
@@ -650,37 +639,9 @@ class ExplicitScenarioSimulator(_ScenarioEngineBase):
         """Replay the whole timeline; returns the scenario result."""
         return _run_timeline(self)
 
-    def _prepare(self, total_active: int) -> None:
-        # Scenario-cumulative physical count matrices: the wear-map stress
-        # signal feedback-driven levelers observe.  The packed engine keeps
-        # only the (rows,) reductions of the same exact-integer counts, so
-        # the observed ratios — and every swap decision derived from them —
-        # are bit-identical between the engines.
-        super()._prepare(total_active)
-        if self._track_feedback:
-            rows, word_bits = self._geometry()
-            self._acc_ones = np.zeros((rows, word_bits), dtype=np.float64)
-            self._acc_writes = np.zeros(rows, dtype=np.float64)
-
     def _phase_counts(self, stream: object, policy: MitigationPolicy,
                       phase: Phase, cursor: int, rng: np.random.Generator
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        rows, word_bits = self._geometry()
-        leveler = self.leveler
-        track_feedback = self._track_feedback
-        policy.reset()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.float64)
-        for local_epoch in range(phase.duration):
-            epoch = cursor + local_epoch
-            remap = None if leveler is None else leveler.permutation(epoch)
-            replay_inference(stream, policy, ones, writes, remap,
+        return replay_epochs(stream, policy, cursor, cursor + phase.duration,
+                             self.leveler, prior_rows=self._prior_rows,
                              stored=self._held)
-            if track_feedback:
-                leveler.observe(epoch + 1, mean_duty_per_row(
-                    self._acc_ones + ones,
-                    (self._acc_writes + writes) * float(word_bits)))
-        if track_feedback:
-            self._acc_ones += ones
-            self._acc_writes += writes
-        return ones, writes

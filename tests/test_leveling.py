@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accelerator.scheduler import (
-    CachedWeightStream,
-    WeightStreamScheduler,
-    stream_to_trace,
-)
+from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler
 from repro.cli import main
 from repro.core.policies import make_policy
 from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
@@ -20,12 +16,16 @@ from repro.leveling import (
     WearSwapLeveler,
     check_permutation,
     make_leveler,
-    mean_duty_per_row,
+    mean_duty_from_row_counts,
 )
 from repro.memory.geometry import MemoryGeometry
-from repro.memory.sram import SramArray
 from repro.memory.wear_map import WearMap
 from repro.orchestration import REGISTRY, load_all_experiments
+from repro.scenario import (
+    ExplicitScenarioSimulator,
+    LifetimeScenario,
+    ScenarioAgingSimulator,
+)
 from repro.utils.units import KB
 
 
@@ -44,20 +44,26 @@ def tiny_stream(tiny_network):
     return CachedWeightStream(scheduler)
 
 
-@pytest.fixture
-def tiny_fifo_stream(tiny_network):
+def _tiny_fifo_stream(network, pad_final_block=True):
     """Tiny int8 workload on a 4-tile FIFO memory."""
     memory = MemoryGeometry(capacity_bytes=1 * KB, word_bits=8)
-    scheduler = WeightStreamScheduler(tiny_network, "int8_symmetric", memory,
-                                     parallel_filters=2, fifo_depth_tiles=4)
+    scheduler = WeightStreamScheduler(network, "int8_symmetric", memory,
+                                     parallel_filters=2, fifo_depth_tiles=4,
+                                     pad_final_block=pad_final_block)
     return CachedWeightStream(scheduler)
+
+
+def _spans(leveler, num_inferences):
+    """Every ``(start, length)`` span of the leveler's tables, in order."""
+    return [span for table in leveler.span_tables(num_inferences)
+            for span in table.iter_spans()]
 
 
 class TestPermutations:
     def test_identity_leveler(self, geometry):
         leveler = make_leveler("none", geometry)
         assert np.array_equal(leveler.permutation(0), np.arange(32))
-        assert list(leveler.spans(10)) == [(0, 10)]
+        assert _spans(leveler, 10) == [(0, 10)]
 
     def test_rotation_stays_within_regions(self, geometry):
         leveler = RotationLeveler(geometry, fifo_depth_tiles=4, period=5, step=3)
@@ -70,7 +76,7 @@ class TestPermutations:
         leveler = RotationLeveler(geometry, fifo_depth_tiles=2, period=1, step=7)
         for epoch in (0, 1, 5, 99):
             assert np.array_equal(leveler.permutation(epoch), np.arange(32))
-        assert list(leveler.spans(20)) == [(0, 20)]
+        assert _spans(leveler, 20) == [(0, 20)]
 
     def test_rotation_cycles_back_to_identity(self, geometry):
         leveler = RotationLeveler(geometry, period=4, step=1)
@@ -91,7 +97,7 @@ class TestPermutations:
         for leveler in (RotationLeveler(geometry, period=3),
                         StartGapLeveler(geometry, interval=4),
                         WearSwapLeveler(geometry, interval=5)):
-            spans = list(leveler.spans(17))
+            spans = _spans(leveler, 17)
             assert spans[0][0] == 0
             assert sum(length for _, length in spans) == 17
             starts = [start for start, _ in spans]
@@ -143,15 +149,27 @@ class TestEngineEquivalence:
     ])
     @pytest.mark.parametrize("policy", ["none", "inversion",
                                         "inversion_per_location", "barrel_shifter"])
-    def test_packed_matches_explicit(self, tiny_fifo_stream, leveling, options, policy):
-        geometry = tiny_fifo_stream.geometry
+    @pytest.mark.parametrize("pad_final_block", [True, False])
+    def test_packed_matches_explicit(self, tiny_network, pad_final_block,
+                                     leveling, options, policy):
+        # Unpadded, the stream's word count is not a multiple of the word
+        # width: barrel rotations and inversion parities drift per epoch.
+        stream = _tiny_fifo_stream(tiny_network, pad_final_block)
+        geometry = stream.geometry
+        fast_leveler = make_leveler(leveling, geometry, 4, **options)
+        exact_leveler = make_leveler(leveling, geometry, 4, **options)
         fast = AgingSimulator(
-            tiny_fifo_stream, make_policy(policy, 8), num_inferences=7, seed=0,
-            leveler=make_leveler(leveling, geometry, 4, **options)).run()
+            stream, make_policy(policy, 8), num_inferences=7, seed=0,
+            leveler=fast_leveler).run()
         exact = ExplicitAgingSimulator(
-            tiny_fifo_stream, make_policy(policy, 8), num_inferences=7,
-            leveler=make_leveler(leveling, geometry, 4, **options)).run()
+            stream, make_policy(policy, 8), num_inferences=7,
+            leveler=exact_leveler).run()
         assert np.array_equal(fast.duty_cycles, exact.duty_cycles)
+        if leveling == "wear_swap":
+            # Both walks observe the same stress, so they swap identically.
+            assert fast_leveler.num_swaps_applied > 0
+            assert fast_leveler.num_swaps_applied == exact_leveler.num_swaps_applied
+            assert np.array_equal(fast_leveler._perm, exact_leveler._perm)
 
     def test_rotation_period_one_equals_no_leveling(self, tiny_stream):
         baseline = AgingSimulator(tiny_stream, make_policy("inversion", 8),
@@ -161,62 +179,33 @@ class TestEngineEquivalence:
             leveler=make_leveler("rotation", tiny_stream.geometry, period=1)).run()
         assert np.array_equal(baseline.duty_cycles, identity.duty_cycles)
 
-    def test_packed_matches_trace_replay(self, tiny_stream):
-        """Closed-form remap composition == replaying the recorded trace."""
-        num_inferences = 5
-        scheduler = tiny_stream._scheduler
-        trace = stream_to_trace(scheduler, num_inferences=num_inferences,
-                                residency=1.0)
-        geometry = tiny_stream.geometry
-        for leveling, options in [("rotation", {"period": 3, "step": 2}),
-                                  ("wear_swap", {"interval": 2,
-                                                 "swap_fraction": 0.25})]:
-            replayed = trace.replay(
-                SramArray(geometry),
-                leveler=make_leveler(leveling, geometry, **options),
-                blocks_per_epoch=scheduler.num_blocks)
-            fast = AgingSimulator(
-                tiny_stream, make_policy("none", 8),
-                num_inferences=num_inferences, seed=0,
-                leveler=make_leveler(leveling, geometry, **options)).run()
-            assert np.array_equal(fast.duty_cycles, replayed.duty_cycles())
-
-    def test_trace_replay_swap_decisions_match_engines_on_fifo(self, tiny_fifo_stream):
-        """Guided-swap permutations agree even where duty accounting differs.
-
-        On a FIFO stream the regions are written at staggered times, so the
-        array's residency-weighted duty differs from the engines' per-write
-        counts (rows hold their initial zeros before the first write) — but
-        the stress signal fed to the leveler is count-based in both paths,
-        so the swap decisions must be bit-identical.
-        """
-        num_inferences = 6
-        scheduler = tiny_fifo_stream._scheduler
-        trace = stream_to_trace(scheduler, num_inferences=num_inferences)
-        geometry = tiny_fifo_stream.geometry
-        replay_leveler = make_leveler("wear_swap", geometry, 4, interval=2,
-                                      swap_fraction=0.25)
-        trace.replay(SramArray(geometry), leveler=replay_leveler,
-                     blocks_per_epoch=scheduler.num_blocks)
-        packed_leveler = make_leveler("wear_swap", geometry, 4, interval=2,
-                                      swap_fraction=0.25)
-        AgingSimulator(tiny_fifo_stream, make_policy("none", 8),
-                       num_inferences=num_inferences, seed=0,
-                       leveler=packed_leveler).run()
-        assert replay_leveler.num_swaps_applied == packed_leveler.num_swaps_applied
-        assert replay_leveler.num_swaps_applied > 0
-        assert np.array_equal(replay_leveler._perm, packed_leveler._perm)
-
-    def test_replay_with_leveler_requires_epoch_length(self, tiny_stream, geometry):
-        trace = stream_to_trace(tiny_stream._scheduler, num_inferences=1)
-        with pytest.raises(ValueError):
-            trace.replay(SramArray(tiny_stream.geometry),
-                         leveler=make_leveler("rotation", tiny_stream.geometry))
-
     def test_leveler_geometry_mismatch_rejected(self, tiny_stream, geometry):
         with pytest.raises(ValueError):
             AgingSimulator(tiny_stream, make_policy("none", 8),
                            leveler=make_leveler("rotation", geometry))
+
+    @pytest.mark.parametrize("engine", ["packed", "explicit", "scenario",
+                                        "explicit_scenario"])
+    def test_leveler_word_width_mismatch_rejected(self, tiny_scheduler, engine):
+        """Same row count, wider words: every engine refuses the leveler."""
+        stream = CachedWeightStream(tiny_scheduler)
+        assert (stream.geometry.rows, stream.geometry.word_bits) == (2048, 8)
+        wide = MemoryGeometry(capacity_bytes=4 * KB, word_bits=16)
+        leveler = make_leveler("wear_swap", wide)
+        message = ("leveler covers 2048 rows x 16-bit words but the memory "
+                   "has 2048 rows x 8-bit words")
+        with pytest.raises(ValueError, match=message):
+            if engine == "packed":
+                AgingSimulator(stream, make_policy("none", 8), leveler=leveler)
+            elif engine == "explicit":
+                ExplicitAgingSimulator(stream, make_policy("none", 8),
+                                       leveler=leveler)
+            else:
+                simulator = (ScenarioAgingSimulator if engine == "scenario"
+                             else ExplicitScenarioSimulator)
+                simulator(LifetimeScenario.from_spec("custom_mnist:int8:none:2"),
+                          stream_factory=lambda phase: stream,
+                          leveler=leveler).run()
 
     def test_dnn_life_leveled_duty_stays_centred(self, tiny_stream):
         """The stochastic policy composes with leveling (distribution check)."""
@@ -245,7 +234,8 @@ class TestMeanDutyPerRow:
     def test_unwritten_rows_report_zero(self):
         ones = np.array([[1.0, 1.0], [0.0, 0.0]])
         hold = np.array([4.0, 0.0])
-        assert np.array_equal(mean_duty_per_row(ones, hold), [0.5, 0.0])
+        assert np.array_equal(
+            mean_duty_from_row_counts(ones.sum(axis=1), hold), [0.5, 0.0])
 
 
 class TestLevelingExperiment:

@@ -143,22 +143,6 @@ class TestSramArray:
             array.write_rows(np.array([3, 3]),
                              np.array([0x01, 0x02], dtype=np.uint64))
 
-    def test_write_block_row_map_routes_rows(self, small_geometry):
-        array = SramArray(small_geometry)
-        row_map = np.roll(np.arange(small_geometry.rows), -4)
-        words = np.arange(8, dtype=np.uint64)
-        array.write_block(words, residency=1.0, row_map=row_map)
-        array.finalize()
-        assert np.array_equal(array.read_rows(row_map[np.arange(8)]), words)
-        duty = array.duty_cycles(default=0.0)
-        assert duty[row_map[1]].sum() > 0  # word 1 landed on its mapped row
-
-    def test_write_block_row_map_must_cover_all_rows(self, small_geometry):
-        array = SramArray(small_geometry)
-        with pytest.raises(ValueError):
-            array.write_block(np.zeros(4, dtype=np.uint64),
-                              row_map=np.arange(4))
-
     def test_accumulate_block_interface(self, small_geometry):
         array = SramArray(small_geometry)
         shape = (small_geometry.rows, small_geometry.word_bits)

@@ -4,10 +4,10 @@ Three layers of protection for the fused remap composition
 (:mod:`repro.core.span_compose`):
 
 * property tests that :meth:`WearLeveler.span_table` /
-  :meth:`WearLeveler.span_tables` agree span-for-span with the iterative
-  :meth:`WearLeveler.spans` walk for every shipped leveler across sampled
+  :meth:`WearLeveler.span_tables` cut exactly the maximal runs of equal
+  :meth:`WearLeveler.permutation` for every shipped leveler across sampled
   schedules and ``[start, stop)`` windows;
-* unit tests of the span window-contract validator and its debug flag;
+* unit tests of the span window-contract validator;
 * byte-identity regressions pinning the leveled ``AgingResult`` payloads
   (and leveled dnn_life scenario payloads) to SHAs captured on the
   pre-refactor per-span loops, including a >255-span schedule that would
@@ -39,11 +39,7 @@ from repro.accelerator.scheduler import (
 from repro.core.policies import DnnLifePolicy
 from repro.core.simulation import AgingSimulator, TrbgReduction
 from repro.core.span_compose import compose_leveled
-from repro.leveling import (
-    make_leveler,
-    set_span_validation,
-    span_validation_enabled,
-)
+from repro.leveling import make_leveler
 from repro.leveling.remap import _check_span_tiling, mean_duty_from_row_counts
 from repro.memory.geometry import MemoryGeometry
 from repro.scenario.driver import ScenarioAgingSimulator
@@ -84,18 +80,52 @@ def _build_leveler(spec, fifo_depth_tiles=4, capacity_bytes=64):
     return make_leveler(name, geometry, fifo_depth_tiles, **options)
 
 
+def _stress(leveler, epoch):
+    """A distinct per-row stress for ``epoch``: every swap opportunity of a
+    feedback leveler then changes the mapping."""
+    return np.random.default_rng(epoch).permutation(leveler.rows).astype(float)
+
+
+def _constant_mapping_runs(leveler, start, stop):
+    """Test-local reference: maximal runs of equal ``permutation(epoch)``.
+
+    Walks ``[start, stop)`` epoch by epoch; feedback levelers observe
+    :func:`_stress` before the window (as an earlier window would have left
+    them) and after every epoch.
+    """
+    runs, previous = [], None
+    if leveler.uses_feedback:
+        leveler.observe(start, _stress(leveler, start))
+    for epoch in range(start, stop):
+        permutation = leveler.permutation(epoch).copy()
+        if previous is not None and np.array_equal(permutation, previous):
+            runs[-1][1] += 1
+        else:
+            runs.append([epoch, 1])
+        previous = permutation
+        if leveler.uses_feedback:
+            leveler.observe(epoch + 1, _stress(leveler, epoch + 1))
+    return [tuple(run) for run in runs]
+
+
 class TestSpanTableProperties:
-    """`span_table(s)` must reproduce the iterative `spans()` walk exactly."""
+    """`span_table(s)` must cut the window into constant-mapping runs."""
 
     @settings(max_examples=200, deadline=None)
     @given(leveler_and_window())
-    def test_tables_concatenate_to_iterative_spans(self, case):
+    def test_tables_concatenate_to_constant_mapping_runs(self, case):
         spec, num_inferences, start, stop = case
+        expected = _constant_mapping_runs(_build_leveler(spec), start, stop)
         leveler = _build_leveler(spec)
-        expected = list(leveler.spans(num_inferences, start=start, stop=stop))
-        tables = list(_build_leveler(spec).span_tables(
-            num_inferences, start=start, stop=stop))
-        got = [pair for table in tables for pair in table.iter_spans()]
+        if leveler.uses_feedback:
+            leveler.observe(start, _stress(leveler, start))
+        got = []
+        for table in leveler.span_tables(num_inferences, start=start,
+                                         stop=stop):
+            got.extend(table.iter_spans())
+            if leveler.uses_feedback and table.num_spans:
+                end = int(table.starts[-1] + table.lengths[-1])
+                leveler.observe(end, _stress(leveler, end))
         assert got == expected
 
     @settings(max_examples=200, deadline=None)
@@ -163,29 +193,15 @@ class TestSpanTableProperties:
 
 
 class TestSpanValidation:
-    """The debug window-contract check behind ``set_span_validation``."""
-
-    def test_toggle_returns_previous_setting(self):
-        initial = span_validation_enabled()
-        try:
-            assert set_span_validation(True) == initial
-            assert span_validation_enabled()
-            assert set_span_validation(False) is True
-            assert not span_validation_enabled()
-        finally:
-            set_span_validation(initial)
+    """The window-contract check every span table passes through."""
 
     def test_shipped_levelers_pass_validation(self):
-        previous = set_span_validation(True)
-        try:
-            for spec in (("none", {}), ("rotation", {"period": 3, "step": 2}),
-                         ("start_gap", {"interval": 2}),
-                         ("wear_swap", {"interval": 4})):
-                leveler = _build_leveler(spec)
-                for start, stop in ((0, 17), (5, 11), (3, 3), (0, 1)):
-                    list(leveler.spans(17, start=start, stop=stop))
-        finally:
-            set_span_validation(previous)
+        for spec in (("none", {}), ("rotation", {"period": 3, "step": 2}),
+                     ("start_gap", {"interval": 2}),
+                     ("wear_swap", {"interval": 4})):
+            leveler = _build_leveler(spec)
+            for start, stop in ((0, 17), (5, 11), (3, 3), (0, 1)):
+                list(leveler.span_tables(17, start=start, stop=stop))
 
     def test_tiling_check_accepts_exact_cover(self):
         _check_span_tiling(np.asarray([2, 5, 9]), np.asarray([3, 4, 1]),
