@@ -23,7 +23,7 @@ from repro.aging.snm import REFERENCE_LIFETIME_YEARS, SnmDegradationModel, defau
 from repro.aging.stress import (
     ArrheniusTimeScaling,
     PhaseStress,
-    aggregate_stress,
+    StressTimeline,
     scaling_for_model,
 )
 from repro.utils.validation import check_positive
@@ -73,11 +73,11 @@ class LifetimeEstimator:
         ones slow it).  A single phase at the reference operating point
         reproduces :meth:`cell_lifetimes_years`.
         """
-        scaling = scaling or scaling_for_model(self.snm_model)
-        duty, effective_years = aggregate_stress(phases, scaling)
-        wall_years = float(sum(phase.years for phase in phases))
-        acceleration = effective_years / wall_years
-        return self.cell_lifetimes_years(duty) / acceleration
+        timeline = StressTimeline(scaling or scaling_for_model(self.snm_model),
+                                  list(phases))
+        duty, effective_years = timeline.effective()
+        return self.cell_lifetimes_years(duty) / (effective_years
+                                                  / timeline.wall_years)
 
     def memory_lifetime_years_phases(self, phases: Sequence[PhaseStress],
                                      scaling: Optional[ArrheniusTimeScaling] = None

@@ -35,8 +35,8 @@ from repro.aging.snm import (
     WORST_SNM_DEGRADATION_PERCENT,
     SnmDegradationModel,
 )
-from repro.utils.units import years_to_seconds
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.units import SECONDS_PER_YEAR, years_to_seconds
+from repro.utils.validation import check_positive
 
 #: Boltzmann constant in eV/K.
 BOLTZMANN_EV = 8.617333262e-5
@@ -87,15 +87,17 @@ class NbtiDeviceModel:
 
         ``stress_fraction`` is the long-term fraction of time the transistor
         is under negative bias (the cell duty-cycle for P1, its complement for
-        P2).
+        P2).  ``years`` may be an array broadcasting against it.
         """
         stress = np.asarray(stress_fraction, dtype=np.float64)
         if np.any((stress < -1e-12) | (stress > 1.0 + 1e-12)):
             raise ValueError("stress_fraction must lie within [0, 1]")
         stress = np.clip(stress, 0.0, 1.0)
-        check_in_range(years, "years", low=0.0)
+        years = np.asarray(years, dtype=np.float64)
+        if np.any(years < 0):
+            raise ValueError(f"years must be >= 0, got {years.min()}")
         temperature = temperature_kelvin or self.temperature_kelvin
-        seconds = years_to_seconds(years)
+        seconds = years * SECONDS_PER_YEAR
         effective_time = stress * seconds
         return (self.prefactor_volts * self._arrhenius(temperature)
                 * np.power(effective_time, self.time_exponent))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,13 +47,25 @@ class SnmDegradationModel(abc.ABC):
                             years: float = REFERENCE_LIFETIME_YEARS) -> np.ndarray:
         """SNM degradation (percent) for each duty-cycle after ``years`` years."""
 
-    def worst_case_percent(self, years: float = REFERENCE_LIFETIME_YEARS) -> float:
-        """Degradation of a cell stuck at one value for its whole lifetime."""
-        return float(self.degradation_percent(np.asarray([1.0]), years)[0])
+    def worst_case_percent(self, years: Union[float, np.ndarray] = REFERENCE_LIFETIME_YEARS
+                           ) -> Union[float, np.ndarray]:
+        """Degradation of a cell stuck at one value for its whole lifetime.
 
-    def best_case_percent(self, years: float = REFERENCE_LIFETIME_YEARS) -> float:
+        Like :meth:`best_case_percent`, broadcasts over an array of ``years``
+        (one anchor per entry, e.g. per fleet device).
+        """
+        return self._uniform_duty_percent(1.0, years)
+
+    def best_case_percent(self, years: Union[float, np.ndarray] = REFERENCE_LIFETIME_YEARS
+                          ) -> Union[float, np.ndarray]:
         """Degradation of a perfectly balanced cell."""
-        return float(self.degradation_percent(np.asarray([0.5]), years)[0])
+        return self._uniform_duty_percent(0.5, years)
+
+    def _uniform_duty_percent(self, duty: float, years: Union[float, np.ndarray]
+                              ) -> Union[float, np.ndarray]:
+        years = np.asarray(years, dtype=np.float64)
+        percent = self.degradation_percent(np.full(years.shape, duty), years)
+        return float(percent) if np.ndim(percent) == 0 else percent
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,10 @@ class CalibratedSnmModel(SnmDegradationModel):
         duty = np.clip(duty, 0.0, 1.0)
         stress = np.maximum(duty, 1.0 - duty)
         base = self.worst_percent * np.power(stress, self.gamma)
-        time_scale = (years / self.reference_years) ** self.time_exponent
+        # float_power is the C library pow element by element, so an array
+        # of years scales each entry exactly like a scalar call would.
+        time_scale = np.float_power(years / self.reference_years,
+                                    self.time_exponent)
         return base * time_scale
 
     def stress_fraction_for_degradation(self, degradation_percent: float,

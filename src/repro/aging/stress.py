@@ -37,12 +37,17 @@ Both factors are exactly ``1.0`` at the reference corner, which keeps every
 pre-DVFS scenario bit-identical.  Phases carry their voltage in
 :attr:`PhaseStress.voltage_v`; callers that never set it get the reference
 corner and the exact legacy weights.
+
+**Device axis.**  A phase's years and corner may be ``(devices,)`` arrays
+(devices sharing the phase's duty, e.g. a fleet cohort); the time factors
+and the blend then gain a leading device axis whose row ``d`` is the
+scalar result at device ``d``'s corner, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,8 +84,17 @@ __all__ = [
 ]
 
 
-def _celsius_to_kelvin(temperature_c: float) -> float:
+#: A per-phase scalar, or one value per device along a leading device axis.
+DeviceScalar = Union[float, np.ndarray]
+
+
+def _celsius_to_kelvin(temperature_c: DeviceScalar) -> DeviceScalar:
     return check_temperature_celsius(temperature_c) + 273.15
+
+
+def _scalar_or_array(value: np.ndarray) -> DeviceScalar:
+    """0-d results as ``float``, arrays as they are."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -91,10 +105,15 @@ class ArrheniusTimeScaling:
     towards the ``t ** n`` damage power relative to a year at the reference
     corner: ``(arr(T) / arr(T_ref)) ** (1 / n)`` with ``arr(T) = exp(-Ea /
     kT)``, times the voltage acceleration ``exp(gamma * (V - V_ref)) ** (1 /
-    n)``.  Each factor is exactly ``1.0`` at its reference value (the
-    computation is skipped entirely, not merely close to one), which is what
+    n)``.  Each factor is exactly ``1.0`` at its reference value (pinned by
+    ``np.where``, not merely a computation that lands close), which is what
     keeps single-phase and pre-DVFS scenarios bit-identical to the classic
     single-stream accounting.
+
+    Both factors broadcast over arrays of corners (the fleet's device axis).
+    The ``1 / n`` powers go through ``np.float_power``, which evaluates
+    element by element with the C library ``pow``, so entry ``d`` of an
+    array call equals the scalar call at corner ``d`` bit for bit.
     """
 
     activation_energy_ev: float = 0.1
@@ -110,64 +129,33 @@ class ArrheniusTimeScaling:
         if not np.isfinite(self.voltage_acceleration_per_v):
             raise ValueError("voltage_acceleration_per_v must be finite")
 
-    def _arrhenius(self, temperature_c: float) -> float:
-        kelvin = _celsius_to_kelvin(temperature_c)
-        return float(np.exp(-self.activation_energy_ev / (BOLTZMANN_EV * kelvin)))
+    def _arrhenius(self, temperature_c: DeviceScalar) -> DeviceScalar:
+        return np.exp(-self.activation_energy_ev
+                      / (BOLTZMANN_EV * _celsius_to_kelvin(temperature_c)))
 
-    def voltage_factor(self, voltage_v: float) -> float:
+    def voltage_factor(self, voltage_v: DeviceScalar) -> DeviceScalar:
         """Reference-equivalent years per year at supply ``voltage_v``."""
         voltage = check_positive_finite(voltage_v, "voltage")
-        if voltage == self.reference_voltage_v:
-            return 1.0
         acceleration = np.exp(self.voltage_acceleration_per_v
                               * (voltage - self.reference_voltage_v))
-        return float(acceleration ** (1.0 / self.time_exponent))
+        return _scalar_or_array(np.where(
+            voltage == self.reference_voltage_v, 1.0,
+            np.float_power(acceleration, 1.0 / self.time_exponent)))
 
-    def time_factor(self, temperature_c: float,
-                    voltage_v: Optional[float] = None) -> float:
+    def time_factor(self, temperature_c: DeviceScalar,
+                    voltage_v: Optional[DeviceScalar] = None) -> DeviceScalar:
         """Reference-equivalent years contributed by one year at the corner.
 
-        ``voltage_v=None`` (or the reference voltage) contributes no voltage
-        term at all, so legacy thermal-only callers get bitwise-unchanged
-        factors.
+        ``voltage_v=None`` contributes no voltage term at all, so legacy
+        thermal-only callers get bitwise-unchanged factors.
         """
-        if float(temperature_c) == self.reference_temperature_c:
-            factor = 1.0
-        else:
-            ratio = (self._arrhenius(temperature_c)
-                     / self._arrhenius(self.reference_temperature_c))
-            factor = float(ratio ** (1.0 / self.time_exponent))
-        if voltage_v is not None and float(voltage_v) != self.reference_voltage_v:
-            factor *= self.voltage_factor(voltage_v)
-        return factor
-
-    def time_factor_array(self, temperature_c: np.ndarray,
-                          voltage_v: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`time_factor` over arrays of corners.
-
-        Broadcasts ``temperature_c`` against ``voltage_v`` and evaluates both
-        acceleration terms elementwise — the fleet engine's whole
-        ``(device, phase)`` corner grid in one call.  Entries exactly at a
-        reference value are pinned to exactly ``1.0`` (``np.where``, not
-        merely a computation that lands close), preserving the scalar
-        method's bit-identity guarantee for reference-corner devices.
-        """
-        temperature = np.asarray(temperature_c, dtype=np.float64)
-        voltage = np.asarray(voltage_v, dtype=np.float64)
-        if not np.all(voltage > 0):  # matches check_positive_finite, arrays
-            raise ValueError("voltage must be positive and finite")
-        kelvin = temperature + 273.15
-        if not np.all(kelvin > 0):
-            raise ValueError("temperature must be above absolute zero")
-        ratio = (np.exp(-self.activation_energy_ev / (BOLTZMANN_EV * kelvin))
+        ratio = (self._arrhenius(temperature_c)
                  / self._arrhenius(self.reference_temperature_c))
-        thermal = np.where(temperature == self.reference_temperature_c, 1.0,
-                           ratio ** (1.0 / self.time_exponent))
-        acceleration = np.exp(self.voltage_acceleration_per_v
-                              * (voltage - self.reference_voltage_v))
-        voltage_term = np.where(voltage == self.reference_voltage_v, 1.0,
-                                acceleration ** (1.0 / self.time_exponent))
-        return thermal * voltage_term
+        factor = np.where(temperature_c == self.reference_temperature_c, 1.0,
+                          np.float_power(ratio, 1.0 / self.time_exponent))
+        if voltage_v is not None:
+            factor = factor * self.voltage_factor(voltage_v)
+        return _scalar_or_array(factor)
 
     def describe(self) -> dict:
         """Machine-readable description (serialised into scenario payloads)."""
@@ -188,15 +176,17 @@ class PhaseStress:
     shape), ``years`` its wall-clock share of the lifetime,
     ``temperature_c`` the thermal corner it ran at and ``voltage_v`` its
     supply voltage (the reference voltage unless the phase names a DVFS
-    operating point).
+    operating point).  ``years``, ``temperature_c`` and ``voltage_v`` may
+    instead be ``(devices,)`` arrays: one phase of a fleet cohort, whose
+    devices share the duty but not the corner.
     """
 
     duty: np.ndarray
-    years: float
-    temperature_c: float = DEFAULT_REFERENCE_TEMPERATURE_C
+    years: DeviceScalar
+    temperature_c: DeviceScalar = DEFAULT_REFERENCE_TEMPERATURE_C
     #: Free-form label carried into reports ("phase 2: alexnet/int8").
     label: str = ""
-    voltage_v: float = DEFAULT_REFERENCE_VOLTAGE_V
+    voltage_v: DeviceScalar = DEFAULT_REFERENCE_VOLTAGE_V
 
     def __post_init__(self) -> None:
         self.duty = np.asarray(self.duty, dtype=np.float64)
@@ -207,7 +197,7 @@ class PhaseStress:
 
 def aggregate_stress(phases: Sequence[PhaseStress],
                      scaling: Optional[ArrheniusTimeScaling] = None
-                     ) -> Tuple[np.ndarray, float]:
+                     ) -> Tuple[np.ndarray, DeviceScalar]:
     """Collapse per-phase ``(duty, years, temperature)`` stress into one pair.
 
     Returns ``(effective_duty, effective_years)`` such that
@@ -219,6 +209,11 @@ def aggregate_stress(phases: Sequence[PhaseStress],
     The blend is computed with weights normalised to sum to 1, so a single
     phase at the reference operating point returns its duty array bit-for-bit
     (multiplied by exactly ``1.0``) and ``years`` unchanged.
+
+    Phases with per-device corners (see :class:`PhaseStress`) give a
+    leading device axis: ``effective_duty`` is ``(devices,) + duty.shape``
+    and ``effective_years`` is ``(devices,)``, and row ``d`` equals the
+    scalar call at device ``d``'s corners bit for bit.
     """
     phases = list(phases)
     if not phases:
@@ -233,13 +228,13 @@ def aggregate_stress(phases: Sequence[PhaseStress],
     weights = [phase.years * scaling.time_factor(phase.temperature_c,
                                                  phase.voltage_v)
                for phase in phases]
-    effective_years = float(sum(weights))
-    if not effective_years > 0:  # also rejects NaN
+    effective_years = sum(weights)
+    if not np.all(effective_years > 0):  # also rejects NaN
         raise ValueError("effective stress-time must be positive")
-    effective_duty = (weights[0] / effective_years) * phases[0].duty
+    effective_duty = np.multiply.outer(weights[0] / effective_years, phases[0].duty)
     for weight, phase in zip(weights[1:], phases[1:]):
-        effective_duty = effective_duty + (weight / effective_years) * phase.duty
-    return effective_duty, effective_years
+        effective_duty += np.multiply.outer(weight / effective_years, phase.duty)
+    return effective_duty, _scalar_or_array(effective_years)
 
 
 @dataclass
@@ -261,11 +256,11 @@ class StressTimeline:
         return phase
 
     @property
-    def wall_years(self) -> float:
+    def wall_years(self) -> DeviceScalar:
         """Wall-clock span of the recorded timeline."""
-        return float(sum(phase.years for phase in self.phases))
+        return _scalar_or_array(sum(phase.years for phase in self.phases))
 
-    def effective(self) -> Tuple[np.ndarray, float]:
+    def effective(self) -> Tuple[np.ndarray, DeviceScalar]:
         """``(effective_duty, effective_years)`` of the recorded timeline."""
         return aggregate_stress(self.phases, self.scaling)
 

@@ -48,8 +48,8 @@ WALLCLOCK_CALLS: FrozenSet[str] = frozenset({
 FLOAT_EQUALITY_ALLOWED_MODULES: FrozenSet[str] = frozenset({
     # unbiased-TRBG dispatch on a constructed bias of exactly 0.5
     "repro/core/simulation.py",
-    # exact-zero-side skipping in the device-batched retention transliteration
-    "repro/fleet/simulator.py",
+    # exact-zero-side skipping in the retention model's failure probability
+    "repro/scenario/operating_point.py",
     # reference-corner pinning: corners exactly at the reference voltage/
     # temperature must contribute a factor of exactly 1.0 so reference
     # scenarios stay byte-identical across releases

@@ -22,15 +22,17 @@ scenario engine's math:
 :class:`FleetSimulator` therefore groups the sampled devices of a
 :class:`~repro.fleet.spec.FleetSpec` into ``(scenario, seed-group)``
 cohorts sharing one base run and one process-wide packed stream cache, and
-vectorizes the device axis of the stress aggregation: per-phase
-``(device, phase)`` grids of temperatures, voltages and wall-clock shares
-collapse through :meth:`~repro.aging.stress.ArrheniusTimeScaling.time_factor_array`
-into per-device effective ``(duty, years)`` pairs, evaluated chunk-wise
-against the SNM model.  Every reduction that feeds a comparison against the
-single-device engine accumulates **sequentially over phases in the same
-association order** as the scalar code, so a device sampled at the
-reference corner with zero offsets reproduces the scenario engine's numbers
-bit for bit — the property the equivalence test battery pins.
+evaluates the device axis with the scenario path's own physics: each
+formula it needs — :meth:`~repro.scenario.phases.LifetimeScenario.phase_years`,
+:meth:`~repro.aging.stress.ArrheniusTimeScaling.time_factor`,
+:func:`~repro.aging.stress.aggregate_stress`,
+:meth:`~repro.aging.lifetime.LifetimeEstimator.cell_lifetimes_years` and
+:meth:`~repro.scenario.operating_point.RetentionModel.failure_probability` —
+takes per-device corners as ``(devices,)`` arrays and returns one row per
+device, equal bit for bit to the scalar call at that device's corner.  There
+is no second implementation of the aging model here, so a device reproduces
+a standalone scenario run of :meth:`FleetSimulator.device_scenario` — the
+property the equivalence test battery pins.
 
 Failure-time composition (shared with the per-device reference path through
 :func:`failure_times_from_scenario_result`):
@@ -52,23 +54,22 @@ failure-mode attribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aging.lifetime import LifetimeEstimator
-from repro.aging.nbti import BOLTZMANN_EV
 from repro.aging.snm import (
     REFERENCE_LIFETIME_YEARS,
-    CalibratedSnmModel,
     SnmDegradationModel,
     default_snm_model,
 )
 from repro.aging.stress import (
-    DEFAULT_REFERENCE_FREQUENCY_GHZ,
     ArrheniusTimeScaling,
     PhaseStress,
+    StressTimeline,
+    aggregate_stress,
     scaling_for_model,
 )
 from repro.fleet.spec import FleetSample, FleetSpec
@@ -94,6 +95,9 @@ __all__ = [
 
 #: Quantile levels reported by default (p1 ... p99 of the failure times).
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+
+#: Devices evaluated together; bounds the (device x cell) grids of a cohort.
+DEVICE_CHUNK = 64
 
 
 class _RecordingScenarioSimulator(ScenarioAgingSimulator):
@@ -294,32 +298,26 @@ class FleetSimulator:
                  scaling: Optional[ArrheniusTimeScaling] = None,
                  retention_model: Optional[RetentionModel] = None,
                  max_degradation_percent: float = 15.0,
-                 reference_years: float = REFERENCE_LIFETIME_YEARS,
-                 device_chunk: int = 64):
+                 reference_years: float = REFERENCE_LIFETIME_YEARS):
         self.spec = spec
         self.snm_model = snm_model or default_snm_model()
         self.leveler = leveler
         self.retention_model = retention_model or RetentionModel()
-        self.scaling = scaling or self._default_scaling()
+        # The scaling a standalone run of any of the spec's scenarios uses.
+        self.scaling = scaling or replace(
+            scaling_for_model(self.snm_model),
+            reference_temperature_c=float(spec.reference_temperature_c))
         self.stream_factory = (stream_factory or
                                scenario_stream_factory(seed=_factory_seed(spec.seed)))
         self.max_degradation_percent = check_positive(
             float(max_degradation_percent), "max_degradation_percent")
         self.reference_years = check_positive(float(reference_years),
                                               "reference_years")
-        self.device_chunk = check_positive_int(device_chunk, "device_chunk")
+        self.estimator = LifetimeEstimator(
+            snm_model=self.snm_model,
+            max_degradation_percent=self.max_degradation_percent,
+            reference_years=self.reference_years)
         self.scenarios = spec.build_scenarios()
-
-    def _default_scaling(self) -> ArrheniusTimeScaling:
-        # Mirrors _ScenarioEngineBase._default_scaling so a cohort run inside
-        # the fleet uses the exact scaling a standalone scenario run would.
-        base = scaling_for_model(self.snm_model)
-        if base.reference_temperature_c != self.spec.reference_temperature_c:
-            base = ArrheniusTimeScaling(
-                activation_energy_ev=base.activation_energy_ev,
-                time_exponent=base.time_exponent,
-                reference_temperature_c=self.spec.reference_temperature_c)
-        return base
 
     # ------------------------------------------------------------------ #
     # Single-device reference view (used by the equivalence tests / bench)
@@ -338,15 +336,12 @@ class FleetSimulator:
         voltage, frequency = self.spec.corners[int(sample.corner_index[device])]
         scenario = scenario.with_default_operating_point(voltage, frequency)
         offset = float(sample.temperature_offset_c[device])
-        if offset != 0.0:
-            scenario = LifetimeScenario(
-                phases=tuple(_dc_replace(phase,
-                                         temperature_c=phase.temperature_c + offset)
-                             for phase in scenario.phases),
-                years=scenario.years,
-                reference_temperature_c=scenario.reference_temperature_c,
-                name=scenario.name)
-        return scenario
+        return LifetimeScenario(
+            phases=tuple(replace(phase, temperature_c=phase.temperature_c + offset)
+                         for phase in scenario.phases),
+            years=scenario.years,
+            reference_temperature_c=scenario.reference_temperature_c,
+            name=scenario.name)
 
     def device_seed(self, sample: FleetSample, device: int) -> int:
         """The policy/stream seed of one sampled device (its seed group's)."""
@@ -404,7 +399,7 @@ class FleetSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    # The vectorized device axis of one cohort
+    # The device axis of one cohort
     # ------------------------------------------------------------------ #
     def _evaluate_cohort(self, scenario: LifetimeScenario,
                          result: ScenarioResult,
@@ -413,202 +408,60 @@ class FleetSimulator:
                          members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-device (snm_years, retention_years) of one cohort's members.
 
-        Builds the ``(device, phase)`` corner grid, folds it through the
-        vectorized time scaling into per-device stress weights, and blends
-        the cohort's shared duty arrays into per-device effective stress —
-        accumulating over phases in exactly
-        :func:`repro.aging.stress.aggregate_stress`'s association order, so
-        a reference-corner device reproduces the scalar path bit for bit.
+        The scenario path's own calls with a leading device axis: the
+        wall-clock shares come from
+        :meth:`LifetimeScenario.phase_years` of each distinct corner,
+        :func:`aggregate_stress` blends the cohort's shared duty arrays per
+        device, :meth:`LifetimeEstimator.cell_lifetimes_years` evaluates each
+        device's most-stressed cell and
+        :meth:`RetentionModel.failure_probability` re-evaluates every
+        recorded idle phase at each device's corner.  Row ``d`` of each call
+        equals the scalar call at device ``d``'s corner bit for bit, so the
+        composition reproduces :func:`failure_times_from_scenario_result` of a
+        standalone run of :meth:`device_scenario`.
         """
-        spec = self.spec
-        phases = scenario.phases
-        num_phases = len(phases)
-        count = members.size
-        corner = np.asarray(spec.corners, dtype=np.float64)[sample.corner_index[members]]
-        offset = sample.temperature_offset_c[members]
+        # Only the frequency of the default corner moves the wall-clock
+        # shares, and only its voltage the phase voltages: one re-pinned
+        # scenario per distinct corner serves all its devices.
+        corners, inverse = np.unique(sample.corner_index[members],
+                                     return_inverse=True)
+        views = [scenario.with_default_operating_point(*self.spec.corners[corner])
+                 for corner in corners]
+        years = np.asarray([view.phase_years() for view in views])[inverse]
+        voltage = np.asarray([[phase.operating_point.voltage_v
+                               for phase in view.phases]
+                              for view in views])[inverse]
+        temperature = (np.asarray([phase.temperature_c for phase in scenario.phases])
+                       + sample.temperature_offset_c[members][:, None])
         usage = sample.usage[members]
 
-        # (device, phase) grids: explicit @V:F points override the corner.
-        voltage = np.empty((count, num_phases))
-        frequency = np.empty((count, num_phases))
-        temperature = np.empty((count, num_phases))
-        durations = np.empty(num_phases)
-        for index, phase in enumerate(phases):
-            point = phase.operating_point
-            if phase.has_explicit_point:
-                voltage[:, index] = point.voltage_v
-                frequency[:, index] = point.frequency_ghz
-            else:
-                voltage[:, index] = corner[:, 0]
-                frequency[:, index] = corner[:, 1]
-            temperature[:, index] = phase.temperature_c + offset
-            durations[index] = phase.duration
-
-        # Wall-clock shares (LifetimeScenario.phase_years, device axis):
-        # duration / relative-frequency, normalised over the timeline.
-        relative = np.where(frequency == DEFAULT_REFERENCE_FREQUENCY_GHZ, 1.0,
-                            frequency / DEFAULT_REFERENCE_FREQUENCY_GHZ)
-        shares = durations[None, :] / relative
-        total = shares[:, 0].copy()
-        for index in range(1, num_phases):
-            total = total + shares[:, index]
-        years = spec.years * (shares / total[:, None])
-
-        # Stress weights (aggregate_stress, device axis): phase years times
-        # the Arrhenius/voltage time factor at the device's corner.
-        factors = self.scaling.time_factor_array(temperature, voltage)
-        weights = years * factors
-        effective_years = weights[:, 0].copy()
-        wall_years = years[:, 0].copy()
-        for index in range(1, num_phases):
-            effective_years = effective_years + weights[:, index]
-            wall_years = wall_years + years[:, index]
-        acceleration = effective_years / wall_years
-
-        duties = [stress.duty.reshape(-1) for stress in result.phase_stress]
-        time_exponent = float(getattr(self.snm_model, "time_exponent", 1.0 / 6.0))
-
-        snm_years = np.empty(count)
-        for start in range(0, count, self.device_chunk):
-            chunk = slice(start, min(start + self.device_chunk, count))
-            blend = self._blend(duties, weights[chunk], effective_years[chunk],
-                                num_phases)
+        snm_years = np.empty(members.size)
+        flips = np.zeros(members.size)
+        for start in range(0, members.size, DEVICE_CHUNK):
+            chunk = slice(start, start + DEVICE_CHUNK)
+            devices = len(usage[chunk])
+            timeline = StressTimeline(self.scaling, [
+                PhaseStress(stress.duty, years[chunk, index],
+                            temperature[chunk, index],
+                            voltage_v=voltage[chunk, index])
+                for index, stress in enumerate(result.phase_stress)])
+            blend, effective_years = timeline.effective()
             # The memory's lifetime is its most-aged cell's; degradation is
             # monotone in the stress fraction max(d, 1-d), so only each
-            # device's max-stress cell needs the power law (clip commutes
-            # with max, and the retained cell evaluates through the exact
-            # per-cell ops of LifetimeEstimator.cell_lifetimes_years).
-            stress_max = np.maximum(blend, 1.0 - blend).max(axis=1)
-            worst = self.snm_model.degradation_percent(stress_max,
-                                                       self.reference_years)
-            with np.errstate(divide="ignore"):
-                ratio = self.max_degradation_percent / worst
-                base = self.reference_years * np.power(ratio, 1.0 / time_exponent)
-            snm_years[chunk] = base / acceleration[chunk] / usage[chunk]
-
-        retention_years = self._retention_years(
-            scenario, result, recorded_idles, sample, members,
-            voltage, temperature, years, weights, usage)
-        return snm_years, retention_years
-
-    def _blend(self, duties: List[np.ndarray], weights: np.ndarray,
-               effective_years: np.ndarray, num_phases: int) -> np.ndarray:
-        """Per-device effective duty over the first ``num_phases`` phases.
-
-        The sequential accumulation mirrors ``aggregate_stress`` exactly:
-        ``eff = (w0/W) * d0`` then ``eff = eff + (wi/W) * di``.
-        """
-        coefficient = weights[:, 0] / effective_years
-        blend = coefficient[:, None] * duties[0][None, :]
-        for index in range(1, num_phases):
-            coefficient = weights[:, index] / effective_years
-            blend = blend + coefficient[:, None] * duties[index][None, :]
-        return blend
-
-    def _retention_years(self, scenario: LifetimeScenario,
-                         result: ScenarioResult,
-                         recorded_idles: List[Tuple[int, np.ndarray]],
-                         sample: FleetSample, members: np.ndarray,
-                         voltage: np.ndarray, temperature: np.ndarray,
-                         years: np.ndarray, weights: np.ndarray,
-                         usage: np.ndarray) -> np.ndarray:
-        """Expected wall-clock years to the first retention flip, per device.
-
-        Each recorded idle phase is re-evaluated at every device's corner:
-        the stress accumulated through the end of the idle window (the
-        prefix of the weight matrix) and the phase's per-device idle span
-        feed :meth:`_batched_flips` — a device-batched transliteration of
-        :meth:`RetentionModel.failure_probability` — so a reference-corner
-        device reproduces the scenario's ``expected_bit_flips`` bit for bit.
-        """
-        count = members.size
-        flips = np.zeros(count)
-        if recorded_idles:
-            duties = [stress.duty for stress in result.phase_stress]
+            # device's max-stress cell needs the power law.
+            stress_max = np.maximum(blend, 1.0 - blend).reshape(devices, -1).max(axis=1)
+            snm_years[chunk] = (self.estimator.cell_lifetimes_years(stress_max)
+                                / (effective_years / timeline.wall_years)
+                                / usage[chunk])
             for position, held in recorded_idles:
-                prefix = position + 1
-                stressed = weights[:, 0].copy()
-                for index in range(1, prefix):
-                    stressed = stressed + weights[:, index]
-                flat = [duty.reshape(-1) for duty in duties[:prefix]]
-                for start in range(0, count, self.device_chunk):
-                    chunk = slice(start, min(start + self.device_chunk, count))
-                    blend = self._blend(flat, weights[chunk], stressed[chunk],
-                                        prefix)
-                    flips[chunk] = flips[chunk] + self._batched_flips(
-                        held.reshape(-1), blend, stressed[chunk],
-                        voltage[chunk, position], temperature[chunk, position],
-                        years[chunk, position])
+                duty, stressed = aggregate_stress(timeline.phases[:position + 1],
+                                                  self.scaling)
+                probability = self.retention_model.failure_probability(
+                    held, duty, self.snm_model, stressed,
+                    voltage[chunk, position], temperature[chunk, position],
+                    years[chunk, position])
+                flips[chunk] += np.nansum(probability.reshape(devices, -1), axis=1)
         with np.errstate(divide="ignore"):
-            return np.where(flips > 0, result.wall_years / (flips * usage), np.inf)
-
-    def _batched_flips(self, held: np.ndarray, blend: np.ndarray,
-                       stressed: np.ndarray, voltage: np.ndarray,
-                       temperature: np.ndarray,
-                       idle_years: np.ndarray) -> np.ndarray:
-        """Expected bit flips of one idle phase for a chunk of devices.
-
-        A device-batched transliteration of
-        :meth:`RetentionModel.failure_probability` followed by the scenario
-        report's ``nansum``: the per-cell elementwise operations run in the
-        same sequence over ``(device, cell)`` grids (IEEE elementwise ops
-        broadcast bit-identically), the per-device scalars (one-sided
-        degradation anchors, thermal factor) are computed through the exact
-        scalar calls, and cells whose hold-probability is *exactly* 0 on a
-        side are skipped — their term is an exact IEEE ``0 * finite = 0``,
-        the additive identity — which for deterministic policies (held
-        values 0/1) halves the transcendental work.  Cells never written
-        (NaN held value) contribute NaN in the scalar path, which ``nansum``
-        ignores; here they are simply excluded from both sides.
-        """
-        model = self.retention_model
-        count = blend.shape[0]
-        if isinstance(self.snm_model, CalibratedSnmModel):
-            # Vectorized one-sided anchors: worst_case_percent(y) is exactly
-            # worst_percent * (y/ref)**te (np.power(1.0, gamma) == 1.0), and
-            # best_case_percent shares the time scale — same elementwise ops
-            # as the scalar methods, without their per-call array plumbing.
-            snm = self.snm_model
-            time_scale = np.power(stressed / snm.reference_years,
-                                  snm.time_exponent)
-            worst = snm.worst_percent * time_scale
-            best = (snm.worst_percent * np.power(0.5, snm.gamma)) * time_scale
-        else:
-            worst = np.empty(count)
-            best = np.empty(count)
-            for index in range(count):
-                worst[index] = self.snm_model.worst_case_percent(
-                    float(stressed[index]))
-                best[index] = self.snm_model.best_case_percent(
-                    float(stressed[index]))
-        # RetentionModel._thermal_factor, device axis.
-        kelvin = temperature + 273.15
-        reference_kelvin = model.reference_temperature_c + 273.15
-        thermal = np.exp((model.activation_energy_ev / BOLTZMANN_EV)
-                         * (1.0 / reference_kelvin - 1.0 / kelvin))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = np.where(worst > best, np.log2(worst / best), 1.0)
-        margin_offset = voltage - model.retention_voltage_v
-        finite = np.isfinite(held)
-        probability = np.zeros_like(blend)
-        for value_probability, side_stress in ((held, blend),
-                                               ((1.0 - held), 1.0 - blend)):
-            columns = np.nonzero(finite & (value_probability != 0.0))[0]
-            if not columns.size:
-                continue
-            stress = side_stress[:, columns]
-            with np.errstate(invalid="ignore"):
-                degradation = worst[:, None] * np.power(
-                    np.clip(stress, 0.0, 1.0), gamma[:, None])
-            margin = margin_offset[:, None] - (model.margin_loss_v_per_percent
-                                               * degradation)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rate = model.attempts_per_year * np.exp(-margin
-                                                        / model.voltage_scale_v)
-                rate = rate * thermal[:, None]
-                probability[:, columns] += value_probability[None, columns] * (
-                    1.0 - np.exp(-rate * idle_years[:, None]))
-        # The scalar path clips the summed sides and nansums the full cell
-        # array; zeros standing in for the NaN (never-written) cells sum
-        # identically to the NaNs nansum would discard.
-        return np.nansum(np.clip(probability, 0.0, 1.0), axis=1)
+            retention_years = np.where(flips > 0,
+                                       result.wall_years / (flips * usage), np.inf)
+        return snm_years, retention_years

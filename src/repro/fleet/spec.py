@@ -33,6 +33,7 @@ exit-2 usage error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -47,6 +48,7 @@ from repro.scenario.operating_point import parse_point_suffix
 from repro.scenario.phases import LifetimeScenario
 from repro.utils.validation import (
     check_positive,
+    check_positive_finite,
     check_positive_int,
     check_temperature_celsius,
 )
@@ -269,11 +271,10 @@ class FleetSpec:
         check_positive(self.years, "years")
         check_temperature_celsius(self.reference_temperature_c,
                                   "reference_temperature_c")
-        if not self.usage_sigma >= 0:
-            raise ValueError(f"usage_sigma must be >= 0, got {self.usage_sigma}")
-        if not self.thermal_sigma_c >= 0:
-            raise ValueError(f"thermal_sigma_c must be >= 0, "
-                             f"got {self.thermal_sigma_c}")
+        for name in ("usage_sigma", "thermal_sigma_c"):
+            sigma = getattr(self, name)
+            if not (sigma >= 0 and math.isfinite(sigma)):
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         object.__setattr__(self, "scenarios",
                            tuple(str(spec) for spec in self.scenarios))
         if not self.scenarios:
@@ -289,8 +290,8 @@ class FleetSpec:
         if not self.corners:
             raise ValueError("a fleet requires at least one operating corner")
         for voltage, frequency in self.corners:
-            check_positive(voltage, "corner voltage")
-            check_positive(frequency, "corner frequency")
+            check_positive_finite(voltage, "corner voltage")
+            check_positive_finite(frequency, "corner frequency")
         uniform = (1.0 / len(self.corners),) * len(self.corners)
         object.__setattr__(
             self, "corner_weights",

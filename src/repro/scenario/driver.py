@@ -40,7 +40,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -281,7 +281,9 @@ class _ScenarioEngineBase:
         self.seed = seed
         self.snm_model = snm_model or default_snm_model()
         self.leveler = leveler
-        self.scaling = scaling or self._default_scaling()
+        self.scaling = scaling or replace(
+            scaling_for_model(self.snm_model),
+            reference_temperature_c=float(scenario.reference_temperature_c))
         self.retention_model = retention_model or RetentionModel()
         self.stream_factory = stream_factory or scenario_stream_factory(seed=_factory_seed(seed))
         self._streams: Optional[Dict[Tuple[str, str], object]] = None
@@ -290,15 +292,6 @@ class _ScenarioEngineBase:
         #: with idle phases (the retention reports' sole consumer), updated
         #: per active phase.
         self._held: Optional[np.ndarray] = None
-
-    def _default_scaling(self) -> ArrheniusTimeScaling:
-        base = scaling_for_model(self.snm_model)
-        if base.reference_temperature_c != self.scenario.reference_temperature_c:
-            base = ArrheniusTimeScaling(
-                activation_energy_ev=base.activation_energy_ev,
-                time_exponent=base.time_exponent,
-                reference_temperature_c=self.scenario.reference_temperature_c)
-        return base
 
     # ------------------------------------------------------------------ #
     # Streams and geometry

@@ -40,6 +40,7 @@ from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
     DEFAULT_REFERENCE_TEMPERATURE_C,
     DEFAULT_REFERENCE_VOLTAGE_V,
+    DeviceScalar,
 )
 from repro.utils.validation import (
     check_positive,
@@ -220,16 +221,16 @@ class RetentionModel:
         check_temperature_celsius(self.reference_temperature_c,
                                   "reference_temperature_c")
 
-    def _thermal_factor(self, temperature_c: float) -> float:
+    def _thermal_factor(self, temperature_c: DeviceScalar) -> DeviceScalar:
         kelvin = check_temperature_celsius(temperature_c) + 273.15
         reference = self.reference_temperature_c + 273.15
-        return float(np.exp((self.activation_energy_ev / BOLTZMANN_EV)
-                            * (1.0 / reference - 1.0 / kelvin)))
+        return np.exp((self.activation_energy_ev / BOLTZMANN_EV)
+                      * (1.0 / reference - 1.0 / kelvin))
 
     @staticmethod
     def _side_degradation(snm_model: "SnmDegradationModel",
                           stress_fraction: np.ndarray,
-                          years: float) -> np.ndarray:
+                          years: DeviceScalar) -> np.ndarray:
         """One-sided SNM degradation of the inverter stressed at ``stress_fraction``.
 
         Derived model-agnostically from the model's two anchors: the
@@ -237,18 +238,19 @@ class RetentionModel:
         holding the value degrades as ``worst * s ** gamma`` where ``s`` is
         *that* side's lifetime stress duty (for
         :class:`~repro.aging.snm.CalibratedSnmModel` this is exactly its
-        internal power law, one-sided).
+        internal power law, one-sided).  ``years`` broadcasts against the
+        stress (one column per device).
         """
         worst = snm_model.worst_case_percent(years)
         best = snm_model.best_case_percent(years)
-        gamma = float(np.log2(worst / best)) if worst > best else 1.0
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.where(worst > best, np.log2(worst / best), 1.0)
             return worst * np.power(np.clip(stress_fraction, 0.0, 1.0), gamma)
 
     def failure_rate_per_year(self, degradation_percent: np.ndarray,
-                              voltage_v: float,
-                              temperature_c: float) -> np.ndarray:
-        """Per-cell upset rate (1/year) at the idle corner."""
+                              voltage_v: DeviceScalar,
+                              temperature_c: DeviceScalar) -> np.ndarray:
+        """Per-cell upset rate (1/year) at the idle corner (broadcasting)."""
         check_positive_finite(voltage_v, "voltage_v")
         margin = ((voltage_v - self.retention_voltage_v)
                   - self.margin_loss_v_per_percent
@@ -259,9 +261,10 @@ class RetentionModel:
 
     def failure_probability(self, held_one_probability: np.ndarray,
                             duty: np.ndarray, snm_model: "SnmDegradationModel",
-                            stressed_years: float,
-                            voltage_v: float, temperature_c: float,
-                            idle_years: float) -> np.ndarray:
+                            stressed_years: DeviceScalar,
+                            voltage_v: DeviceScalar,
+                            temperature_c: DeviceScalar,
+                            idle_years: DeviceScalar) -> np.ndarray:
         """Per-cell probability of losing the held value during the idle phase.
 
         ``held_one_probability`` is the probability each cell holds a '1'
@@ -271,21 +274,43 @@ class RetentionModel:
         ``stressed_years`` describe the stress accumulated *before* the
         phase ends (the margin the cells actually have at that point of the
         lifetime).
+
+        ``duty`` may carry a leading device axis (``(devices,) +
+        held.shape``, one blend per device of a fleet cohort) with the four
+        scalars then ``(devices,)`` arrays; row ``d`` of the result equals
+        the scalar call at device ``d``'s corner bit for bit.  A side whose
+        hold probability is exactly 0 is skipped per cell: its term is an
+        exact ``0 * finite = 0``, so deterministic policies (held values
+        0/1) pay for one side only.
         """
         held = np.asarray(held_one_probability, dtype=np.float64)
         duty = np.asarray(duty, dtype=np.float64)
+        shape = duty.shape
+        held = held.reshape(-1)
+        duty = duty.reshape(shape[:duty.ndim - np.ndim(held_one_probability)]
+                            + held.shape)
+        # Per-device scalars as columns broadcasting against the cell axis.
+        stressed_years, voltage_v, temperature_c, idle_years = (
+            np.expand_dims(np.asarray(value, dtype=np.float64), -1)
+            for value in (stressed_years, voltage_v, temperature_c, idle_years))
         check_positive(idle_years, "idle_years")
-        probability = np.zeros_like(held)
-        for value_probability, side_stress in ((held, duty),
-                                               ((1.0 - held), 1.0 - duty)):
-            degradation = self._side_degradation(snm_model, side_stress,
-                                                 stressed_years)
+        written = np.isfinite(held)
+        probability = np.zeros(duty.shape)
+        for value_probability, complement in ((held, False), (1.0 - held, True)):
+            cells = np.flatnonzero(written & (value_probability != 0.0))
+            if not cells.size:
+                continue
+            stress = duty[..., cells]
+            degradation = self._side_degradation(
+                snm_model, 1.0 - stress if complement else stress, stressed_years)
             rate = self.failure_rate_per_year(degradation, voltage_v,
                                               temperature_c)
             with np.errstate(over="ignore", invalid="ignore"):
-                probability = probability + value_probability * (
+                probability[..., cells] += value_probability[cells] * (
                     1.0 - np.exp(-rate * idle_years))
-        return np.clip(probability, 0.0, 1.0)
+        probability = np.clip(probability, 0.0, 1.0)
+        probability[..., ~written] = np.nan
+        return probability.reshape(shape)
 
     def describe(self) -> Dict[str, float]:
         """JSON-safe description (serialised into scenario payloads)."""

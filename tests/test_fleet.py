@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import repro
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
+from repro.aging.nbti import ReactionDiffusionSnmModel
 from repro.experiments.common import ExperimentScale
 from repro.fleet import (
     DEFAULT_QUANTILES,
@@ -125,6 +126,34 @@ def assert_times_close(result: FleetResult, device: int, reference,
     assert str(result.modes[device]) == reference["mode"]
 
 
+def assert_spread_cohort_matches_independent_runs(factory, geometry, policy,
+                                                  leveler_name, snm_model=None):
+    """An 8-device fleet over spread corners/sigmas == 8 scenario runs."""
+    mix = (
+        f"custom_mnist:int8:{policy}:4@85C,idle:2@45C@0.7V:0.2GHz",
+        f"lenet5:int8:{policy}:3@45C@0.95V:1.2GHz,idle:2@25C@0.6V:0.1GHz",
+    )
+    levelers = {
+        "none": lambda: None,
+        "rotation": lambda: make_leveler("rotation", geometry, 4, period=3),
+        "start_gap": lambda: make_leveler("start_gap", geometry, 4,
+                                          interval=2),
+        "wear_swap": lambda: make_leveler("wear_swap", geometry, 4,
+                                          interval=2, swap_fraction=0.25),
+    }
+    spec = FleetSpec(
+        num_devices=8, scenarios=mix,
+        corners=((0.9, 1.0), (0.8, 0.5), (0.95, 1.2)),
+        usage_sigma=0.25, thermal_sigma_c=4.0,
+        seed_groups=2, seed=11)
+    fleet = FleetSimulator(spec, stream_factory=factory, snm_model=snm_model,
+                           leveler=levelers[leveler_name]())
+    result = fleet.run()
+    for device in range(spec.num_devices):
+        reference = reference_failure_times(fleet, result.sample, device)
+        assert_times_close(result, device, reference, rtol=1e-9)
+
+
 # --------------------------------------------------------------------- #
 # Single-device equivalence
 # --------------------------------------------------------------------- #
@@ -172,29 +201,19 @@ class TestSingleDeviceEquivalence:
     def test_cohort_matches_independent_runs(self, factory, geometry,
                                              policy, leveler_name):
         """N devices across corners/sigmas == N independent scenario runs."""
-        mix = (
-            f"custom_mnist:int8:{policy}:4@85C,idle:2@45C@0.7V:0.2GHz",
-            f"lenet5:int8:{policy}:3@45C@0.95V:1.2GHz,idle:2@25C@0.6V:0.1GHz",
-        )
-        levelers = {
-            "none": lambda: None,
-            "rotation": lambda: make_leveler("rotation", geometry, 4, period=3),
-            "start_gap": lambda: make_leveler("start_gap", geometry, 4,
-                                              interval=2),
-            "wear_swap": lambda: make_leveler("wear_swap", geometry, 4,
-                                              interval=2, swap_fraction=0.25),
-        }
-        spec = FleetSpec(
-            num_devices=8, scenarios=mix,
-            corners=((0.9, 1.0), (0.8, 0.5), (0.95, 1.2)),
-            usage_sigma=0.25, thermal_sigma_c=4.0,
-            seed_groups=2, seed=11)
-        fleet = FleetSimulator(spec, stream_factory=factory,
-                               leveler=levelers[leveler_name]())
-        result = fleet.run()
-        for device in range(spec.num_devices):
-            reference = reference_failure_times(fleet, result.sample, device)
-            assert_times_close(result, device, reference, rtol=1e-9)
+        assert_spread_cohort_matches_independent_runs(factory, geometry,
+                                                      policy, leveler_name)
+
+    @pytest.mark.parametrize("policy,leveler_name", [
+        ("inversion", "rotation"),
+        ("dnn_life", "none"),
+    ])
+    def test_non_calibrated_model_matches_independent_runs(
+            self, factory, geometry, policy, leveler_name):
+        """The physics-style SNM backend rides the same device axis."""
+        assert_spread_cohort_matches_independent_runs(
+            factory, geometry, policy, leveler_name,
+            snm_model=ReactionDiffusionSnmModel())
 
     def test_cohort_count_and_membership(self, factory):
         spec = FleetSpec(num_devices=16,
@@ -466,3 +485,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="corner"):
             FleetSpec(num_devices=1, scenarios=(SINGLE_SPEC,),
                       corners=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("kwargs,fragment", [
+        ({"corners": ((float("inf"), 1.0),)}, "corner voltage"),
+        ({"corners": ((0.9, float("inf")),)}, "corner frequency"),
+        ({"thermal_sigma_c": float("inf")}, "thermal_sigma_c"),
+        ({"usage_sigma": float("inf")}, "usage_sigma"),
+    ])
+    def test_rejects_non_finite_corner_and_sigma(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment) as excinfo:
+            FleetSpec(num_devices=1, scenarios=(SINGLE_SPEC,), **kwargs)
+        assert "\n" not in str(excinfo.value)
+
+    def test_from_payload_rejects_non_finite_corner(self):
+        payload = FleetSpec(num_devices=1, scenarios=(SINGLE_SPEC,)).to_payload()
+        payload["corners"] = [[float("inf"), 1.0]]
+        with pytest.raises(ValueError, match="corner voltage"):
+            FleetSpec.from_payload(payload)

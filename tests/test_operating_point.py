@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aging.nbti import ReactionDiffusionSnmModel
 from repro.aging.snm import default_snm_model
 from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
@@ -168,6 +169,109 @@ class TestVoltageScaling:
     def test_phase_stress_rejects_bad_voltage(self):
         with pytest.raises(ValueError, match="voltage_v"):
             PhaseStress(np.zeros(4), years=1.0, voltage_v=-0.9)
+
+
+# --------------------------------------------------------------------------- #
+# The device axis: batched calls are the scalar calls, row by row
+# --------------------------------------------------------------------------- #
+#: A corner either exactly at the reference or anywhere off it.
+corner_temperatures = st.one_of(st.just(DEFAULT_REFERENCE_TEMPERATURE_C),
+                                st.floats(-40.0, 125.0))
+corner_voltages = st.one_of(st.just(DEFAULT_REFERENCE_VOLTAGE_V),
+                            st.floats(0.5, 1.1))
+#: Held values a scenario can record: exact 0/1, TRBG expectations, NaN.
+held_values = st.one_of(st.sampled_from([0.0, 1.0, float("nan")]),
+                        st.floats(0.0, 1.0))
+
+
+class TestDeviceAxis:
+    SCALING = ArrheniusTimeScaling()
+    MODEL = RetentionModel()
+
+    @pytest.mark.parametrize("temperature,voltage", [
+        ([85.0, 45.0], [0.9, float("inf")]),
+        ([85.0, 45.0], [0.9, float("nan")]),
+        ([85.0, 45.0], [0.9, 0.0]),
+        ([85.0, float("inf")], [0.9, 0.8]),
+        ([85.0, -300.0], [0.9, 0.8]),
+    ])
+    def test_time_factor_rejects_invalid_corner_arrays(self, temperature,
+                                                       voltage):
+        with pytest.raises(ValueError) as excinfo:
+            self.SCALING.time_factor(np.asarray(temperature),
+                                     np.asarray(voltage))
+        assert "\n" not in str(excinfo.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corners=st.lists(st.tuples(corner_temperatures, corner_voltages),
+                            min_size=1, max_size=6))
+    def test_time_factor_rows_equal_scalar_calls(self, corners):
+        temperature, voltage = (np.asarray(values) for values in zip(*corners))
+        batched = self.SCALING.time_factor(temperature, voltage)
+        thermal = self.SCALING.time_factor(temperature)
+        for row, (celsius, volts) in enumerate(corners):
+            assert batched[row] == self.SCALING.time_factor(celsius, volts)
+            assert thermal[row] == self.SCALING.time_factor(celsius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           model=st.sampled_from([default_snm_model(),
+                                  ReactionDiffusionSnmModel()]),
+           held=st.lists(held_values, min_size=1, max_size=12),
+           devices=st.integers(1, 5))
+    def test_failure_probability_rows_equal_scalar_calls(self, data, model,
+                                                         held, devices):
+        held = np.asarray(held)
+        duty = np.asarray(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=held.size,
+                     max_size=held.size),
+            min_size=devices, max_size=devices)))
+        temperature, voltage = (np.asarray(values) for values in zip(*data.draw(
+            st.lists(st.tuples(corner_temperatures, corner_voltages),
+                     min_size=devices, max_size=devices))))
+        stressed, idle = (np.asarray(data.draw(st.lists(
+            st.floats(0.05, 10.0), min_size=devices, max_size=devices)))
+            for _ in range(2))
+        batched = self.MODEL.failure_probability(
+            held, duty, model, stressed, voltage, temperature, idle)
+        assert batched.shape == duty.shape
+        for row in range(devices):
+            scalar = self.MODEL.failure_probability(
+                held, duty[row], model, float(stressed[row]),
+                float(voltage[row]), float(temperature[row]), float(idle[row]))
+            assert batched[row].tobytes() == scalar.tobytes()
+        assert np.array_equal(np.isnan(batched[0]), np.isnan(held))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), phases=st.integers(1, 4), devices=st.integers(1, 5))
+    def test_aggregate_stress_rows_equal_scalar_calls(self, data, phases,
+                                                      devices):
+        duties = [np.asarray(data.draw(st.lists(st.floats(0.0, 1.0),
+                                                min_size=6, max_size=6)))
+                  for _ in range(phases)]
+        grids = []
+        for _ in range(phases):
+            temperature, voltage = (np.asarray(values) for values in zip(
+                *data.draw(st.lists(st.tuples(corner_temperatures,
+                                              corner_voltages),
+                                    min_size=devices, max_size=devices))))
+            years = np.asarray(data.draw(st.lists(
+                st.floats(0.01, 7.0), min_size=devices, max_size=devices)))
+            grids.append((years, temperature, voltage))
+        duty, effective_years = aggregate_stress(
+            [PhaseStress(phase_duty, years, temperature, voltage_v=voltage)
+             for phase_duty, (years, temperature, voltage)
+             in zip(duties, grids)], self.SCALING)
+        assert duty.shape == (devices, 6)
+        for row in range(devices):
+            row_duty, row_years = aggregate_stress(
+                [PhaseStress(phase_duty, float(years[row]),
+                             float(temperature[row]),
+                             voltage_v=float(voltage[row]))
+                 for phase_duty, (years, temperature, voltage)
+                 in zip(duties, grids)], self.SCALING)
+            assert duty[row].tobytes() == row_duty.tobytes()
+            assert effective_years[row] == row_years
 
 
 # --------------------------------------------------------------------------- #
