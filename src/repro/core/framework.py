@@ -38,7 +38,7 @@ from repro.nn.network import Network
 from repro.nn.weights import attach_synthetic_weights
 from repro.quantization.bitops import bit_probabilities
 from repro.quantization.formats import DataFormat, get_format
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, seed_value
 from repro.utils.tables import AsciiTable
 from repro.utils.validation import check_positive_int
 
@@ -152,7 +152,7 @@ class DnnLife:
         self.aging_years = aging_years
         self.scenario = scenario
         if not network.has_weights_attached:
-            attach_synthetic_weights(network, seed=0 if seed is None else int(np.abs(hash(seed))) % (2**31))
+            attach_synthetic_weights(network, seed=seed_value(seed))
 
     # ------------------------------------------------------------------ #
     # Design-time analysis (Sec. III)

@@ -163,8 +163,10 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
                     _insert_cached(key, stored, capacity)
                 return stored
 
-    network = attach_synthetic_weights(build_model(network_name), seed=seed)
-    network = reduce_network(network, scale.max_weights_per_layer, seed=seed)
+    # Trim first, then draw: the reduced network synthesizes only the filters
+    # it streams, identical to the leading filters of the full draw.
+    network = reduce_network(build_model(network_name), scale.max_weights_per_layer)
+    network = attach_synthetic_weights(network, seed=seed)
     scheduler = accelerator.build_scheduler(network, data_format)
     stream = CachedWeightStream(scheduler, store=resolved_store,
                                 store_key=store_key)

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.network import Network
-from repro.nn.weights import attach_synthetic_weights
 from repro.utils.validation import check_positive_int
 
 #: Environment variable that switches the benchmarks to full-scale runs.
@@ -59,36 +58,33 @@ class ExperimentScale:
         return cls.paper()
 
 
-def reduce_network(network: Network, max_weights_per_layer: Optional[int],
-                   seed: int = 0) -> Network:
+def reduce_network(network: Network, max_weights_per_layer: Optional[int]) -> Network:
     """Return a copy of ``network`` whose layers are capped in weight count.
 
     The reduction trims output filters/neurons from every over-budget layer,
     which keeps the per-filter structure (and therefore the Fig. 5 dataflow)
-    intact.  The resulting network is only used for weight-memory streaming;
-    it is not meant to be executed.
+    intact.  Attached weights are sliced to the kept filters.  A network
+    without weights stays without: ``attach_synthetic_weights`` on the copy
+    then draws only the kept filters, exactly the leading filters of the full
+    network's draw.  The resulting network is only used for weight-memory
+    streaming; it is not meant to be executed.
     """
-    if not network.has_weights_attached:
-        attach_synthetic_weights(network, seed=seed)
     if max_weights_per_layer is None:
         return network
     check_positive_int(max_weights_per_layer, "max_weights_per_layer")
     reduced_layers = []
     for layer in network.weight_layers():
-        weights = np.asarray(layer.weights)
-        if layer.weight_count <= max_weights_per_layer:
-            clone = _clone_weight_layer(layer, weights)
-        else:
+        keep_filters = None
+        if layer.weight_count > max_weights_per_layer:
             per_filter = int(np.prod(layer.weight_shape[1:]))
             keep_filters = max(max_weights_per_layer // per_filter, 1)
-            clone = _clone_weight_layer(layer, weights[:keep_filters], keep_filters)
-        reduced_layers.append(clone)
-    reduced = Network(name=f"{network.name}_reduced", layers=reduced_layers,
-                      input_shape=network.input_shape, dataset=network.dataset)
-    return reduced
+        reduced_layers.append(_clone_weight_layer(layer, keep_filters))
+    return Network(name=f"{network.name}_reduced", layers=reduced_layers,
+                   input_shape=network.input_shape, dataset=network.dataset,
+                   trimmed_from=network.trimmed_from or network)
 
 
-def _clone_weight_layer(layer, weights: np.ndarray, keep_filters: Optional[int] = None):
+def _clone_weight_layer(layer, keep_filters: Optional[int] = None):
     """Clone a Conv2d/Linear layer, optionally trimming its output dimension."""
     if isinstance(layer, Conv2d):
         out_channels = keep_filters if keep_filters is not None else layer.out_channels
@@ -102,7 +98,8 @@ def _clone_weight_layer(layer, weights: np.ndarray, keep_filters: Optional[int] 
                        in_features=layer.in_features, use_bias=layer.use_bias)
     else:
         raise TypeError(f"cannot reduce layer of type {type(layer).__name__}")
-    clone.weights = np.ascontiguousarray(weights, dtype=np.float32)
+    if layer.weights is not None:
+        clone.weights = np.ascontiguousarray(layer.weights[:keep_filters], dtype=np.float32)
     return clone
 
 

@@ -26,6 +26,9 @@ class Network:
     layers: List[Layer] = field(default_factory=list)
     input_shape: Tuple[int, int, int] = (3, 224, 224)
     dataset: str = "imagenet"
+    #: The full network this one was trimmed from (see ``reduce_network``);
+    #: synthetic weights are drawn under its name and layer sizes.
+    trimmed_from: Optional["Network"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Give anonymous layers a stable, unique name so that per-layer

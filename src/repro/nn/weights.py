@@ -18,12 +18,29 @@ trained-like* weights instead (see DESIGN.md, "Substitutions"):
 The aging analysis only depends on these distributional properties, not on the
 exact weight values.  Real checkpoints can still be used through
 :func:`load_weights_npz`.
+
+Synthetic weights are *prefix-stable* in large layers.  Every layer draws from
+its own generator, seeded by (seed, network name, layer name).  A layer with
+more than :data:`PREFIX_STABLE_MIN_WEIGHTS` (2**20) weights instead draws one
+chunk of whole filters at a time (as many as fit in :data:`CHUNK_WEIGHTS`,
+2**18, and at least one), each from a child generator keyed by the layer seed
+and the chunk index, and always at full chunk size before slicing.  Drawing
+the first ``k`` filters of such a layer therefore gives exactly ``full[:k]``,
+so a network trimmed by :func:`repro.experiments.common.reduce_network` draws
+only the filters it streams, keyed on the un-reduced network.  The threshold
+is fixed (independent of any experiment scale), so quick and full scale agree
+on every prefix.  Only the AlexNet fc6-fc8, VGG-16 conv4_1-fc8 and five
+ResNet-152 layers cross it, so only those networks' streams changed when the
+contract came in; every custom MNIST, LeNet-5 and GoogLeNet layer keeps its
+single-generator draw.  A trimmed layer at or below the threshold
+(GoogLeNet's 1.024 M-weight ``fc`` under a 1 M cap) is still drawn in full,
+then trimmed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -74,27 +91,16 @@ class WeightGenerationConfig:
 DEFAULT_CONFIG = WeightGenerationConfig()
 
 
-def synthesize_layer_weights(layer: Layer, rng: np.random.Generator,
-                             config: WeightGenerationConfig = DEFAULT_CONFIG,
-                             layer_index: int = 0) -> np.ndarray:
-    """Generate a trained-like weight tensor for one layer.
+#: Layers with more weights than this draw prefix-stable, chunk by chunk.
+PREFIX_STABLE_MIN_WEIGHTS = 2**20
 
-    Parameters
-    ----------
-    layer:
-        A weight-carrying layer (its ``weight_shape`` and ``fan_in`` are used).
-    rng:
-        Generator driving this layer's randomness.
-    layer_index:
-        Position of the layer in the network; used to alternate the sign of
-        the small per-layer mean shift.
-    """
-    shape = layer.weight_shape
-    if shape is None:
-        raise ValueError(f"layer '{layer.name}' has no weights")
-    fan_in = max(layer.fan_in, 1)
-    sigma = config.gain * np.sqrt(2.0 / fan_in)
+#: Weights per chunk of a prefix-stable draw (whole filters, at least one).
+CHUNK_WEIGHTS = 2**18
 
+
+def _trained_like(rng: np.random.Generator, shape: Tuple[int, ...], sigma: float,
+                  config: WeightGenerationConfig, layer_index: int) -> np.ndarray:
+    """One trained-like float32 tensor of ``shape`` from one generator."""
     values = rng.normal(0.0, sigma, size=shape)
 
     # Heavy tails: replace a small fraction with wider-Gaussian draws.
@@ -115,6 +121,55 @@ def synthesize_layer_weights(layer: Layer, rng: np.random.Generator,
     return values.astype(np.float32)
 
 
+def synthesize_layer_weights(layer: Layer, layer_seed: int,
+                             config: WeightGenerationConfig = DEFAULT_CONFIG,
+                             layer_index: int = 0, filters: Optional[int] = None
+                             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Generate the trained-like weights and bias of one layer.
+
+    Parameters
+    ----------
+    layer:
+        A weight-carrying layer at its full size (its ``weight_shape`` and
+        ``fan_in`` are used).
+    layer_seed:
+        Seed of this layer's randomness.
+    layer_index:
+        Position of the layer in the network; used to alternate the sign of
+        the small per-layer mean shift.
+    filters:
+        Number of leading filters (output channels/neurons) to return;
+        ``None`` returns them all.  A layer above
+        :data:`PREFIX_STABLE_MIN_WEIGHTS` draws only the chunks covering them.
+
+    Returns the ``(weights, bias)`` pair; ``bias`` is ``None`` for bias-free
+    layers.
+    """
+    shape = layer.weight_shape
+    if shape is None:
+        raise ValueError(f"layer '{layer.name}' has no weights")
+    filters = shape[0] if filters is None else filters
+    sigma = config.gain * np.sqrt(2.0 / max(layer.fan_in, 1))
+    rng = as_rng(layer_seed)
+    if layer.weight_count <= PREFIX_STABLE_MIN_WEIGHTS:
+        weights = _trained_like(rng, shape, sigma, config, layer_index)
+        if filters < shape[0]:
+            weights = weights[:filters].copy()
+    else:
+        # Each chunk has its own child generator and is drawn whole, so the
+        # first ``filters`` rows never depend on how many follow.
+        filter_shape = shape[1:]
+        chunk = max(CHUNK_WEIGHTS // int(np.prod(filter_shape)), 1)
+        weights = np.empty((filters, *filter_shape), dtype=np.float32)
+        for index, start in enumerate(range(0, filters, chunk)):
+            child = np.random.default_rng(
+                np.random.SeedSequence(layer_seed, spawn_key=(index,)))
+            drawn = _trained_like(child, (chunk, *filter_shape), sigma, config, layer_index)
+            weights[start:start + chunk] = drawn[:filters - start]
+    bias = synthesize_layer_bias(layer, rng, config)
+    return weights, None if bias is None else bias[:filters]
+
+
 def synthesize_layer_bias(layer: Layer, rng: np.random.Generator,
                           config: WeightGenerationConfig = DEFAULT_CONFIG) -> Optional[np.ndarray]:
     """Generate a small bias vector (biases do not transit the weight memory)."""
@@ -132,14 +187,18 @@ def attach_synthetic_weights(network: Network, seed: Optional[int] = 0,
 
     The generation is deterministic per (seed, network name, layer name), so
     two calls with the same seed produce identical weights even if the caller
-    rebuilds the network object.
+    rebuilds the network object.  A network trimmed by ``reduce_network``
+    draws under the name and layer sizes of the network it was trimmed from,
+    so each trimmed layer holds exactly the leading filters of its full draw.
     Returns the same network for chaining.
     """
-    for index, layer in enumerate(network.weight_layers()):
-        layer_seed = deterministic_hash_seed(seed, network.name, layer.name)
-        layer_rng = as_rng(layer_seed)
-        layer.weights = synthesize_layer_weights(layer, layer_rng, config, layer_index=index)
-        layer.bias = synthesize_layer_bias(layer, layer_rng, config)
+    full = network.trimmed_from or network
+    pairs = zip(network.weight_layers(), full.weight_layers())
+    for index, (layer, full_layer) in enumerate(pairs):
+        layer_seed = deterministic_hash_seed(seed, full.name, layer.name)
+        layer.weights, layer.bias = synthesize_layer_weights(
+            full_layer, layer_seed, config, layer_index=index,
+            filters=layer.weight_shape[0])
     network.validate_weights()
     return network
 

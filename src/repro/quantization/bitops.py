@@ -138,6 +138,10 @@ def rotate_words(words: np.ndarray, word_bits: int, amount: int) -> np.ndarray:
     return (left | right).astype(np.uint64)
 
 
+#: Words per chunk of a biased :func:`random_words` draw.
+RANDOM_WORDS_CHUNK_ROWS = 1 << 15
+
+
 def random_words(rng: np.random.Generator, count: int, word_bits: int,
                  probability_of_one: Optional[float] = None) -> np.ndarray:
     """Generate random words; optionally with a biased per-bit probability."""
@@ -145,6 +149,12 @@ def random_words(rng: np.random.Generator, count: int, word_bits: int,
     if probability_of_one is None:
         high = 1 << word_bits
         return rng.integers(0, high, size=count, dtype=np.uint64)
-    bits = (rng.random((count, word_bits)) < probability_of_one).astype(np.uint64)
+    # Row chunks consume ``rng.random`` row-major, exactly as one
+    # (count, word_bits) draw would, without holding that whole matrix.
+    words = np.empty(count, dtype=np.uint64)
     shifts = np.arange(word_bits, dtype=np.uint64)[::-1].copy()
-    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+    for start in range(0, count, RANDOM_WORDS_CHUNK_ROWS):
+        rows = min(RANDOM_WORDS_CHUNK_ROWS, count - start)
+        bits = (rng.random((rows, word_bits)) < probability_of_one).astype(np.uint64)
+        words[start:start + rows] = (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+    return words

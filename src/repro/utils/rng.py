@@ -32,6 +32,24 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def seed_value(seed: SeedLike) -> int:
+    """A stable integer standing for a seed-like input.
+
+    ``None`` gives 0 and integers give themselves.  A ``SeedSequence``, or a
+    ``Generator`` through the sequence that seeded it, gives a 63-bit digest
+    of its entropy and spawn key: the same in every process, and no draw is
+    consumed.
+    """
+    if seed is None:
+        return 0
+    if isinstance(seed, np.random.Generator):
+        bit_generator = seed.bit_generator
+        seed = getattr(bit_generator, "seed_seq", None) or bit_generator._seed_seq
+    if isinstance(seed, np.random.SeedSequence):
+        return int(seed.generate_state(1, np.uint64)[0]) & 0x7FFFFFFFFFFFFFFF
+    return int(seed)
+
+
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     """Spawn ``count`` statistically independent generators from one seed.
 

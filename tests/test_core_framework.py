@@ -1,14 +1,31 @@
 """Tests for the DnnLife end-to-end framework and the PolicyComparison report."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.accelerator.tpu import TpuLikeNpu
 from repro.core.framework import DnnLife, PolicyComparison
 from repro.core.policies import DnnLifePolicy, NoMitigationPolicy
 from repro.core.simulation import AgingResult
-from repro.nn.models import custom_mnist_cnn
+from repro.nn.models import custom_mnist_cnn, lenet5
 from repro.nn.weights import attach_synthetic_weights
+
+
+#: Prints the SHA-256 of lenet5's weights as seeded by ``DnnLife(seed=argv[1])``.
+WEIGHT_SHA_SUBPROCESS = """
+import hashlib, sys
+import numpy as np
+from repro.core.framework import DnnLife
+from repro.nn.models import lenet5
+framework = DnnLife(lenet5(), num_inferences=1, seed=eval(sys.argv[1]))
+print(hashlib.sha256(framework.network.flat_weights().tobytes()).hexdigest())
+"""
 
 
 @pytest.fixture
@@ -35,6 +52,36 @@ class TestDnnLifeAnalysis:
     def test_weights_attached_automatically(self):
         framework = DnnLife(custom_mnist_cnn(), num_inferences=5, seed=2)
         assert framework.network.has_weights_attached
+
+    def test_int_seed_draws_the_same_weights_as_attach(self):
+        framework = DnnLife(lenet5(), num_inferences=5, seed=5)
+        reference = attach_synthetic_weights(lenet5(), seed=5)
+        assert np.array_equal(framework.network.flat_weights(), reference.flat_weights())
+
+    def test_negative_seeds_draw_distinct_weights(self):
+        first = DnnLife(lenet5(), num_inferences=5, seed=-1).network.flat_weights()
+        second = DnnLife(lenet5(), num_inferences=5, seed=-2).network.flat_weights()
+        assert not np.array_equal(first, second)
+
+    def test_generator_seed_is_not_consumed(self):
+        generator = np.random.default_rng(9)
+        by_generator = DnnLife(lenet5(), num_inferences=5, seed=generator)
+        by_sequence = DnnLife(lenet5(), num_inferences=5, seed=np.random.SeedSequence(9))
+        assert np.array_equal(by_generator.network.flat_weights(),
+                              by_sequence.network.flat_weights())
+        assert generator.random() == np.random.default_rng(9).random()
+
+    @pytest.mark.parametrize("seed", ["np.random.SeedSequence(0)", "np.random.default_rng(0)"])
+    def test_seed_sequence_weights_agree_across_processes(self, seed):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        shas = {subprocess.run([sys.executable, "-c", WEIGHT_SHA_SUBPROCESS, seed],
+                               capture_output=True, text=True, env=env,
+                               check=True).stdout.strip()
+                for _ in range(2)}
+        assert len(shas) == 1 and len(shas.pop()) == 64
 
 
 class TestDnnLifeSimulation:

@@ -1,20 +1,30 @@
 """Tests for repro.nn.models, repro.nn.weights and repro.nn.functional."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.common import ExperimentScale, reduce_network
 from repro.nn.functional import classify, forward
+from repro.nn.layers import Linear
 from repro.nn.models import (
     MODEL_ZOO,
     PUBLISHED_ACCURACY,
     build_model,
     custom_mnist_cnn,
 )
+from repro.nn.network import Network
 from repro.nn.weights import (
+    PREFIX_STABLE_MIN_WEIGHTS,
     WeightGenerationConfig,
     attach_synthetic_weights,
     load_weights_npz,
     save_weights_npz,
+    synthesize_layer_weights,
     weight_statistics,
 )
 
@@ -129,6 +139,94 @@ class TestSyntheticWeights:
         np.savez_compressed(path, **{"conv1.weight": np.zeros((16, 1, 5, 5), np.float32)})
         with pytest.raises(KeyError):
             load_weights_npz(custom_mnist_cnn(), path)
+
+
+def _weights_sha(network):
+    digest = hashlib.sha256()
+    for layer in network.weight_layers():
+        digest.update(np.ascontiguousarray(layer.weights, dtype=np.float32).tobytes())
+        if layer.bias is not None:
+            digest.update(np.ascontiguousarray(layer.bias, dtype=np.float32).tobytes())
+    return digest.hexdigest()
+
+
+#: SHA-256 of every layer's float32 weights then bias, in layer order, at
+#: seed 0, captured before large layers became prefix-stable.  No layer of
+#: these networks crosses the threshold, so their draws must never change.
+SYNTHETIC_WEIGHT_SHAS = {
+    "custom_mnist": "29a03f25198deed7d3d007bd3b9f8b5454bcf286b065c323e0c6fbbea87842fd",
+    "lenet5": "b06a028aef4d32dfe61c61fa6ed10196ca1879054aeb2eae669611b259c89430",
+    "googlenet": "261f0af8174d18522a550cc37ddaff2daecd93e059a4b1776837f4f3cbfc2cef",
+}
+
+#: A layer just above the prefix-stable threshold (1.1 M weights).
+LARGE_LINEAR = Linear(name="fc", out_features=1100, in_features=1000)
+_FULL_DRAWS = {}
+
+
+def _full_draw(seed):
+    if seed not in _FULL_DRAWS:
+        _FULL_DRAWS[seed] = synthesize_layer_weights(LARGE_LINEAR, seed)
+    return _FULL_DRAWS[seed]
+
+
+class TestPrefixStableWeights:
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_WEIGHT_SHAS))
+    def test_small_layer_networks_keep_their_draws(self, name):
+        network = attach_synthetic_weights(build_model(name), seed=0)
+        assert _weights_sha(network) == SYNTHETIC_WEIGHT_SHAS[name]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.sampled_from([0, 1, 7, 2**40 + 3]), filters=st.integers(1, 1100))
+    def test_trimmed_large_layer_is_prefix_of_full(self, seed, filters):
+        assert LARGE_LINEAR.weight_count > PREFIX_STABLE_MIN_WEIGHTS
+        full_weights, full_bias = _full_draw(seed)
+        weights, bias = synthesize_layer_weights(LARGE_LINEAR, seed, filters=filters)
+        assert weights.shape == (filters, 1000)
+        assert np.array_equal(weights, full_weights[:filters])
+        assert np.array_equal(bias, full_bias[:filters])
+
+    def test_large_layer_keeps_trained_like_statistics(self):
+        weights, _ = _full_draw(0)
+        sigma = 0.8 * np.sqrt(2.0 / 1000)
+        assert abs(weights.mean()) < 0.2 * sigma
+        assert 0.9 * sigma < weights.std() < 1.6 * sigma
+        assert weights.max() > -weights.min()
+
+    def test_reduced_build_equals_trimmed_full_build(self):
+        # googlenet's fc (1.024 M weights) is trimmed by the quick cap but sits
+        # below the threshold: it is drawn in full, then trimmed.
+        cap = ExperimentScale.quick().max_weights_per_layer
+        direct = attach_synthetic_weights(reduce_network(build_model("googlenet"), cap), seed=4)
+        trimmed = reduce_network(attach_synthetic_weights(build_model("googlenet"), seed=4), cap)
+        assert direct.name == trimmed.name == "googlenet_reduced"
+        assert direct.weight_count < build_model("googlenet").weight_count
+        for ours, theirs in zip(direct.weight_layers(), trimmed.weight_layers()):
+            assert np.array_equal(ours.weights, theirs.weights), ours.name
+
+    def test_reduced_large_layer_keys_on_unreduced_network(self):
+        def wide():
+            return Network(name="wide", input_shape=(1000, 1, 1),
+                           layers=[Linear(name="fc", out_features=1100, in_features=1000)])
+
+        reduced = attach_synthetic_weights(reduce_network(wide(), 50_000), seed=1)
+        full = attach_synthetic_weights(wide(), seed=1)
+        kept = reduced.layer("fc").weights
+        assert kept.shape == (50, 1000)
+        assert np.array_equal(kept, full.layer("fc").weights[:50])
+
+    def test_quick_alexnet_reduced_build_never_holds_full_fc6(self):
+        network = build_model("alexnet")
+        full_fc6_bytes = network.layer("fc6").weight_count * 4
+        tracemalloc.start()
+        try:
+            reduced = attach_synthetic_weights(
+                reduce_network(network, ExperimentScale.quick().max_weights_per_layer), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reduced.has_weights_attached
+        assert peak < full_fc6_bytes / 3
 
 
 class TestFunctionalForward:

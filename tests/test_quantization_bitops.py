@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.quantization import bitops
 from repro.quantization.bitops import (
     bit_probabilities,
     hamming_weight,
@@ -83,6 +84,18 @@ class TestBitplanesAndProbabilities:
     def test_biased_random_words(self, rng):
         words = random_words(rng, 20000, 8, probability_of_one=0.9)
         assert np.all(bit_probabilities(words, 8) > 0.85)
+
+    @pytest.mark.parametrize("chunk_rows", [7, bitops.RANDOM_WORDS_CHUNK_ROWS])
+    @pytest.mark.parametrize("word_bits", [8, 64])
+    def test_biased_random_words_match_one_shot_draw(self, monkeypatch, chunk_rows, word_bits):
+        monkeypatch.setattr(bitops, "RANDOM_WORDS_CHUNK_ROWS", chunk_rows)
+        count = 2 * chunk_rows + 5
+        words = random_words(np.random.default_rng(3), count, word_bits, probability_of_one=0.3)
+        bits = (np.random.default_rng(3).random((count, word_bits)) < 0.3).astype(np.uint64)
+        shifts = np.arange(word_bits, dtype=np.uint64)[::-1]
+        expected = (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
 
 
 class TestWordManipulation:
