@@ -38,7 +38,7 @@ def roundtrip_weights_through_memory(network, data_format, policy):
     for block in scheduler.iter_blocks():
         encoded, metadata = policy.encode_block(block.words, block.index)
         start_row = block.region * scheduler.words_per_block
-        memory.write_block(encoded, residency=1.0, start_row=start_row)
+        memory.write_block(encoded, start_row=start_row)
         read_back = memory.read_rows(np.arange(start_row, start_row + block.num_words))
         recovered_words.append(policy.decode_block(read_back, metadata))
     stream = np.concatenate(recovered_words)[:network.weight_count]

@@ -22,7 +22,7 @@ makes naive aging mitigation ineffective for DNN workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from repro.nn.layers import Layer
 from repro.nn.network import Network
 from repro.quantization.formats import DataFormat, get_format
 from repro.utils.validation import check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.memory.trace import WriteTrace
 
 
 def _storage_dtype(word_bits: int) -> np.dtype:
@@ -515,17 +512,9 @@ class CachedWeightStream:
     policy.  The wrapper exposes the subset of the scheduler interface the
     aging simulators use, plus :meth:`packed_bits` — the bit-unpacked form of
     the whole stream, built once and shared by every policy evaluation.
-
-    When attached to a :class:`~repro.streamstore.StreamStore` (via the
-    constructor or :meth:`attach_store`), :meth:`packed_bits` first tries to
-    memory-map a previously persisted tensor under ``store_key`` and, on a
-    miss, offers the freshly-built one back to the store — so the expensive
-    bit-unpacking happens once per unique stream across *all* processes, not
-    once per process.
     """
 
-    def __init__(self, scheduler: WeightStreamScheduler, store: Any = None,
-                 store_key: Optional[str] = None):
+    def __init__(self, scheduler: WeightStreamScheduler):
         self._scheduler = scheduler
         self._blocks = list(scheduler.iter_blocks())
         # The block list is replayed by every policy evaluation sharing this
@@ -535,13 +524,6 @@ class CachedWeightStream:
         for block in self._blocks:
             _freeze(block.words)
         self._packed: Optional[PackedBitTensor] = None
-        self._store = store
-        self._store_key = store_key
-
-    def attach_store(self, store: Any, key: str) -> None:
-        """Back :meth:`packed_bits` with a stream-store entry under ``key``."""
-        self._store = store
-        self._store_key = key
 
     @property
     def geometry(self) -> MemoryGeometry:
@@ -568,36 +550,10 @@ class CachedWeightStream:
         return iter(self._blocks)
 
     def packed_bits(self) -> PackedBitTensor:
-        """The whole stream as one :class:`PackedBitTensor` (built lazily once).
-
-        With an attached stream store the tensor is memory-mapped from disk
-        when a matching entry exists; a cold build is offered back to the
-        store (best-effort) so the next process loads instead of rebuilding.
-        """
+        """The whole stream as one :class:`PackedBitTensor` (built lazily once)."""
         if self._packed is None:
-            if self._store is not None and self._store_key is not None:
-                loaded = self._store.get(self._store_key)
-                if loaded is not None and self._matches(loaded):
-                    self._packed = loaded
-                    return self._packed
             self._packed = PackedBitTensor.from_stream(self)
-            if self._store is not None and self._store_key is not None:
-                self._store.offer(self._store_key, self._packed,
-                                  describe=self.describe())
         return self._packed
-
-    def _matches(self, packed: PackedBitTensor) -> bool:
-        """Sanity-check a store-loaded tensor against this schedule's shape.
-
-        Content addressing makes a mismatch all but impossible; this guards
-        against a manifest pointing at the wrong payload (manual tampering,
-        copy errors) so such an entry degrades to a rebuild, not a wrong
-        simulation.
-        """
-        return (packed.num_blocks == self.num_blocks
-                and packed.words_per_block == self.words_per_block
-                and packed.fifo_depth_tiles == self.fifo_depth_tiles
-                and packed.geometry == self.geometry)
 
     def describe(self) -> dict:
         """Description of the underlying schedule."""
@@ -617,22 +573,3 @@ def packed_bit_tensor(stream: Union["StreamLike", PackedBitTensor]) -> PackedBit
         return packed()
     return PackedBitTensor.from_stream(stream)
 
-
-def stream_to_trace(scheduler: WeightStreamScheduler, num_inferences: int = 1,
-                    residency: float = 1.0) -> "WriteTrace":
-    """Record ``num_inferences`` repetitions of the stream as a WriteTrace.
-
-    Only intended for small networks / memories (explicit simulation and
-    tests); the fast aging simulator consumes :meth:`iter_blocks` directly.
-    """
-    from repro.memory.trace import WriteRecord, WriteTrace
-
-    check_positive_int(num_inferences, "num_inferences")
-    trace = WriteTrace(word_bits=scheduler.geometry.word_bits)
-    for _ in range(num_inferences):
-        for block in scheduler.iter_blocks():
-            trace.append(WriteRecord(block_index=block.index,
-                                     words=block.words.astype(np.uint64),
-                                     residency=residency,
-                                     start_row=block.region * scheduler.words_per_block))
-    return trace

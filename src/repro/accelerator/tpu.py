@@ -19,7 +19,6 @@ from repro.accelerator.config import AcceleratorConfig, tpu_like_config
 from repro.accelerator.scheduler import WeightStreamScheduler
 from repro.memory.energy import MemoryEnergyModel
 from repro.memory.geometry import MemoryGeometry
-from repro.memory.sram import SramArray
 from repro.nn.network import Network
 from repro.quantization.formats import DataFormat, get_format
 
@@ -44,10 +43,6 @@ class TpuLikeNpu:
         """Geometry of the whole weight FIFO (all tiles)."""
         fmt = get_format(data_format) if isinstance(data_format, str) else data_format
         return self.config.weight_memory_geometry(fmt.word_bits)
-
-    def weight_memory(self, data_format: Union[str, DataFormat]) -> SramArray:
-        """A fresh 6T-SRAM array covering the whole FIFO."""
-        return SramArray(self.weight_memory_geometry(data_format))
 
     def weight_memory_energy_model(self, data_format: Union[str, DataFormat]) -> MemoryEnergyModel:
         """Access-energy model of the weight FIFO."""

@@ -11,12 +11,47 @@ of the memory are that unbalanced.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_positive_int, check_probability
+
+
+def binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """``P(X = i)`` for ``i = 0..trials``, ``X ~ Binomial(trials, p)``.
+
+    Evaluated exactly in log space (``math.lgamma`` binomial coefficients), so
+    large ``trials`` neither overflow nor lose the small outcomes.
+    """
+    if not 0.0 < p < 1.0:  # p is 0 or 1: all the mass on one outcome
+        pmf = np.zeros(trials + 1)
+        pmf[trials if p > 0.5 else 0] = 1.0
+        return pmf
+    counts = np.arange(trials + 1)
+    log_factorials = np.array([math.lgamma(i + 1) for i in range(trials + 1)])
+    log_choose = log_factorials[-1] - log_factorials - log_factorials[::-1]
+    return np.exp(log_choose + counts * math.log(p) + (trials - counts) * math.log1p(-p))
+
+
+def _binomial_tails(k: int, trials: int, p: float) -> Tuple[float, float]:
+    """``(P(X <= k), P(X > k))``: the smaller tail summed, the other its complement."""
+    pmf = binomial_pmf(trials, p)
+    lower, upper = float(pmf[:k + 1].sum()), float(pmf[k + 1:].sum())
+    if lower <= upper:
+        return lower, 1.0 - lower
+    return 1.0 - upper, upper
+
+
+def binomial_cdf(k: int, trials: int, p: float) -> float:
+    """``P(X <= k)`` for ``X ~ Binomial(trials, p)``."""
+    return _binomial_tails(k, trials, p)[0]
+
+
+def binomial_sf(k: int, trials: int, p: float) -> float:
+    """``P(X > k)`` for ``X ~ Binomial(trials, p)``."""
+    return _binomial_tails(k, trials, p)[1]
 
 
 def duty_cycle_tail_probability(num_blocks: int, rho: float, b: int) -> float:
@@ -43,8 +78,8 @@ def duty_cycle_tail_probability(num_blocks: int, rho: float, b: int) -> float:
         raise ValueError(f"b must lie in [0, floor(K/2)] = [0, {num_blocks // 2}], got {b}")
     if 2 * b == num_blocks:
         return 1.0
-    lower_tail = stats.binom.cdf(b, num_blocks, rho)
-    upper_tail = stats.binom.sf(num_blocks - b - 1, num_blocks, rho)
+    lower_tail = binomial_cdf(b, num_blocks, rho)
+    upper_tail = binomial_sf(num_blocks - b - 1, num_blocks, rho)
     return float(lower_tail + upper_tail)
 
 
@@ -56,7 +91,7 @@ def probability_at_least_n_cells(num_cells: int, cell_probability: float, n: int
         raise ValueError(f"n must lie in [0, {num_cells}], got {n}")
     if n == 0:
         return 1.0
-    return float(stats.binom.sf(n - 1, num_cells, cell_probability))
+    return binomial_sf(n - 1, num_cells, cell_probability)
 
 
 def expected_cells_at_tail(num_cells: int, cell_probability: float) -> float:
@@ -116,7 +151,7 @@ def analytic_duty_cycle_histogram(num_blocks: int, rho: float,
     check_probability(rho, "rho")
     edges = np.asarray(bin_edges, dtype=np.float64)
     support = np.arange(num_blocks + 1) / num_blocks
-    pmf = stats.binom.pmf(np.arange(num_blocks + 1), num_blocks, rho)
+    pmf = binomial_pmf(num_blocks, rho)
     masses = np.zeros(edges.size - 1)
     for index, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
         if index == edges.size - 2:

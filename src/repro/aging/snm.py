@@ -1,5 +1,14 @@
 """Duty-cycle → SNM degradation models.
 
+A 6T-SRAM cell stores one bit in a pair of cross-coupled inverters (Fig. 2a
+of the paper).  Whichever of the two PMOS pull-up transistors is conducting is
+under negative bias stress: while the cell stores a '1', PMOS ``P1`` is
+stressed and ``P2`` recovers; while it stores a '0', ``P2`` is stressed and
+``P1`` recovers.  A cell with duty-cycle ``d`` therefore stresses ``P1`` for a
+fraction ``d`` of its lifetime and ``P2`` for ``1 - d``.  Read stability is
+limited by the *most aged* transistor, so the aging-optimal operating point is
+a 50% duty-cycle, where both PMOS devices accumulate the same average stress.
+
 The paper quantifies NBTI aging of a 6T-SRAM cell through the degradation of
 its Static Noise Margin (SNM) after 7 years of operation, as a function of the
 cell's lifetime duty-cycle (fraction of time storing a '1').  The two anchor

@@ -257,7 +257,6 @@ class DnnLife:
         from repro.scenario.driver import (
             ExplicitScenarioSimulator,
             ScenarioAgingSimulator,
-            _factory_seed,
             scenario_stream_factory,
         )
 
@@ -272,7 +271,7 @@ class DnnLife:
                              f"(expected one of: {', '.join(sorted(engines))})")
         factory = scenario_stream_factory(accelerator=self.accelerator,
                                           scale=scale,
-                                          seed=_factory_seed(self.seed))
+                                          seed=seed_value(self.seed))
         simulator = engines[engine](scenario, stream_factory=factory,
                                     seed=self.seed, snm_model=self.snm_model,
                                     leveler=leveler,

@@ -83,13 +83,6 @@ def _workload_identity(network_name: str, accelerator, data_format: str,
     }
 
 
-def _workload_signature(network_name: str, accelerator, data_format: str,
-                        scale: ExperimentScale, seed: int) -> str:
-    """Canonical cache key of one workload stream."""
-    return canonical_json(_workload_identity(
-        network_name, accelerator, data_format, scale, seed))
-
-
 def evaluate_policies_on_stream(stream, policies: Iterable[MitigationPolicy],
                                 num_inferences: int, seed: int = 0,
                                 snm_model: Optional[SnmDegradationModel] = None
@@ -168,8 +161,10 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
     network = reduce_network(build_model(network_name), scale.max_weights_per_layer)
     network = attach_synthetic_weights(network, seed=seed)
     scheduler = accelerator.build_scheduler(network, data_format)
-    stream = CachedWeightStream(scheduler, store=resolved_store,
-                                store_key=store_key)
+    stream = CachedWeightStream(scheduler)
+    if resolved_store is not None and store_key is not None:
+        resolved_store.offer(store_key, stream.packed_bits(),
+                             describe=stream.describe())
     if capacity:
         _insert_cached(key, stream, capacity)
     return stream

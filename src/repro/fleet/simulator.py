@@ -77,11 +77,11 @@ from repro.scenario.driver import (
     ScenarioAgingSimulator,
     ScenarioResult,
     StreamFactory,
-    _factory_seed,
     scenario_stream_factory,
 )
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
+from repro.utils.rng import seed_value
 from repro.utils.validation import check_positive, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -308,7 +308,7 @@ class FleetSimulator:
             scaling_for_model(self.snm_model),
             reference_temperature_c=float(spec.reference_temperature_c))
         self.stream_factory = (stream_factory or
-                               scenario_stream_factory(seed=_factory_seed(spec.seed)))
+                               scenario_stream_factory(seed=seed_value(spec.seed)))
         self.max_degradation_percent = check_positive(
             float(max_degradation_percent), "max_degradation_percent")
         self.reference_years = check_positive(float(reference_years),

@@ -1,34 +1,31 @@
 """On-chip weight-memory substrate.
 
-Models the 6T-SRAM weight buffer of a DNN accelerator at the granularity the
-aging analysis needs: every cell's *duty-cycle* (fraction of its lifetime it
-stores a '1').  Includes:
+Models the 6T-SRAM weight buffer of a DNN accelerator:
 
-* a single-cell 6T-SRAM model (:mod:`repro.memory.cell`) documenting the
-  NBTI stress mechanics and used by unit tests;
-* a vectorized SRAM array model (:mod:`repro.memory.sram`) that accumulates
-  per-cell duty-cycles over an arbitrary write stream;
-* write-trace recording / replay (:mod:`repro.memory.trace`);
+* its shape (:mod:`repro.memory.geometry`): ``rows`` words of ``word_bits``
+  bits, the ``I x J`` cell array every aging result is laid out on;
+* a content store (:mod:`repro.memory.sram`) that the transducer round trip
+  writes encoded words into and reads them back from;
+* per-cell wear maps (:mod:`repro.memory.wear_map`) built from an aging
+  result's duty-cycles;
 * an analytic access-energy model (:mod:`repro.memory.energy`) reproducing the
   SRAM-vs-DRAM comparison of Fig. 1b.
+
+Per-cell duty-cycles are computed by the aging engines in
+:mod:`repro.core.simulation`, not here.
 """
 
-from repro.memory.cell import SixTransistorCell
 from repro.memory.energy import MemoryEnergyModel, dram_access_energy, sram_access_energy
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import SramArray
-from repro.memory.trace import WriteRecord, WriteTrace
 from repro.memory.wear_map import WearMap, wear_map_from_result
 
 __all__ = [
     "WearMap",
     "wear_map_from_result",
-    "SixTransistorCell",
     "MemoryEnergyModel",
     "dram_access_energy",
     "sram_access_energy",
     "MemoryGeometry",
     "SramArray",
-    "WriteRecord",
-    "WriteTrace",
 ]

@@ -70,8 +70,7 @@ class WearMap:
     def coverage(self) -> float:
         """Fraction of cells with a defined duty-cycle.
 
-        Duty matrices built with ``duty_cycles(default=None)`` carry NaN for
-        never-written cells; the aggregations below ignore those cells and
+        Duty matrices may carry NaN for never-written cells; the aggregations below ignore those cells and
         this fraction surfaces how much of the memory they actually cover.
         """
         return float(np.isfinite(self.duty_cycles).mean()) if self.duty_cycles.size else 0.0

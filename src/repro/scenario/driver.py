@@ -64,7 +64,7 @@ from repro.core.span_compose import compose_leveled
 from repro.leveling.remap import check_leveler
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
-from repro.utils.rng import SeedLike, spawn_rngs
+from repro.utils.rng import SeedLike, seed_value, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     from repro.experiments.common import ExperimentScale
@@ -285,7 +285,7 @@ class _ScenarioEngineBase:
             scaling_for_model(self.snm_model),
             reference_temperature_c=float(scenario.reference_temperature_c))
         self.retention_model = retention_model or RetentionModel()
-        self.stream_factory = stream_factory or scenario_stream_factory(seed=_factory_seed(seed))
+        self.stream_factory = stream_factory or scenario_stream_factory(seed=seed_value(seed))
         self._streams: Optional[Dict[Tuple[str, str], object]] = None
         #: Exact last-written value of every physical cell (NaN = never
         #: written); allocated by :func:`_run_timeline` only for timelines
@@ -429,25 +429,6 @@ class _ScenarioEngineBase:
         scenario-cumulative ``_prior_rows`` totals.
         """
         raise NotImplementedError
-
-
-def _factory_seed(seed: SeedLike) -> int:
-    """Reduce a seed-like input to the integer the stream factory caches on.
-
-    Integers pass through; a ``SeedSequence`` is reduced deterministically
-    (distinct sequences yield distinct stream seeds without consuming any
-    state).  ``None`` and ``Generator`` inputs fall back to 0 — the stream
-    cache needs a stable hashable key, and a generator's state cannot be
-    read without mutating it — so only the *policy* randomness varies for
-    those inputs.
-    """
-    if seed is None:
-        return 0
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1, dtype=np.uint32)[0])
-    return 0
 
 
 # --------------------------------------------------------------------------- #

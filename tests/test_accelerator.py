@@ -16,9 +16,8 @@ from repro.accelerator.dataflow import (
     validate_block_coverage,
 )
 from repro.accelerator.pe_array import AccumulationUnit, PeArray, ProcessingElement
-from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler, stream_to_trace
+from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler
 from repro.accelerator.tpu import TpuLikeNpu
-from repro.memory.sram import SramArray
 from repro.utils.units import KB, MB
 
 
@@ -175,13 +174,6 @@ class TestScheduler:
             assert np.array_equal(cached_block.words, original_block.words)
         # The cache can be iterated multiple times.
         assert sum(1 for _ in cached.iter_blocks()) == cached.num_blocks
-
-    def test_stream_to_trace_and_replay(self, tiny_scheduler):
-        trace = stream_to_trace(tiny_scheduler, num_inferences=2)
-        assert len(trace) == 2 * tiny_scheduler.num_blocks
-        array = trace.replay(SramArray(tiny_scheduler.geometry))
-        duty = array.duty_cycles()
-        assert np.all((duty >= 0) & (duty <= 1))
 
     def test_blocks_per_region_sums_to_num_blocks(self, tiny_fifo_scheduler):
         assert tiny_fifo_scheduler.blocks_per_region.sum() == tiny_fifo_scheduler.num_blocks

@@ -1,5 +1,8 @@
 """Tests for repro.aging (SNM model, NBTI device model, Eq. 1/2, lifetime)."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,9 @@ from repro.aging.lifetime import LifetimeEstimator, frequency_guardband_percent
 from repro.aging.nbti import NbtiDeviceModel, ReactionDiffusionSnmModel
 from repro.aging.probabilistic import (
     analytic_duty_cycle_histogram,
+    binomial_cdf,
+    binomial_pmf,
+    binomial_sf,
     duty_cycle_tail_probability,
     effective_num_blocks_with_shifts,
     empirical_tail_probability,
@@ -187,6 +193,50 @@ class TestProbabilisticModel:
     def test_analytic_histogram_sums_to_one(self):
         masses = analytic_duty_cycle_histogram(20, 0.5, np.linspace(0, 1, 11))
         assert masses.sum() == pytest.approx(1.0)
+
+
+BINOMIAL_TRIALS = (1, 20, 160, 1000, 8192)
+BINOMIAL_PROBABILITIES = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+
+class TestBinomialTails:
+    """The numpy/``math`` binomial helpers against SciPy and exact arithmetic.
+
+    Results below the smallest normal float are compared with an absolute
+    tolerance of that float: SciPy itself loses precision there (see
+    ``test_subnormal_tail_is_exact``).
+    """
+
+    @pytest.mark.parametrize("trials", BINOMIAL_TRIALS)
+    @pytest.mark.parametrize("p", BINOMIAL_PROBABILITIES)
+    def test_matches_scipy(self, trials, p):
+        stats = pytest.importorskip("scipy.stats")
+        tiny = np.finfo(np.float64).tiny
+        support = np.arange(trials + 1)
+        np.testing.assert_allclose(binomial_pmf(trials, p),
+                                   stats.binom.pmf(support, trials, p),
+                                   rtol=1e-10, atol=tiny)
+        for k in np.unique(np.linspace(0, trials, min(trials + 1, 65)).astype(int)):
+            np.testing.assert_allclose(binomial_cdf(int(k), trials, p),
+                                       stats.binom.cdf(k, trials, p), rtol=1e-10, atol=tiny)
+            np.testing.assert_allclose(binomial_sf(int(k), trials, p),
+                                       stats.binom.sf(k, trials, p), rtol=1e-10, atol=tiny)
+
+    def test_subnormal_tail_is_exact(self):
+        p = Fraction(0.01)
+        exact = sum(comb(160, i) * p**i * (1 - p)**(160 - i) for i in range(158, 161))
+        assert binomial_sf(157, 160, 0.01) == pytest.approx(float(exact), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_probabilities(self, p):
+        pmf = binomial_pmf(5, p)
+        assert pmf.sum() == 1.0 and pmf[0 if p == 0.0 else 5] == 1.0
+        assert binomial_cdf(2, 5, p) == (1.0 if p == 0.0 else 0.0)
+        assert binomial_sf(2, 5, p) == (0.0 if p == 0.0 else 1.0)
+
+    def test_tails_are_complementary(self):
+        for k in range(21):
+            assert binomial_cdf(k, 20, 0.3) + binomial_sf(k, 20, 0.3) == pytest.approx(1.0)
 
 
 class TestLifetime:

@@ -134,7 +134,7 @@ class TestWearMap:
             WearMap(duty_cycles=np.zeros((10, 8)), num_regions=3)
 
     def test_nan_duty_does_not_poison_aggregations(self):
-        """duty_cycles(default=None) carries NaN for never-written cells."""
+        """A duty matrix may carry NaN for never-written cells."""
         duty = np.full((16, 8), 0.5)
         duty[8:] = np.nan  # half the memory never written
         wear = WearMap(duty_cycles=duty, num_regions=2)

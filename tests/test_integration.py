@@ -37,8 +37,7 @@ class TestTransducerTransparency:
         memory = SramArray(scheduler.geometry)
         for block in scheduler.iter_blocks():
             encoded, metadata = policy.encode_block(block.words, block.index)
-            memory.write_block(encoded, residency=1.0,
-                               start_row=block.region * scheduler.words_per_block)
+            memory.write_block(encoded, start_row=block.region * scheduler.words_per_block)
             read_back = memory.read_rows(
                 np.arange(block.region * scheduler.words_per_block,
                           block.region * scheduler.words_per_block + block.num_words))

@@ -565,15 +565,52 @@ class TestScenarioExperiment:
 
 
 class TestSeedAndScaleHandling:
-    def test_factory_seed_distinguishes_seed_sequences(self):
-        from repro.scenario.driver import _factory_seed
+    def test_seed_value_distinguishes_seed_sequences(self):
+        from repro.utils.rng import seed_value
 
-        first = _factory_seed(np.random.SeedSequence(5))
-        second = _factory_seed(np.random.SeedSequence(7))
+        first = seed_value(np.random.SeedSequence(5))
+        second = seed_value(np.random.SeedSequence(7))
         assert first != second
-        assert first == _factory_seed(np.random.SeedSequence(5))  # pure
-        assert _factory_seed(np.int64(9)) == 9
-        assert _factory_seed(None) == 0
+        assert first == seed_value(np.random.SeedSequence(5))  # pure
+        assert seed_value(np.int64(9)) == 9
+        assert seed_value(None) == 0
+
+    @pytest.mark.parametrize("make_seed", [
+        lambda: 3,
+        lambda: np.random.SeedSequence(9),
+        lambda: np.random.default_rng(4),
+    ], ids=["int", "seed_sequence", "generator"])
+    def test_scenario_phase_streams_the_seed_value_weights(self, monkeypatch, make_seed):
+        """A ``DnnLife`` scenario phase draws its weights under ``seed_value(seed)``."""
+        from repro.core.framework import DnnLife
+        from repro.experiments import aging_runner
+        from repro.experiments.common import reduce_network
+        from repro.utils.rng import seed_value
+
+        monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
+        monkeypatch.setenv("DNN_LIFE_STREAM_STORE", "0")
+        streamed = []
+
+        def spy(network, seed=0, **kwargs):
+            network = attach_synthetic_weights(network, seed=seed, **kwargs)
+            streamed.append(network.flat_weights())
+            return network
+
+        monkeypatch.setattr(aging_runner, "attach_synthetic_weights", spy)
+        config = replace(baseline_config(), name="test_scenario_seed",
+                         weight_memory_bytes=4 * KB, weight_fifo_depth_tiles=4)
+        scale = ExperimentScale(num_inferences=2, max_weights_per_layer=1_000)
+        seed = make_seed()
+        framework = DnnLife(build_model("custom_mnist"),
+                            accelerator=BaselineAccelerator(config=config),
+                            num_inferences=2, seed=seed,
+                            scenario=LifetimeScenario.from_spec("custom_mnist:int8:none:2"))
+        framework.simulate_scenario(scale=scale)
+        expected = attach_synthetic_weights(
+            reduce_network(build_model("custom_mnist"), scale.max_weights_per_layer),
+            seed=seed_value(make_seed())).flat_weights()
+        assert len(streamed) == 1
+        assert np.array_equal(streamed[0], expected)
 
     def test_simulate_scenario_accepts_explicit_scale(self):
         from repro.core.framework import DnnLife

@@ -528,7 +528,7 @@ class TestWorkloadStreamIntegration:
         store = StreamStore(tmp_path / "streams")
         first = self._build(tiny_accelerator, store)
         assert isinstance(first, CachedWeightStream)
-        built_sha = packed_content_sha256(first.packed_bits())  # lazy offer
+        built_sha = packed_content_sha256(first.packed_bits())
         assert store.puts == 1
 
         second = self._build(tiny_accelerator, store)
@@ -536,6 +536,12 @@ class TestWorkloadStreamIntegration:
         assert second is not first  # the LRU really was off
         assert packed_content_sha256(second.packed_bits()) == built_sha
         assert store.puts == 1 and store.hits >= 1
+
+    def test_cold_build_looks_up_once_and_persists_once(self, tmp_path,
+                                                         tiny_accelerator):
+        store = StreamStore(tmp_path / "streams")
+        self._build(tiny_accelerator, store).packed_bits()
+        assert (store.misses, store.puts, store.hits) == (1, 1, 0)
 
     def test_lru_hit_short_circuits_the_store(self, tmp_path, tiny_accelerator):
         store = StreamStore(tmp_path / "streams")
