@@ -462,7 +462,7 @@ def bench_leveling(case: Optional[BenchCase] = None, repeats: int = 3,
     their job.
     """
     from repro.leveling import make_leveler
-    from repro.memory.wear_map import WearMap
+    from repro.memory.wear_map import wear_map_from_result
 
     case = case or default_leveling_case()
     stream = case.build_stream(seed=seed)
@@ -479,7 +479,7 @@ def bench_leveling(case: Optional[BenchCase] = None, repeats: int = 3,
         return simulator.run()
 
     def imbalance(result) -> float:
-        wear = WearMap(result.duty_cycles, num_regions=case.fifo_depth_tiles)
+        wear = wear_map_from_result(result, num_regions=case.fifo_depth_tiles)
         return float(wear.summary()["region_imbalance_pp"])
 
     entries: Dict[str, Dict[str, object]] = {}

@@ -19,7 +19,8 @@ accelerator:
   stochastic DNN-Life policy).
 
 Both produce an :class:`AgingResult` holding per-cell duty-cycles and the
-SNM-degradation statistics derived from them.
+SNM-degradation statistics derived from them, evaluated once per distinct
+(ones, writes) cell class (:class:`~repro.aging.snm.CellClasses`).
 
 Every deterministic policy has exactly one closed form, a
 :class:`PackedSpanKernel` (fixed basis matrices with per-span scalar
@@ -48,6 +49,7 @@ from repro.accelerator.scheduler import (
     block_axis_sum,
 )
 from repro.aging.snm import (
+    CellClasses,
     SnmDegradationModel,
     bin_labels,
     default_degradation_bins,
@@ -136,7 +138,12 @@ def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 @dataclass
 class AgingResult:
-    """Outcome of an aging simulation for one (workload, policy) pair."""
+    """Outcome of an aging simulation for one (workload, policy) pair.
+
+    The SNM statistics are evaluated on :attr:`cell_classes`, the result's
+    table of distinct duty-cycles: :meth:`from_counts` (both engines) keys
+    it by the integer counts, any other result gets one class per cell.
+    """
 
     policy_name: str
     policy_description: Dict[str, object]
@@ -145,56 +152,92 @@ class AgingResult:
     num_blocks: int
     snm_model: SnmDegradationModel = field(default_factory=default_snm_model)
     years: float = 7.0
+    _cell_classes: Optional[CellClasses] = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.duty_cycles = np.asarray(self.duty_cycles, dtype=np.float64)
+
+    @classmethod
+    def from_counts(cls, ones: np.ndarray, writes: np.ndarray,
+                    **fields: object) -> "AgingResult":
+        """The result of per-cell ``ones`` over per-row ``writes`` counts.
+
+        In-range integer counts are keyed into a cell-class table and the
+        duty matrix is gathered from it; any other counts go through
+        :func:`_duty_from_counts` (which rejects out-of-range values) onto a
+        one-class-per-cell table.  Both give the same duty-cycles bit for bit.
+        """
+        classes = CellClasses.from_counts(ones, writes)
+        if classes is None:
+            return cls(duty_cycles=_duty_from_counts(ones, writes), **fields)
+        result = cls(duty_cycles=classes.values[classes.key], **fields)
+        result._cell_classes = classes
+        return result
+
+    @property
+    def cell_classes(self) -> CellClasses:
+        """The duty matrix's cell-class table (one class per cell if not built from counts)."""
+        if self._cell_classes is None:
+            self._cell_classes = CellClasses.per_cell(self.duty_cycles)
+        return self._cell_classes
 
     @property
     def num_cells(self) -> int:
         """Number of 6T-SRAM cells covered by the result."""
         return int(self.duty_cycles.size)
 
+    def _degradation(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(per_class, per_cell)`` SNM degradation after ``years`` years."""
+        return self.cell_classes.degradation(self.snm_model, self.years)
+
     def snm_degradation(self) -> np.ndarray:
-        """Per-cell SNM degradation (percent) after ``years`` years."""
-        return self.snm_model.degradation_percent(self.duty_cycles.reshape(-1), self.years)
+        """Per-cell SNM degradation (percent) after ``years`` years (read-only)."""
+        return self._degradation()[1].reshape(-1)
 
     def histogram(self, bin_edges: Optional[np.ndarray] = None
                   ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-        """Fig. 9 / Fig. 11 style histogram: % of cells per degradation bin."""
+        """Fig. 9 / Fig. 11 style histogram: % of cells per degradation bin.
+
+        The default edges span best..worst at the result's own ``years``.
+        """
         edges = (np.asarray(bin_edges, dtype=np.float64) if bin_edges is not None
-                 else default_degradation_bins(self.snm_model))
-        percentages, edges = degradation_histogram(self.snm_degradation(), edges)
+                 else default_degradation_bins(self.snm_model, years=self.years))
+        percentages, edges = degradation_histogram(
+            self._degradation()[0], edges, counts=self.cell_classes.counts)
         return percentages, edges, bin_labels(edges)
 
     def duty_cycle_statistics(self) -> Dict[str, float]:
         """Summary statistics of the per-cell duty-cycles."""
+        values = self.cell_classes.values
         duty = self.duty_cycles.reshape(-1)
-        deviation = np.abs(duty - 0.5)
+        mean, std = float(duty.mean()), float(duty.std())
+        deviation = duty - 0.5
+        np.abs(deviation, out=deviation)
         return {
-            "mean": float(duty.mean()),
-            "std": float(duty.std()),
-            "min": float(duty.min()),
-            "max": float(duty.max()),
+            "mean": mean,
+            "std": std,
+            "min": float(values.min()),
+            "max": float(values.max()),
             "mean_abs_deviation_from_half": float(deviation.mean()),
-            "max_abs_deviation_from_half": float(deviation.max()),
+            "max_abs_deviation_from_half": float(np.abs(values - 0.5).max()),
         }
 
     def summary(self) -> Dict[str, object]:
         """Headline metrics used by the experiment reports."""
-        degradation = self.snm_degradation()
+        per_class, per_cell = self._degradation()
         best = self.snm_model.best_case_percent(self.years)
         worst = self.snm_model.worst_case_percent(self.years)
-        near_best = float((degradation <= best + 0.5).mean() * 100.0)
-        near_worst = float((degradation >= worst - 0.5).mean() * 100.0)
+        classes = self.cell_classes
         return {
             "policy": self.policy_name,
             "num_cells": self.num_cells,
             "num_blocks": self.num_blocks,
             "num_inferences": self.num_inferences,
-            "mean_snm_degradation_percent": float(degradation.mean()),
-            "max_snm_degradation_percent": float(degradation.max()),
-            "percent_cells_near_best": near_best,
-            "percent_cells_near_worst": near_worst,
+            "mean_snm_degradation_percent": float(per_cell.reshape(-1).mean()),
+            "max_snm_degradation_percent": float(per_class.max()),
+            "percent_cells_near_best": classes.fraction(per_class <= best + 0.5) * 100.0,
+            "percent_cells_near_worst": classes.fraction(per_class >= worst - 0.5) * 100.0,
             "duty_cycle": self.duty_cycle_statistics(),
         }
 
@@ -407,10 +450,10 @@ class ExplicitAgingSimulator:
             self.leveler.reset()
         ones, writes = replay_epochs(self.scheduler, self.policy, 0,
                                      self.num_inferences, self.leveler)
-        return AgingResult(
+        return AgingResult.from_counts(
+            ones, writes,
             policy_name=self.policy.name,
             policy_description=_describe_with_leveling(self.policy, self.leveler),
-            duty_cycles=_duty_from_counts(ones, writes),
             num_inferences=self.num_inferences,
             num_blocks=self.scheduler.num_blocks,
             snm_model=self.snm_model,
@@ -451,11 +494,11 @@ class AgingSimulator:
     # -- public API ------------------------------------------------------- #
     def run(self) -> AgingResult:
         """Compute per-cell duty-cycles for the configured policy."""
-        duty = self._simulate_duty()
-        return AgingResult(
+        ones, writes = self._simulate_counts()
+        return AgingResult.from_counts(
+            ones, writes,
             policy_name=self.policy.name,
             policy_description=_describe_with_leveling(self.policy, self.leveler),
-            duty_cycles=duty,
             num_inferences=self.num_inferences,
             num_blocks=self.scheduler.num_blocks,
             snm_model=self.snm_model,
@@ -569,19 +612,19 @@ class AgingSimulator:
         return last_bits, written
 
     # -- dispatch ---------------------------------------------------------- #
-    def _simulate_duty(self) -> np.ndarray:
+    def _simulate_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-physical-cell ones and per-row writes over the whole run."""
         kernel = self._packed_kernel(self.policy)
         leveler = self.leveler
         if leveler is None:
-            numerator, writes = kernel(0, self.num_inferences)
-            return _duty_from_counts(numerator, writes)
+            return kernel(0, self.num_inferences)
         # Deterministic kernels collapse the leveler's span tables into a
         # constant number of NumPy passes; the DNN-Life kernel draws every
         # span in order and reduces all of them in one fused pass (see
         # compose_leveled).
         leveler.reset()
         ones, writes, _ = compose_leveled(kernel, leveler, self.num_inferences)
-        return _duty_from_counts(ones, writes)
+        return ones, writes
 
     def _packed_kernel(self, policy: MitigationPolicy
                        ) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:

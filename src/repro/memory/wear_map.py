@@ -5,7 +5,9 @@ The Fig. 9/11 histograms aggregate over all cells; designers also want to know
 column or FIFO tile wears out first, which drives wear-levelling or column
 remapping decisions).  A :class:`WearMap` summarises a duty-cycle (or SNM
 degradation) matrix along rows, bit columns and FIFO regions and renders a
-coarse ASCII heat map.
+coarse ASCII heat map.  The SNM model runs once per duty class of the map's
+:class:`~repro.aging.snm.CellClasses` table (the result's own table when built
+by :func:`wear_map_from_result`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.aging.snm import SnmDegradationModel, default_snm_model
+from repro.aging.snm import CellClasses, SnmDegradationModel, default_snm_model
 from repro.utils.validation import check_positive_int
 
 #: Characters used for the ASCII heat map, from least to most degraded.
@@ -24,10 +26,16 @@ _HEAT_CHARS = " .:-=+*#%@"
 
 
 def _nanmean(values: np.ndarray, axis=None) -> np.ndarray:
-    """``np.nanmean`` without the all-NaN RuntimeWarning (result stays NaN)."""
+    """``np.nanmean`` without the all-NaN RuntimeWarning (result stays NaN).
+
+    Without NaN the plain mean gives the same bits (the same sum over the
+    same cells, divided by the same count) and skips the NaN-masked copy.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanmean(values, axis=axis)
+        if np.isnan(values).any():
+            return np.nanmean(values, axis=axis)
+        return np.mean(values, axis=axis)
 
 
 def _column_means(degradation: np.ndarray) -> np.ndarray:
@@ -52,6 +60,8 @@ class WearMap:
     num_regions: int = 1
     snm_model: Optional[SnmDegradationModel] = None
     years: float = 7.0
+    #: Class table of ``duty_cycles``; one class per cell when not given.
+    cell_classes: Optional[CellClasses] = None
 
     def __post_init__(self) -> None:
         self.duty_cycles = np.asarray(self.duty_cycles, dtype=np.float64)
@@ -62,6 +72,10 @@ class WearMap:
             raise ValueError("rows must divide evenly into num_regions")
         if self.snm_model is None:
             self.snm_model = default_snm_model()
+        if self.cell_classes is None:
+            self.cell_classes = CellClasses.per_cell(self.duty_cycles)
+        elif self.cell_classes.key.shape != self.duty_cycles.shape:
+            raise ValueError("cell_classes does not match the duty_cycles shape")
 
     # ------------------------------------------------------------------ #
     # Aggregations
@@ -73,12 +87,17 @@ class WearMap:
         Duty matrices may carry NaN for never-written cells; the aggregations below ignore those cells and
         this fraction surfaces how much of the memory they actually cover.
         """
-        return float(np.isfinite(self.duty_cycles).mean()) if self.duty_cycles.size else 0.0
+        classes = self.cell_classes
+        return classes.fraction(np.isfinite(classes.values)) if classes.num_cells else 0.0
+
+    def _degradation(self):
+        """``(per_class, per_cell)`` SNM degradation of the map's cell classes."""
+        return self.cell_classes.degradation(self.snm_model, self.years)
 
     @property
     def degradation(self) -> np.ndarray:
-        """Per-cell SNM degradation matrix (percent); NaN where duty is undefined."""
-        return self.snm_model.degradation_percent(self.duty_cycles, self.years)
+        """Per-cell SNM degradation matrix (percent, read-only); NaN where duty is undefined."""
+        return self._degradation()[1]
 
     def per_bit_column(self) -> np.ndarray:
         """Mean SNM degradation of each bit column (MSB-first index).
@@ -113,8 +132,10 @@ class WearMap:
 
     def summary(self) -> Dict[str, float]:
         """Headline spatial statistics (NaN-cell aware, see :attr:`coverage`)."""
-        degradation = self.degradation
-        defined = degradation[np.isfinite(degradation)]
+        per_class, degradation = self._degradation()
+        finite = np.isfinite(per_class)
+        defined = (degradation.reshape(-1) if finite.all()
+                   else degradation[np.isfinite(degradation)])
         per_column = _column_means(degradation)
         per_region = _region_means(degradation, self.num_regions)
         with warnings.catch_warnings():
@@ -126,7 +147,8 @@ class WearMap:
         return {
             "coverage": self.coverage,
             "mean_degradation_percent": float(defined.mean()) if defined.size else float("nan"),
-            "max_degradation_percent": float(defined.max()) if defined.size else float("nan"),
+            "max_degradation_percent": (float(per_class[finite].max()) if defined.size
+                                        else float("nan")),
             "worst_bit_column": int(np.nanargmax(per_column)) if defined.size else -1,
             "worst_bit_column_mean_percent": float(column_max),
             "best_bit_column_mean_percent": float(column_min),
@@ -195,4 +217,5 @@ def default_wear_regions(rows: int, fifo_depth_tiles: int) -> int:
 def wear_map_from_result(result, num_regions: int = 1) -> WearMap:
     """Build a :class:`WearMap` from an :class:`~repro.core.simulation.AgingResult`."""
     return WearMap(duty_cycles=result.duty_cycles, num_regions=num_regions,
-                   snm_model=result.snm_model, years=result.years)
+                   snm_model=result.snm_model, years=result.years,
+                   cell_classes=result.cell_classes)

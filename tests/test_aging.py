@@ -86,6 +86,24 @@ class TestCalibratedSnmModel:
         labels = bin_labels(edges)
         assert len(labels) == 4 and "%" in labels[0]
 
+    def test_default_bins_at_the_reference_years_are_unchanged(self):
+        model = default_snm_model()
+        edges = default_degradation_bins(model)
+        assert np.array_equal(edges, default_degradation_bins(model, years=7.0))
+        assert edges[0] == pytest.approx(10.82 - 1e-9, abs=1e-12)
+        assert edges[-1] == pytest.approx(26.12 + 1e-9, abs=1e-12)
+        shorter = default_degradation_bins(model, years=3.165)
+        assert shorter[0] == pytest.approx(model.best_case_percent(3.165) - 1e-9)
+        assert shorter[-1] < edges[-1]
+
+    def test_histogram_counts_weigh_values(self):
+        edges = np.array([0.0, 1.0, 2.0])
+        weighted, _ = degradation_histogram(np.array([0.5, 1.5]), edges,
+                                            counts=np.array([3, 1]))
+        per_cell, _ = degradation_histogram(np.array([0.5, 0.5, 0.5, 1.5]), edges)
+        assert np.array_equal(weighted, per_cell)
+        assert np.array_equal(weighted, [75.0, 25.0])
+
     def test_histogram_empty_input(self):
         percentages, _ = degradation_histogram(np.array([]), [0, 1, 2])
         assert np.allclose(percentages, 0.0)

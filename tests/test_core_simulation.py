@@ -297,3 +297,35 @@ class TestDutyFromCountsGuard:
     def test_round_off_within_tolerance_is_clipped(self):
         duty = _duty_from_counts(np.array([[4.0 + 1e-12]]), np.array([4]))
         assert duty[0, 0] == 1.0
+
+
+class TestCellClassTables:
+    """Both engines key their results' cell-class tables by the integer counts."""
+
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_POLICY_FACTORIES))
+    def test_engines_build_the_same_table(self, tiny_fifo_scheduler, name):
+        word_bits = tiny_fifo_scheduler.geometry.word_bits
+        fast, explicit = _run_both(tiny_fifo_scheduler,
+                                   lambda: _deterministic_policy(name, word_bits), 3)
+        for result in (fast, explicit):
+            classes = result.cell_classes
+            assert classes.counts is not None
+            assert classes.values.size < result.num_cells
+            assert np.array_equal(classes.values[classes.key], result.duty_cycles)
+        assert np.array_equal(fast.cell_classes.values, explicit.cell_classes.values)
+        assert np.array_equal(fast.cell_classes.counts, explicit.cell_classes.counts)
+        assert np.array_equal(fast.cell_classes.key, explicit.cell_classes.key)
+
+    def test_result_and_wear_map_share_one_gathered_degradation(self, tiny_scheduler):
+        from repro.memory.wear_map import wear_map_from_result
+
+        result = AgingSimulator(tiny_scheduler, DnnLifePolicy(8, seed=0),
+                                num_inferences=6, seed=0).run()
+        wear = wear_map_from_result(result)
+        assert wear.cell_classes is result.cell_classes
+        assert np.shares_memory(wear.degradation, result.snm_degradation())
+        assert not result.snm_degradation().flags.writeable
+        # a later years change re-evaluates instead of serving the stale cache
+        first = result.summary()["mean_snm_degradation_percent"]
+        result.years = 3.0
+        assert result.summary()["mean_snm_degradation_percent"] < first

@@ -266,3 +266,160 @@ class TestAgingResultPayloadRoundTrip:
         rebuilt = AgingResult.from_payload(result.to_payload())
         assert isinstance(rebuilt.snm_model, LinearTestSnmModel)
         assert rebuilt.snm_model.slope == 12.5
+
+
+@st.composite
+def counts_strategy(draw):
+    """Integer ``(ones, writes)`` counts with ``0 <= ones <= writes`` per row.
+
+    Write patterns: one write count for every row, a few distinct ones,
+    rows never written, and write counts so large that the key span exceeds
+    the cell count (the one-class-per-cell fallback).
+    """
+    rows = draw(st.sampled_from([1, 2, 3, 8, 12, 32]))
+    columns = draw(st.sampled_from([1, 3, 8, 16]))
+    pattern = draw(st.sampled_from(["uniform", "mixed", "zero_rows", "wide"]))
+    top = 400 if pattern == "wide" else 12
+    if pattern == "uniform":
+        writes = np.full(rows, draw(st.integers(1, top)))
+    else:
+        low = 0 if pattern == "zero_rows" else 1
+        writes = np.asarray(draw(st.lists(st.integers(low, top), min_size=rows,
+                                          max_size=rows)))
+    fractions = draw(hnp.arrays(np.float64, (rows, columns),
+                                elements=st.floats(0.0, 1.0)))
+    ones = np.floor(fractions * (writes[:, None] + 1)).clip(0, writes[:, None])
+    return ones.astype(np.float64), writes.astype(np.float64)
+
+
+class TestCellClassEquivalence:
+    """A count-built result's class table changes no statistic and no payload byte.
+
+    The payload round trip rebuilds the result without counts, i.e. on the
+    one-class-per-cell table, so equal outputs pin the class evaluation to
+    the per-cell one.
+    """
+
+    @staticmethod
+    def _outputs(result, edges):
+        from repro.memory.wear_map import default_wear_regions, wear_map_from_result
+
+        rows = result.duty_cycles.shape[0]
+        wear = wear_map_from_result(result, default_wear_regions(rows, 1))
+        return {
+            "histogram": result.histogram(edges)[:2],
+            "histogram_default": result.histogram()[:2],
+            "summary": result.summary(),
+            "duty": result.duty_cycle_statistics(),
+            "wear_summary": wear.summary(),
+            "per_bit_column": wear.per_bit_column(),
+            "per_region": wear.per_region(),
+            "worst_cells": wear.worst_cells(5),
+            "render": wear.render(max_rows=7),
+        }
+
+    @given(counts=counts_strategy(), model=snm_model_strategy(),
+           years=st.sampled_from([7.0, 3.165, 12.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_count_built_result_matches_per_cell_result(self, counts, model, years):
+        from repro.core.simulation import AgingResult, _duty_from_counts
+        from repro.utils.serialization import canonical_json
+
+        ones, writes = counts
+        result = AgingResult.from_counts(
+            ones, writes, policy_name="none", policy_description={"policy": "none"},
+            num_inferences=3, num_blocks=2, snm_model=model, years=years)
+        classes = result.cell_classes
+        assert np.array_equal(classes.values[classes.key], result.duty_cycles)
+        span = int(np.sum(np.unique(writes) + 1))
+        if span <= result.num_cells:
+            cell_counts = np.stack([ones.reshape(-1),
+                                    np.repeat(writes, ones.shape[1])])
+            assert classes.values.size == np.unique(cell_counts, axis=1).shape[1]
+            assert int(np.sum(classes.counts)) == result.num_cells
+        else:
+            assert classes.counts is None
+            assert np.array_equal(classes.key.reshape(-1), np.arange(result.num_cells))
+
+        rebuilt = AgingResult.from_payload(result.to_payload())
+        per_cell = AgingResult("none", {"policy": "none"},
+                               _duty_from_counts(ones, writes), 3, 2,
+                               snm_model=model, years=years)
+        assert rebuilt.cell_classes.counts is None
+        assert canonical_json(result.to_payload()) == canonical_json(per_cell.to_payload())
+        edges = np.linspace(0.0, 40.0, 6)
+        assert (canonical_json(self._outputs(result, edges))
+                == canonical_json(self._outputs(rebuilt, edges)))
+        assert np.array_equal(result.snm_degradation(), rebuilt.snm_degradation())
+
+    def test_wide_key_span_falls_back_to_one_class_per_cell(self):
+        from repro.core.simulation import AgingResult
+
+        ones = np.array([[0.0, 1.0, 2.0, 500.0]])
+        result = AgingResult.from_counts(ones, np.array([1000.0]), policy_name="none",
+                                         policy_description={}, num_inferences=1,
+                                         num_blocks=1)
+        classes = result.cell_classes
+        assert classes.counts is None
+        assert np.array_equal(classes.key, [[0, 1, 2, 3]])
+        assert np.array_equal(classes.values, result.duty_cycles.reshape(-1))
+
+    def test_non_integral_counts_fall_back_to_one_class_per_cell(self):
+        from repro.core.simulation import AgingResult
+
+        ones = np.array([[0.5, 1.5, 2.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+        result = AgingResult.from_counts(ones, np.array([4.0, 4.0]), policy_name="none",
+                                         policy_description={}, num_inferences=1,
+                                         num_blocks=1)
+        assert result.cell_classes.counts is None
+        assert np.array_equal(result.duty_cycles, [[0.125, 0.375, 0.5, 0.25],
+                                                   [0.0, 0.25, 0.5, 0.75]])
+
+    def test_table_is_compact_with_narrow_keys(self):
+        from repro.core.simulation import AgingResult
+
+        # one class per occupied (ones, writes) pair, grouped by write count
+        writes = np.array([4.0, 4.0, 2.0, 0.0])
+        ones = np.array([[0.0, 4.0, 4.0, 0.0], [2.0, 2.0, 2.0, 2.0],
+                         [1.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        result = AgingResult.from_counts(ones, writes, policy_name="none",
+                                         policy_description={}, num_inferences=1,
+                                         num_blocks=1)
+        classes = result.cell_classes
+        assert classes.key.dtype == np.uint8
+        assert np.array_equal(classes.values, [0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
+        assert np.array_equal(classes.counts, [4, 2, 2, 2, 4, 2])
+        assert np.array_equal(classes.key, [[3, 5, 5, 3], [4, 4, 4, 4],
+                                            [1, 2, 1, 2], [0, 0, 0, 0]])
+
+    @pytest.mark.parametrize("ones", [5.0, -1.0])
+    def test_out_of_range_counts_still_raise(self, ones):
+        from repro.core.simulation import AgingResult
+
+        with pytest.raises(FloatingPointError, match="numerator"):
+            AgingResult.from_counts(np.array([[ones, 1.0]]), np.array([4.0]),
+                                    policy_name="none", policy_description={},
+                                    num_inferences=1, num_blocks=1)
+
+    @pytest.mark.parametrize("ones, writes, duty", [
+        ([[4.0 + 1e-12, 0.0]], [4.0], [[1.0, 0.0]]),   # round-off is clipped
+        ([[1.0, 0.0], [3.0, 0.0]], [2.0, 0.0], [[0.5, 0.0], [0.0, 0.0]]),
+    ])
+    def test_counts_off_the_integer_grid_keep_the_per_cell_duty(self, ones, writes, duty):
+        from repro.core.simulation import AgingResult
+
+        result = AgingResult.from_counts(np.array(ones), np.array(writes),
+                                         policy_name="none", policy_description={},
+                                         num_inferences=1, num_blocks=1)
+        assert result.cell_classes.counts is None
+        assert np.array_equal(result.duty_cycles, duty)
+
+    @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 9)),
+                             elements=st.floats(0.0, 100.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_nan_free_mean_is_the_nan_aware_mean(self, values):
+        from repro.memory.wear_map import _nanmean
+
+        for axis in (None, 0):
+            assert np.array_equal(_nanmean(values, axis=axis),
+                                  np.nanmean(values, axis=axis))

@@ -428,6 +428,26 @@ class TestScenarioResult:
         stats = result.effective.duty_cycle_statistics()
         assert 0.0 <= stats["mean"] <= 1.0
 
+    def test_default_histogram_edges_span_the_effective_years(self, result):
+        from repro.aging.snm import default_degradation_bins
+
+        effective = result.effective
+        assert abs(effective.years - 7.0) > 0.5
+        _, edges, _ = effective.histogram()
+        degradation = effective.snm_degradation()
+        assert edges[0] <= degradation.min() and degradation.max() <= edges[-1]
+        assert np.array_equal(
+            edges, default_degradation_bins(effective.snm_model, years=effective.years))
+
+    def test_phase_and_effective_results_carry_no_class_table(self):
+        # the fleet drives this path hundreds of times per run and never
+        # post-processes the results, so no table may be built up front
+        result = ScenarioAgingSimulator(LifetimeScenario.from_spec(DUTY_CYCLE_SPEC),
+                                        stream_factory=small_factory(), seed=0).run()
+        assert result.effective._cell_classes is None
+        assert all(phase._cell_classes is None
+                   for phase in result.phase_results if phase is not None)
+
 
 # --------------------------------------------------------------------------- #
 # Lifetime estimation over phase timelines
