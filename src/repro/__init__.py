@@ -31,7 +31,7 @@ The main subpackages are:
   parallel sweep runner behind ``dnn-life run/sweep/list``.
 """
 
-from repro.accelerator.scheduler import CachedWeightStream, PackedBitTensor
+from repro.accelerator.scheduler import PackedBitTensor
 from repro.core.framework import DnnLife, PolicyComparison
 from repro.core.policies import (
     BarrelShifterPolicy,
@@ -59,7 +59,6 @@ __all__ = [
     "Phase",
     "ScenarioAgingSimulator",
     "ScenarioResult",
-    "CachedWeightStream",
     "PackedBitTensor",
     "DnnLife",
     "PolicyComparison",

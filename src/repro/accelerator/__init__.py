@@ -30,19 +30,15 @@ from repro.accelerator.dataflow import (
 )
 from repro.accelerator.pe_array import AccumulationUnit, PeArray, ProcessingElement
 from repro.accelerator.scheduler import (
-    CachedWeightStream,
     PackedBitTensor,
     WeightBlock,
     WeightStreamScheduler,
-    packed_bit_tensor,
 )
 from repro.accelerator.tiling_optimizer import TilingCandidate, TilingOptimizer, TilingSolution
 from repro.accelerator.tpu import TpuLikeNpu
 
 __all__ = [
-    "CachedWeightStream",
     "PackedBitTensor",
-    "packed_bit_tensor",
     "TilingCandidate",
     "TilingOptimizer",
     "TilingSolution",

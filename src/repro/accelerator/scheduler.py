@@ -22,7 +22,7 @@ makes naive aging mitigation ineffective for DNN workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class WeightBlock:
     index: int
     words: np.ndarray
     region: int = 0
-    layer_names: Tuple[str, ...] = ()
 
     @property
     def num_words(self) -> int:
@@ -113,8 +112,8 @@ class WeightStreamScheduler:
     # ------------------------------------------------------------------ #
     # Stream generation
     # ------------------------------------------------------------------ #
-    def _iter_layer_words(self) -> Iterator[Tuple[str, np.ndarray]]:
-        """Yield ``(layer name, word chunk)`` in Fig. 5 dataflow order."""
+    def _iter_layer_words(self) -> Iterator[np.ndarray]:
+        """Yield the quantized word chunks in Fig. 5 dataflow order."""
         dtype = _storage_dtype(self.geometry.word_bits)
         for layer in self.network.weight_layers():
             # Per-tensor quantization parameters are computed on the whole
@@ -123,31 +122,23 @@ class WeightStreamScheduler:
             layer_words = self.data_format.to_words(
                 np.asarray(layer.weights, dtype=np.float32)).astype(dtype)
             for block in iter_block_slices(layer, self.parallel_filters, self.words_per_block):
-                chunk = _extract_block_words(layer, layer_words, block)
-                yield layer.name, chunk
+                yield _extract_block_words(layer, layer_words, block)
 
     def iter_blocks(self) -> Iterator[WeightBlock]:
         """Yield the packed, memory-sized blocks of one inference."""
         pending: List[np.ndarray] = []
         pending_words = 0
-        pending_layers: List[str] = []
         block_index = 0
         capacity = self.words_per_block
 
-        def emit(words: np.ndarray, layers: Tuple[str, ...]) -> WeightBlock:
+        def emit(words: np.ndarray) -> WeightBlock:
             nonlocal block_index
-            block = WeightBlock(
-                index=block_index,
-                words=words,
-                region=block_index % self.fifo_depth_tiles,
-                layer_names=layers,
-            )
+            block = WeightBlock(index=block_index, words=words,
+                                region=block_index % self.fifo_depth_tiles)
             block_index += 1
             return block
 
-        for layer_name, chunk in self._iter_layer_words():
-            if not pending_layers or pending_layers[-1] != layer_name:
-                pending_layers.append(layer_name)
+        for chunk in self._iter_layer_words():
             position = 0
             while position < chunk.size:
                 take = min(chunk.size - position, capacity - pending_words)
@@ -155,23 +146,16 @@ class WeightStreamScheduler:
                 pending_words += take
                 position += take
                 if pending_words == capacity:
-                    yield emit(np.concatenate(pending), tuple(pending_layers))
+                    yield emit(np.concatenate(pending))
                     pending = []
                     pending_words = 0
-                    pending_layers = [layer_name]
         if pending_words:
             words = np.concatenate(pending)
             if self.pad_final_block:
                 dtype = words.dtype
                 padding = np.zeros(capacity - pending_words, dtype=dtype)
                 words = np.concatenate([words, padding])
-            yield emit(words, tuple(pending_layers))
-
-    def block_bit_matrix(self, block: WeightBlock) -> np.ndarray:
-        """Unpack a block into its ``(words, word_bits)`` bit matrix."""
-        from repro.quantization.bitops import unpack_bits
-
-        return unpack_bits(block.words, self.geometry.word_bits)
+            yield emit(words)
 
     def describe(self) -> dict:
         """Machine-readable description of the schedule."""
@@ -309,14 +293,14 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-#: Anything exposing the scheduler streaming surface the simulators consume:
-#: ``geometry``, ``words_per_block``, ``fifo_depth_tiles``, ``num_blocks``
-#: and ``iter_blocks()``.
-StreamLike = Union[WeightStreamScheduler, "CachedWeightStream"]
-
-
 class PackedBitTensor:
     """One inference's entire block stream as a single packed bit tensor.
+
+    This is the in-memory weight stream: the cold build, the stream store and
+    the bench all hand one of these to the simulators.  It exposes the
+    scheduler's streaming surface (``geometry``, ``words_per_block``,
+    ``fifo_depth_tiles``, ``num_blocks``, :meth:`iter_blocks`,
+    :meth:`describe`), so the explicit cross-check engines replay it too.
 
     The fast aging kernels are whole-tensor reductions; feeding them block by
     block forces a Python loop and an :func:`unpack_bits` call per block.
@@ -349,7 +333,8 @@ class PackedBitTensor:
 
     def __init__(self, bits: np.ndarray, regions: np.ndarray,
                  valid_words: np.ndarray, geometry: MemoryGeometry,
-                 fifo_depth_tiles: int):
+                 fifo_depth_tiles: int,
+                 describe: Optional[Dict[str, Any]] = None):
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.ndim != 3:
             raise ValueError(f"bits must be (blocks, words, word_bits), got {bits.shape}")
@@ -360,6 +345,7 @@ class PackedBitTensor:
             raise ValueError("regions/valid_words length must match the block count")
         self.geometry = geometry
         self.fifo_depth_tiles = int(fifo_depth_tiles)
+        self._describe = dict(describe) if describe else None
         self.word_offsets = np.concatenate(
             [[0], np.cumsum(self.valid_words)[:-1]]).astype(np.int64)
         # The tensor is shared across policy evaluations, scenario phases and
@@ -376,8 +362,8 @@ class PackedBitTensor:
 
     # -- construction ---------------------------------------------------- #
     @classmethod
-    def from_stream(cls, stream: "StreamLike") -> "PackedBitTensor":
-        """Build the tensor from anything exposing the scheduler interface."""
+    def from_stream(cls, stream: WeightStreamScheduler) -> "PackedBitTensor":
+        """Pack a scheduler's stream, recording its ``describe()``."""
         from repro.quantization.bitops import unpack_bits
 
         geometry = stream.geometry
@@ -405,7 +391,46 @@ class PackedBitTensor:
         if count != num_blocks:
             raise ValueError(f"stream yielded {count} blocks but declared {num_blocks}")
         return cls(bits=bits, regions=regions, valid_words=valid, geometry=geometry,
-                   fifo_depth_tiles=stream.fifo_depth_tiles)
+                   fifo_depth_tiles=stream.fifo_depth_tiles,
+                   describe=stream.describe())
+
+    # -- stream surface --------------------------------------------------- #
+    def packed_bits(self) -> "PackedBitTensor":
+        """The stream's packed form: the tensor itself."""
+        return self
+
+    def iter_blocks(self) -> Iterator[WeightBlock]:
+        """Reconstruct the block sequence from the bits, lazily.
+
+        Word values are repacked from the bit tensor with the exact inverse
+        of the build-time unpacking, so the explicit engines replay the
+        stream bit-identically to the scheduler it was packed from.
+        """
+        dtype = _storage_dtype(self.word_bits)
+        from repro.quantization.bitops import pack_bits_to_words
+
+        for index in range(self.num_blocks):
+            valid = int(self.valid_words[index])
+            words = pack_bits_to_words(
+                self.bits[index, :valid], self.word_bits).astype(dtype)
+            yield WeightBlock(index=index, words=_freeze(words),
+                              region=int(self.regions[index]))
+
+    def describe(self) -> Dict[str, Any]:
+        """The schedule description recorded when the stream was built.
+
+        Falls back to the geometry alone when none was recorded.
+        """
+        if self._describe:
+            return dict(self._describe)
+        return {
+            "word_bits": self.word_bits,
+            "memory_capacity_bytes": self.geometry.capacity_bytes,
+            "memory_rows": self.geometry.rows,
+            "words_per_block": self.words_per_block,
+            "fifo_depth_tiles": self.fifo_depth_tiles,
+            "num_blocks_per_inference": self.num_blocks,
+        }
 
     # -- sizing ----------------------------------------------------------- #
     @property
@@ -502,74 +527,3 @@ class PackedBitTensor:
         if self._rows_writes is None:
             self._rows_writes = _freeze(self.rows_sum(self.valid_mask()))
         return self._rows_writes
-
-
-class CachedWeightStream:
-    """A scheduler wrapper that materialises the block list once.
-
-    Evaluating several mitigation policies on the same workload re-streams the
-    same blocks; caching them avoids re-quantizing the network for every
-    policy.  The wrapper exposes the subset of the scheduler interface the
-    aging simulators use, plus :meth:`packed_bits` — the bit-unpacked form of
-    the whole stream, built once and shared by every policy evaluation.
-    """
-
-    def __init__(self, scheduler: WeightStreamScheduler):
-        self._scheduler = scheduler
-        self._blocks = list(scheduler.iter_blocks())
-        # The block list is replayed by every policy evaluation sharing this
-        # stream (and by the explicit cross-check engines); freeze the word
-        # arrays so an encoder that mutated its input would fail fast
-        # instead of corrupting the next evaluation's stream.
-        for block in self._blocks:
-            _freeze(block.words)
-        self._packed: Optional[PackedBitTensor] = None
-
-    @property
-    def geometry(self) -> MemoryGeometry:
-        """Geometry of the underlying weight memory."""
-        return self._scheduler.geometry
-
-    @property
-    def words_per_block(self) -> int:
-        """Words per block of the underlying schedule."""
-        return self._scheduler.words_per_block
-
-    @property
-    def fifo_depth_tiles(self) -> int:
-        """FIFO depth of the underlying schedule."""
-        return self._scheduler.fifo_depth_tiles
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of blocks per inference."""
-        return len(self._blocks)
-
-    def iter_blocks(self) -> Iterator[WeightBlock]:
-        """Yield the cached blocks in order."""
-        return iter(self._blocks)
-
-    def packed_bits(self) -> PackedBitTensor:
-        """The whole stream as one :class:`PackedBitTensor` (built lazily once)."""
-        if self._packed is None:
-            self._packed = PackedBitTensor.from_stream(self)
-        return self._packed
-
-    def describe(self) -> dict:
-        """Description of the underlying schedule."""
-        return self._scheduler.describe()
-
-
-def packed_bit_tensor(stream: Union["StreamLike", PackedBitTensor]) -> PackedBitTensor:
-    """Resolve the packed form of ``stream``, reusing its cache when it has one.
-
-    :class:`CachedWeightStream` (and any stream exposing ``packed_bits()``)
-    returns its shared tensor; bare schedulers are packed on the fly.
-    """
-    if isinstance(stream, PackedBitTensor):
-        return stream
-    packed = getattr(stream, "packed_bits", None)
-    if callable(packed):
-        return packed()
-    return PackedBitTensor.from_stream(stream)
-

@@ -16,7 +16,6 @@ from repro.bench.aging_bench import (
     WEAR_SWAP_OVERHEAD_LIMIT,
     WORKLOAD_BENCH_MODELS,
     BenchCase,
-    SyntheticWeightStream,
     bench_dvfs,
     bench_fleet,
     bench_leveling,
@@ -27,6 +26,7 @@ from repro.bench.aging_bench import (
     default_leveling_case,
     render_bench_report,
     run_aging_bench,
+    synthetic_weight_stream,
     verify_leveling_against_explicit,
     verify_scenario_against_explicit,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "WEAR_SWAP_OVERHEAD_LIMIT",
     "WORKLOAD_BENCH_MODELS",
     "BenchCase",
-    "SyntheticWeightStream",
     "bench_dvfs",
     "bench_fleet",
     "bench_leveling",
@@ -52,6 +51,7 @@ __all__ = [
     "default_leveling_case",
     "render_bench_report",
     "run_aging_bench",
+    "synthetic_weight_stream",
     "verify_leveling_against_explicit",
     "verify_scenario_against_explicit",
 ]

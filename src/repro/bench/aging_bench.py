@@ -24,19 +24,19 @@ import numpy as np
 
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
-from repro.accelerator.scheduler import PackedBitTensor, WeightBlock
+from repro.accelerator.scheduler import PackedBitTensor
 from repro.core.policies import MitigationPolicy, make_policy
 from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
 from repro.experiments.aging_runner import build_workload_stream
 from repro.experiments.common import ExperimentScale
 from repro.memory.geometry import MemoryGeometry
-from repro.quantization.bitops import random_words
+from repro.quantization.bitops import random_words, unpack_bits
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.units import KB
 from repro.utils.validation import check_positive_int
 
 #: Schema tag stamped into every benchmark payload.
-BENCH_SCHEMA = "dnn-life-bench/v2"
+BENCH_SCHEMA = "dnn-life-bench/v3"
 
 #: Default output file of ``dnn-life bench``.
 DEFAULT_OUTPUT = "BENCH_aging.json"
@@ -48,65 +48,45 @@ BENCH_POLICIES = ("none", "inversion", "barrel_shifter", "dnn_life")
 _DETERMINISTIC = ("none", "inversion", "inversion_per_location", "barrel_shifter")
 
 
-class SyntheticWeightStream:
-    """A scheduler-compatible stream of biased random weight words.
+def synthetic_weight_stream(geometry: MemoryGeometry, num_blocks: int,
+                            fifo_depth_tiles: int = 1, seed: SeedLike = 0,
+                            probability_of_one: float = 0.35) -> PackedBitTensor:
+    """A packed stream of biased random weight words.
 
     Lets the bench exercise configurations no registered data format reaches
     (the paper's 64-bit-word accountings) without quantizing a real network:
     the words are random with a DNN-like bit bias, the block structure and
-    region placement mirror :class:`~repro.accelerator.scheduler.WeightStreamScheduler`.
+    round-robin region placement mirror
+    :class:`~repro.accelerator.scheduler.WeightStreamScheduler`.
     """
-
-    def __init__(self, geometry: MemoryGeometry, num_blocks: int,
-                 fifo_depth_tiles: int = 1, seed: SeedLike = 0,
-                 probability_of_one: float = 0.35):
-        self.geometry = geometry
-        self.fifo_depth_tiles = check_positive_int(fifo_depth_tiles, "fifo_depth_tiles")
-        if geometry.rows % self.fifo_depth_tiles != 0:
-            raise ValueError(f"{geometry.rows} rows cannot be divided into "
-                             f"{fifo_depth_tiles} FIFO tiles")
-        check_positive_int(num_blocks, "num_blocks")
-        rng = as_rng(seed)
-        words = random_words(rng, num_blocks * self.words_per_block,
-                             geometry.word_bits, probability_of_one)
-        self._words = words.reshape(num_blocks, self.words_per_block)
-        self._packed: Optional[PackedBitTensor] = None
-
-    @property
-    def words_per_block(self) -> int:
-        """Words per block (one FIFO tile, or the whole memory)."""
-        return self.geometry.rows // self.fifo_depth_tiles
-
-    @property
-    def num_blocks(self) -> int:
-        """Blocks streamed per inference."""
-        return int(self._words.shape[0])
-
-    def iter_blocks(self):
-        """Yield the synthetic blocks with round-robin region placement."""
-        for index in range(self.num_blocks):
-            yield WeightBlock(index=index, words=self._words[index],
-                              region=index % self.fifo_depth_tiles,
-                              layer_names=("synthetic",))
-
-    def packed_bits(self) -> PackedBitTensor:
-        """The stream's packed bit tensor (built lazily once)."""
-        if self._packed is None:
-            self._packed = PackedBitTensor.from_stream(self)
-        return self._packed
-
-    def describe(self) -> dict:
-        """Machine-readable description of the synthetic schedule."""
-        return {
+    check_positive_int(fifo_depth_tiles, "fifo_depth_tiles")
+    if geometry.rows % fifo_depth_tiles != 0:
+        raise ValueError(f"{geometry.rows} rows cannot be divided into "
+                         f"{fifo_depth_tiles} FIFO tiles")
+    check_positive_int(num_blocks, "num_blocks")
+    words_per_block = geometry.rows // fifo_depth_tiles
+    words = random_words(as_rng(seed), num_blocks * words_per_block,
+                         geometry.word_bits, probability_of_one)
+    bits = np.empty((num_blocks, words_per_block, geometry.word_bits),
+                    dtype=np.uint8)
+    for index in range(num_blocks):
+        bits[index] = unpack_bits(
+            words[index * words_per_block:(index + 1) * words_per_block],
+            geometry.word_bits)
+    return PackedBitTensor(
+        bits=bits, regions=np.arange(num_blocks) % fifo_depth_tiles,
+        valid_words=np.full(num_blocks, words_per_block),
+        geometry=geometry, fifo_depth_tiles=fifo_depth_tiles,
+        describe={
             "network": "synthetic",
-            "word_bits": self.geometry.word_bits,
-            "memory_capacity_bytes": self.geometry.capacity_bytes,
-            "memory_rows": self.geometry.rows,
-            "words_per_block": self.words_per_block,
-            "fifo_depth_tiles": self.fifo_depth_tiles,
-            "total_weight_words": int(self._words.size),
-            "num_blocks_per_inference": self.num_blocks,
-        }
+            "word_bits": geometry.word_bits,
+            "memory_capacity_bytes": geometry.capacity_bytes,
+            "memory_rows": geometry.rows,
+            "words_per_block": words_per_block,
+            "fifo_depth_tiles": fifo_depth_tiles,
+            "total_weight_words": int(words.size),
+            "num_blocks_per_inference": num_blocks,
+        })
 
 
 @dataclass(frozen=True)
@@ -140,9 +120,9 @@ class BenchCase:
         if self.network is None:
             geometry = MemoryGeometry(capacity_bytes=self.memory_kb * KB,
                                       word_bits=self.word_bits)
-            return SyntheticWeightStream(geometry, self.num_blocks,
-                                         fifo_depth_tiles=self.fifo_depth_tiles,
-                                         seed=seed)
+            return synthetic_weight_stream(geometry, self.num_blocks,
+                                           fifo_depth_tiles=self.fifo_depth_tiles,
+                                           seed=seed)
         from dataclasses import replace
 
         config = replace(baseline_config(), name=f"bench_{self.name}",
@@ -264,8 +244,7 @@ def _bench_stream_store(case: BenchCase, stream, cold_seconds: float,
     from repro.streamstore import (StreamStore, packed_content_sha256,
                                    stream_store_key)
 
-    packed = stream.packed_bits()
-    built_sha = packed_content_sha256(packed)
+    built_sha = packed_content_sha256(stream)
     created = None
     if store is None:
         created = tempfile.TemporaryDirectory(prefix="dnn-life-bench-streams-")
@@ -273,11 +252,10 @@ def _bench_stream_store(case: BenchCase, stream, cold_seconds: float,
     try:
         kind = "synthetic" if case.network is None else "workload"
         key = stream_store_key(kind, case.store_identity(seed))
-        store.put(key, packed, describe=stream.describe())
+        store.put(key, stream, describe=stream.describe())
         warm_seconds, loaded = _best_of(repeats, store.load_stream, key)
         hit = loaded is not None
-        loaded_sha = (packed_content_sha256(loaded.packed_bits())
-                      if hit else None)
+        loaded_sha = packed_content_sha256(loaded) if hit else None
         return {
             "key": key,
             "cold_build_seconds": cold_seconds,
@@ -297,9 +275,9 @@ def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
                stream_store=None) -> Dict[str, object]:
     """Time the packed engine across the case's policy suite.
 
-    The packed tensor build is timed separately and charged to the total:
-    it is the one-time cost every policy evaluation after the first gets for
-    free.  The ``stream_store`` entry of the result records the store's
+    The stream build (quantize and pack) is timed separately and charged to
+    the total: it is the one-time cost every policy evaluation after the
+    first gets for free.  The ``stream_store`` entry of the result records the store's
     cold-build vs warm-mmap-load trade for this case (measured against
     ``stream_store`` or an ephemeral one).
     """
@@ -307,10 +285,8 @@ def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
     stream = case.build_stream(seed=seed)
     stream_build_seconds = time.perf_counter() - build_start
 
-    packed_build_seconds, packed = _best_of(1, stream.packed_bits)
-
     policies: Dict[str, Dict[str, object]] = {}
-    packed_total = packed_build_seconds
+    packed_total = stream_build_seconds
     for policy_name in case.policies:
         def run():
             return AgingSimulator(stream, _policy_for(case, policy_name, seed),
@@ -327,11 +303,10 @@ def bench_case(case: BenchCase, repeats: int = 3, seed: int = 0,
     return {
         "case": case.describe(),
         "stream": stream.describe(),
-        "packed_tensor_bytes": packed.nbytes,
+        "packed_tensor_bytes": stream.nbytes,
         "stream_build_seconds": stream_build_seconds,
-        "packed_build_seconds": packed_build_seconds,
         "stream_store": _bench_stream_store(
-            case, stream, cold_seconds=stream_build_seconds + packed_build_seconds,
+            case, stream, cold_seconds=stream_build_seconds,
             seed=seed, repeats=repeats, store=stream_store),
         "policies": policies,
         "packed_total_seconds": packed_total,

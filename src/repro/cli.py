@@ -533,11 +533,28 @@ def _cmd_cache_streams(args: argparse.Namespace) -> Any:
             "orphan_bytes": orphan_bytes}
 
 
+def _validate_environment() -> None:
+    """Reject a malformed integer override in the environment up front."""
+    from repro.experiments.aging_runner import STREAM_CACHE_SIZE_ENV
+    from repro.orchestration.sweep import MAX_WORKERS_ENV
+
+    for name in (STREAM_CACHE_SIZE_ENV, MAX_WORKERS_ENV):
+        value = os.environ.get(name, "")
+        try:
+            valid = value == "" or int(value) >= 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be a non-negative integer, "
+                             f"got {value!r}")
+
+
 def _validate_user_input(args: argparse.Namespace) -> None:
     """Resolve the experiment name and parameters named on the command line.
 
     Raises the registry's ``KeyError``/``ValueError``/``TypeError`` for
-    unknown experiments, unknown parameters or values failing the schema.
+    unknown experiments, unknown parameters or values failing the schema,
+    and a ``ValueError`` for a malformed integer environment override.
     Validation runs *before* any experiment executes, so ``main`` can map
     these to a clean usage error without masking genuine runtime failures.
     The per-experiment subcommands (``dnn-life aging --inferences -5``,
@@ -545,6 +562,7 @@ def _validate_user_input(args: argparse.Namespace) -> None:
     schema, so a non-positive duration or an unknown phase token is a
     one-line usage error there too.
     """
+    _validate_environment()
     if args.command == "run":
         spec = REGISTRY.get(args.experiment)
         spec.resolve(dict(args.assignments), full=args.full)

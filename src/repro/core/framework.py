@@ -43,7 +43,7 @@ from repro.utils.tables import AsciiTable
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
-    from repro.accelerator.scheduler import WeightStreamScheduler
+    from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
     from repro.accelerator.tpu import TpuLikeNpu
     from repro.experiments.common import ExperimentScale
     from repro.leveling.remap import WearLeveler
@@ -153,6 +153,7 @@ class DnnLife:
         self.scenario = scenario
         if not network.has_weights_attached:
             attach_synthetic_weights(network, seed=seed_value(seed))
+        self._stream: Optional["PackedBitTensor"] = None
 
     # ------------------------------------------------------------------ #
     # Design-time analysis (Sec. III)
@@ -176,6 +177,15 @@ class DnnLife:
         """Weight-stream scheduler of the configured accelerator/workload."""
         return self.accelerator.build_scheduler(self.network, self.data_format)
 
+    def _packed_stream(self) -> "PackedBitTensor":
+        """The workload's packed weight stream, built once and shared by
+        every :meth:`simulate` call."""
+        if self._stream is None:
+            from repro.accelerator.scheduler import PackedBitTensor
+
+            self._stream = PackedBitTensor.from_stream(self.build_scheduler())
+        return self._stream
+
     def simulate(self, policy: Union[str, MitigationPolicy, None] = None,
                  **policy_kwargs) -> AgingResult:
         """Simulate aging under one mitigation policy.
@@ -198,7 +208,7 @@ class DnnLife:
             return self.simulate_scenario().effective
         resolved = self._resolve_policy(policy, **policy_kwargs)
         simulator = AgingSimulator(
-            scheduler=self.build_scheduler(),
+            scheduler=self._packed_stream(),
             policy=resolved,
             num_inferences=self.num_inferences,
             seed=self.seed,

@@ -341,8 +341,8 @@ def _snm_model_from_payload(payload: Dict[str, object]) -> SnmDegradationModel:
 # --------------------------------------------------------------------------- #
 # Explicit (exact, slow) engine
 # --------------------------------------------------------------------------- #
-def replay_inference(stream: WeightStreamScheduler, policy: MitigationPolicy,
-                     ones: np.ndarray,
+def replay_inference(stream: Union[PackedBitTensor, WeightStreamScheduler],
+                     policy: MitigationPolicy, ones: np.ndarray,
                      writes: np.ndarray, remap: Optional[np.ndarray] = None,
                      stored: Optional[np.ndarray] = None) -> None:
     """Replay one inference epoch's block writes through ``policy``.
@@ -383,8 +383,8 @@ def replay_inference(stream: WeightStreamScheduler, policy: MitigationPolicy,
             stored[target] = bits
 
 
-def replay_epochs(stream: WeightStreamScheduler, policy: MitigationPolicy,
-                  start: int, stop: int,
+def replay_epochs(stream: Union[PackedBitTensor, WeightStreamScheduler],
+                  policy: MitigationPolicy, start: int, stop: int,
                   leveler: Optional["WearLeveler"] = None,
                   prior_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                   stored: Optional[np.ndarray] = None
@@ -433,7 +433,8 @@ class ExplicitAgingSimulator:
     encoder and the array, exactly as the hardware would place it).
     """
 
-    def __init__(self, scheduler: WeightStreamScheduler, policy: MitigationPolicy,
+    def __init__(self, scheduler: Union[PackedBitTensor, WeightStreamScheduler],
+                 policy: MitigationPolicy,
                  num_inferences: int = 100,
                  snm_model: Optional[SnmDegradationModel] = None,
                  leveler: Optional["WearLeveler"] = None):
@@ -468,8 +469,7 @@ class AgingSimulator:
 
     The whole block stream is quantized and bit-unpacked *once* into a
     :class:`~repro.accelerator.scheduler.PackedBitTensor` (reused across
-    policies when the stream is a
-    :class:`~repro.accelerator.scheduler.CachedWeightStream`), and every
+    policies when the stream passed in already is one), and every
     policy kernel is a handful of whole-tensor NumPy reductions with no
     per-block Python loop; schedules with an unpadded final block are
     supported.  For the deterministic policies the duty-cycles are
@@ -478,7 +478,8 @@ class AgingSimulator:
     same binomial law in a different RNG order).
     """
 
-    def __init__(self, scheduler: WeightStreamScheduler, policy: MitigationPolicy,
+    def __init__(self, scheduler: Union[PackedBitTensor, WeightStreamScheduler],
+                 policy: MitigationPolicy,
                  num_inferences: int = 100, seed: SeedLike = None,
                  snm_model: Optional[SnmDegradationModel] = None,
                  leveler: Optional["WearLeveler"] = None):
@@ -657,11 +658,11 @@ class AgingSimulator:
     # Packed engine: whole-tensor kernels over the PackedBitTensor
     # ------------------------------------------------------------------ #
     def _packed(self) -> PackedBitTensor:
-        """The stream's packed bit tensor (shared via the stream's cache)."""
+        """The stream's packed bit tensor: the stream itself when it is one,
+        else the bare scheduler packed once for this simulator."""
         if self._packed_tensor is None:
-            from repro.accelerator.scheduler import packed_bit_tensor
-
-            packed = packed_bit_tensor(self.scheduler)
+            packed = (self.scheduler if isinstance(self.scheduler, PackedBitTensor)
+                      else PackedBitTensor.from_stream(self.scheduler))
             rows = self.scheduler.geometry.rows
             if packed.words_per_block * packed.fifo_depth_tiles != rows:
                 raise ValueError(

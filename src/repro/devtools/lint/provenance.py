@@ -52,8 +52,10 @@ CACHED_METHODS: FrozenSet[str] = frozenset({
 #: Methods returning the shared :class:`PackedBitTensor` itself.
 PACKED_METHODS: FrozenSet[str] = frozenset({"packed_bits", "_packed"})
 
-#: Functions (by bare name) returning the shared packed tensor.
-PACKED_FACTORIES: FrozenSet[str] = frozenset({"packed_bit_tensor"})
+#: Functions (by bare name) returning a shared packed stream.
+PACKED_FACTORIES: FrozenSet[str] = frozenset({
+    "build_workload_stream", "synthetic_weight_stream",
+})
 
 #: Classes whose instances are packed tensors (``self`` inside their methods
 #: is tagged ``packed`` so internal aliasing is tracked too).

@@ -236,17 +236,16 @@ class CachedBufferMutationRule(Rule):
     """DL004: cached packed buffers are shared — never write through them.
 
     ``PackedBitTensor.bits`` / ``rows_ones()`` / ``rows_writes()`` /
-    ``valid_mask()`` and ``CachedWeightStream.packed_bits()`` results are
-    computed once and shared across policy evaluations and sweep jobs; an
-    in-place op on them (or any alias) silently corrupts every later
-    consumer.  The arrays are also frozen at runtime
+    ``valid_mask()`` results are computed once and shared across policy
+    evaluations and sweep jobs; an in-place op on them (or any alias)
+    silently corrupts every later consumer.  The arrays are also frozen at runtime
     (``setflags(write=False)``), so anything this rule misses fails fast.
     """
 
     code = "DL004"
     name = "cached-buffer-mutation"
-    summary = ("in-place writes to PackedBitTensor/CachedWeightStream cached "
-               "buffers corrupt every sharer; work on a .copy()")
+    summary = ("in-place writes to PackedBitTensor cached buffers corrupt "
+               "every sharer; work on a .copy()")
 
     def _is_cached(self, ctx: ModuleContext, node: ast.expr) -> bool:
         return "cached" in ctx.tracker.tags(node)

@@ -5,8 +5,8 @@ Besides the policy-evaluation helpers this module hosts the process-local
 network and (for the packed fast engine) bit-unpacking every block, which is
 by far the most expensive part of an aging design point.  Sweep jobs that
 share a (network, format, memory geometry, scale, seed) therefore reuse one
-:class:`~repro.accelerator.scheduler.CachedWeightStream` — and its packed bit
-tensor — instead of rebuilding it per job.  The cache lives per process, so
+:class:`~repro.accelerator.scheduler.PackedBitTensor` instead of rebuilding
+it per job.  The cache lives per process, so
 every worker of a :class:`~repro.orchestration.sweep.SweepRunner` pool warms
 its own copy once and serves all subsequent jobs with stream affinity from
 memory.
@@ -17,7 +17,7 @@ memory-mapped from disk when a previous process already built the same
 stream, and cold builds are persisted for the next process.  The LRU and
 the store are independent layers — ``DNN_LIFE_STREAM_CACHE=0`` disables
 only the in-memory LRU, ``DNN_LIFE_STREAM_STORE=0`` only the on-disk
-store; ``reuse=False`` bypasses both.
+store.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.accelerator.scheduler import CachedWeightStream
+from repro.accelerator.scheduler import PackedBitTensor
 from repro.aging.snm import SnmDegradationModel, default_degradation_bins, default_snm_model
 from repro.core.policies import MitigationPolicy
 from repro.core.simulation import AgingSimulator
 from repro.experiments.common import ExperimentScale, reduce_network
 from repro.nn.models import build_model
 from repro.nn.weights import attach_synthetic_weights
-from repro.streamstore import (StoredWeightStream, StreamStore,
-                               resolve_stream_store, stream_store_key)
+from repro.streamstore import (StreamStore, resolve_stream_store,
+                               stream_store_key)
 from repro.utils.serialization import canonical_json
 from repro.utils.tables import format_histogram
 
@@ -47,12 +47,8 @@ STREAM_CACHE_SIZE_ENV = "DNN_LIFE_STREAM_CACHE"
 #: Default number of (network, format, geometry, scale, seed) streams kept.
 _DEFAULT_STREAM_CACHE_SIZE = 4
 
-#: A workload stream as served by :func:`build_workload_stream`: freshly
-#: built, or memory-mapped back from the on-disk stream store.
-WorkloadStream = Union[CachedWeightStream, "StoredWeightStream"]
-
 #: Process-local LRU of workload streams, keyed by the workload signature.
-_STREAM_CACHE: "OrderedDict[str, WorkloadStream]" = OrderedDict()
+_STREAM_CACHE: "OrderedDict[str, PackedBitTensor]" = OrderedDict()
 
 
 def _stream_cache_size() -> int:
@@ -112,15 +108,14 @@ def evaluate_policies_on_stream(stream, policies: Iterable[MitigationPolicy],
 
 def build_workload_stream(network_name: str, accelerator, data_format: str,
                           scale: ExperimentScale, seed: int = 0,
-                          reuse: bool = True,
                           store: Union[str, StreamStore, None] = "auto"
-                          ) -> WorkloadStream:
-    """Build (or fetch) the cached weight stream for one workload.
+                          ) -> PackedBitTensor:
+    """Build (or fetch) the packed weight stream for one workload.
 
-    With ``reuse`` (the default) the stream is served from the process-local
-    LRU when an identical workload was built before, so consecutive design
-    points sharing a (network, format, geometry, scale, seed) — e.g. a policy
-    sweep — quantize and bit-unpack the network exactly once per process.
+    The stream is served from the process-local LRU when an identical
+    workload was built before, so consecutive design points sharing a
+    (network, format, geometry, scale, seed) — e.g. a policy sweep —
+    quantize and bit-unpack the network exactly once per process.
     Set ``DNN_LIFE_STREAM_CACHE=0`` to disable, or a higher value to keep
     more workloads resident.
 
@@ -129,10 +124,11 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
     disabled) is memory-mapped instead of rebuilt, and a cold build is
     persisted for the next consumer.  ``store="auto"`` resolves
     ``DNN_LIFE_STREAM_STORE``; a :class:`StreamStore` pins one explicitly;
-    ``None`` skips the store.  ``reuse=False`` bypasses both layers and
-    always builds fresh (and never persists).
+    ``None`` skips the store.  A cold build is a plain
+    :class:`PackedBitTensor`; a store hit is a
+    :class:`~repro.streamstore.StoredWeightStream`.
     """
-    capacity = _stream_cache_size() if reuse else 0
+    capacity = _stream_cache_size()
     identity = _workload_identity(network_name, accelerator, data_format,
                                   scale, seed)
     key = canonical_json(identity)
@@ -144,7 +140,7 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
 
     resolved_store: Optional[StreamStore] = None
     store_key: Optional[str] = None
-    if reuse and store is not None:
+    if store is not None:
         resolved_store = (resolve_stream_store(None) if store == "auto"
                           else store if isinstance(store, StreamStore)
                           else resolve_stream_store(store))
@@ -161,16 +157,15 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
     network = reduce_network(build_model(network_name), scale.max_weights_per_layer)
     network = attach_synthetic_weights(network, seed=seed)
     scheduler = accelerator.build_scheduler(network, data_format)
-    stream = CachedWeightStream(scheduler)
+    stream = PackedBitTensor.from_stream(scheduler)
     if resolved_store is not None and store_key is not None:
-        resolved_store.offer(store_key, stream.packed_bits(),
-                             describe=stream.describe())
+        resolved_store.offer(store_key, stream, describe=stream.describe())
     if capacity:
         _insert_cached(key, stream, capacity)
     return stream
 
 
-def _insert_cached(key: str, stream: WorkloadStream, capacity: int) -> None:
+def _insert_cached(key: str, stream: PackedBitTensor, capacity: int) -> None:
     """LRU insert with eviction down to ``capacity`` entries."""
     _STREAM_CACHE[key] = stream
     _STREAM_CACHE.move_to_end(key)

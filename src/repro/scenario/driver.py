@@ -77,15 +77,14 @@ __all__ = [
     "scenario_stream_factory",
 ]
 
-#: A stream factory maps an active :class:`Phase` to a scheduler-compatible
-#: weight stream (anything exposing ``geometry`` / ``iter_blocks`` / ...).
+#: A stream factory maps an active :class:`Phase` to its weight stream: a
+#: :class:`~repro.accelerator.scheduler.PackedBitTensor` or a bare scheduler.
 StreamFactory = Callable[[Phase], object]
 
 
 def scenario_stream_factory(accelerator: Optional[object] = None,
                             scale: Optional["ExperimentScale"] = None,
-                            seed: int = 0,
-                            reuse: bool = True) -> StreamFactory:
+                            seed: int = 0) -> StreamFactory:
     """The default stream factory: model-zoo networks on one accelerator.
 
     Streams are built through the experiment layer's process-local stream
@@ -105,7 +104,7 @@ def scenario_stream_factory(accelerator: Optional[object] = None,
         resolved_scale = scale or ExperimentScale.quick()
         return build_workload_stream(phase.network, accelerator,
                                      phase.data_format, resolved_scale,
-                                     seed=seed, reuse=reuse)
+                                     seed=seed)
 
     return factory
 

@@ -57,6 +57,7 @@ __all__ = [
     "ORPHAN_AGE_GUARD_SECONDS",
     "STORE_SCHEMA",
     "STREAM_STORE_ENV",
+    "StoredWeightStream",
     "StreamStore",
     "active_stream_store",
     "default_stream_store_dir",
@@ -205,6 +206,19 @@ def packed_content_sha256(packed: PackedBitTensor) -> str:
     return digest.hexdigest()
 
 
+class StoredWeightStream(PackedBitTensor):
+    """A packed weight stream memory-mapped back from the stream store.
+
+    Identical to a freshly built :class:`PackedBitTensor` apart from
+    :attr:`store_key`, the entry it was read from; the type itself marks a
+    stream that came back from disk rather than from a cold build.
+    """
+
+    def __init__(self, *args: Any, store_key: str, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.store_key = store_key
+
+
 class StreamStore:
     """Content-addressed store of :class:`PackedBitTensor` payloads.
 
@@ -319,9 +333,11 @@ class StreamStore:
             return False
 
     # -- loading ------------------------------------------------------------- #
-    def _load(self, key: str
-              ) -> Optional[Tuple[PackedBitTensor, Dict[str, Any]]]:
-        """Load an entry, or ``None`` on a miss/corrupt entry (counted)."""
+    def load_stream(self, key: str) -> Optional[StoredWeightStream]:
+        """The stored stream for ``key``, memmapped, or ``None``.
+
+        Misses and corrupt entries both read as ``None`` (and are counted).
+        """
         manifest_path = self.manifest_path(key)
         if not manifest_path.is_file():
             self.misses += 1
@@ -345,10 +361,11 @@ class StreamStore:
             geometry = MemoryGeometry(
                 capacity_bytes=int(manifest["geometry"]["capacity_bytes"]),
                 word_bits=int(manifest["geometry"]["word_bits"]))
-            packed = PackedBitTensor(
+            packed = StoredWeightStream(
                 bits=segments["bits"], regions=segments["regions"],
                 valid_words=segments["valid_words"], geometry=geometry,
-                fifo_depth_tiles=int(manifest["fifo_depth_tiles"]))
+                fifo_depth_tiles=int(manifest["fifo_depth_tiles"]),
+                describe=manifest.get("describe"), store_key=key)
             # Pre-seed the lazy mask with the persisted segment: mode='r'
             # memmaps are already non-writeable, satisfying the cache's
             # read-only contract without a recompute.
@@ -373,23 +390,10 @@ class StreamStore:
             os.utime(manifest_path)  # refresh mtime == last-used, for gc()
         except OSError:
             pass
-        return packed, manifest
+        return packed
 
-    def get(self, key: str) -> Optional[PackedBitTensor]:
-        """The stored packed tensor for ``key``, memmapped, or ``None``."""
-        loaded = self._load(key)
-        return None if loaded is None else loaded[0]
-
-    def load_stream(self, key: str) -> Optional["StoredWeightStream"]:
-        """The stored entry as a stream-compatible wrapper, or ``None``."""
-        from repro.streamstore.stream import StoredWeightStream
-
-        loaded = self._load(key)
-        if loaded is None:
-            return None
-        packed, manifest = loaded
-        return StoredWeightStream(packed, describe=dict(manifest["describe"]),
-                                  key=key)
+    #: The same lookup under its short name.
+    get = load_stream
 
     # -- maintenance --------------------------------------------------------- #
     def _manifest_paths(self) -> Iterator[Path]:

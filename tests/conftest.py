@@ -52,6 +52,24 @@ def _restore_stream_store_env():
 
 
 @pytest.fixture
+def pack_calls(monkeypatch):
+    """Start recording the streams ``PackedBitTensor.from_stream`` packs.
+
+    Calling the fixture installs the recorder and returns the (live) list.
+    """
+    from repro.accelerator.scheduler import PackedBitTensor
+
+    def install():
+        calls = []
+        original = PackedBitTensor.from_stream.__func__
+        monkeypatch.setattr(PackedBitTensor, "from_stream", classmethod(
+            lambda cls, stream: calls.append(stream) or original(cls, stream)))
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def rng():
     """A seeded random generator."""
     return np.random.default_rng(1234)

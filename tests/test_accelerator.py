@@ -16,7 +16,7 @@ from repro.accelerator.dataflow import (
     validate_block_coverage,
 )
 from repro.accelerator.pe_array import AccumulationUnit, PeArray, ProcessingElement
-from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler
+from repro.accelerator.scheduler import WeightStreamScheduler
 from repro.accelerator.tpu import TpuLikeNpu
 from repro.utils.units import KB, MB
 
@@ -165,15 +165,6 @@ class TestScheduler:
         description = tiny_scheduler.describe()
         assert description["num_blocks_per_inference"] == tiny_scheduler.num_blocks
         assert description["data_format"] == "int8_symmetric"
-
-    def test_cached_stream_equivalent(self, tiny_scheduler):
-        cached = CachedWeightStream(tiny_scheduler)
-        assert cached.num_blocks == tiny_scheduler.num_blocks
-        original = list(tiny_scheduler.iter_blocks())
-        for cached_block, original_block in zip(cached.iter_blocks(), original):
-            assert np.array_equal(cached_block.words, original_block.words)
-        # The cache can be iterated multiple times.
-        assert sum(1 for _ in cached.iter_blocks()) == cached.num_blocks
 
     def test_blocks_per_region_sums_to_num_blocks(self, tiny_fifo_scheduler):
         assert tiny_fifo_scheduler.blocks_per_region.sum() == tiny_fifo_scheduler.num_blocks

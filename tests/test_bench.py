@@ -8,12 +8,12 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA,
     BenchCase,
-    SyntheticWeightStream,
     bench_fleet,
     bench_workloads,
     default_bench_cases,
     render_bench_report,
     run_aging_bench,
+    synthetic_weight_stream,
 )
 from repro.bench.aging_bench import BENCH_POLICIES
 from repro.cli import main
@@ -27,31 +27,31 @@ def smoke_payload():
     return run_aging_bench(cases, repeats=1, verify=True)
 
 
-class TestSyntheticWeightStream:
+class TestSyntheticStream:
     def test_block_structure(self):
         geometry = MemoryGeometry(capacity_bytes=1024, word_bits=64)
-        stream = SyntheticWeightStream(geometry, num_blocks=6, fifo_depth_tiles=2,
-                                       seed=0)
+        stream = synthetic_weight_stream(geometry, num_blocks=6, fifo_depth_tiles=2,
+                                         seed=0)
         blocks = list(stream.iter_blocks())
         assert len(blocks) == 6
         assert all(block.num_words == stream.words_per_block for block in blocks)
         assert [block.region for block in blocks] == [0, 1, 0, 1, 0, 1]
-        packed = stream.packed_bits()
-        assert packed.bits.shape == (6, stream.words_per_block, 64)
-        assert stream.packed_bits() is packed
+        assert stream.bits.shape == (6, stream.words_per_block, 64)
+        assert stream.packed_bits() is stream
+        assert stream.describe()["network"] == "synthetic"
 
     def test_bias_shapes_bit_density(self):
         geometry = MemoryGeometry(capacity_bytes=4096, word_bits=8)
-        dense = SyntheticWeightStream(geometry, num_blocks=4, seed=0,
-                                      probability_of_one=0.9)
-        sparse = SyntheticWeightStream(geometry, num_blocks=4, seed=0,
-                                       probability_of_one=0.1)
-        assert dense.packed_bits().bits.mean() > sparse.packed_bits().bits.mean()
+        dense = synthetic_weight_stream(geometry, num_blocks=4, seed=0,
+                                        probability_of_one=0.9)
+        sparse = synthetic_weight_stream(geometry, num_blocks=4, seed=0,
+                                         probability_of_one=0.1)
+        assert dense.bits.mean() > sparse.bits.mean()
 
     def test_rejects_indivisible_fifo(self):
         geometry = MemoryGeometry(capacity_bytes=1024, word_bits=8)
         with pytest.raises(ValueError):
-            SyntheticWeightStream(geometry, num_blocks=2, fifo_depth_tiles=3)
+            synthetic_weight_stream(geometry, num_blocks=2, fifo_depth_tiles=3)
 
 
 class TestBenchHarness:

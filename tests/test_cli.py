@@ -248,6 +248,25 @@ class TestFriendlyValidation:
                      "lenet5:int8:none|lenet5:float32:none"]) == 2
         assert "word width" in self._error_line(capsys)
 
+    def test_malformed_stream_cache_env_is_a_usage_error(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "abc")
+        assert main(["--no-cache", "run", "aging", "--set", "network=lenet5",
+                     "--set", "weight_memory_kb=32",
+                     "--set", "num_inferences=4"]) == 2
+        assert self._error_line(capsys) == (
+            "dnn-life: error: DNN_LIFE_STREAM_CACHE must be a non-negative "
+            "integer, got 'abc'")
+
+    def test_malformed_max_workers_env_is_a_usage_error(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("DNN_LIFE_MAX_WORKERS", "two")
+        assert main(["sweep", "aging", "--grid", "network=lenet5",
+                     "--grid", "num_inferences=2,3"]) == 2
+        assert self._error_line(capsys) == (
+            "dnn-life: error: DNN_LIFE_MAX_WORKERS must be a non-negative "
+            "integer, got 'two'")
+
 
 class TestStreamStoreCli:
     """The ``--stream-store`` controls and the ``cache --streams`` view."""

@@ -112,6 +112,15 @@ class TestDnnLifeSimulation:
         assert len(comparison.labels()) == 6
         assert "DNN-Life" in comparison.best_policy()
 
+    def test_compare_policies_packs_the_stream_once(self, mnist_framework,
+                                                    pack_calls):
+        calls = pack_calls()
+        comparison = mnist_framework.compare_policies()
+        assert len(comparison.labels()) == 6
+        assert len(calls) == 1
+        mnist_framework.simulate("none")
+        assert len(calls) == 1
+
     def test_compare_policies_custom_list(self, mnist_framework):
         comparison = mnist_framework.compare_policies(["none", "dnn_life"])
         assert len(comparison.labels()) == 2

@@ -9,7 +9,7 @@ for the stochastic DNN-Life policy.
 import numpy as np
 import pytest
 
-from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler
+from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.core.policies import (
     BarrelShifterPolicy,
     DnnLifePolicy,
@@ -235,7 +235,7 @@ class TestPackedEngineEquivalence:
         blocks = list(scheduler.iter_blocks())
         assert ((blocks[-1].num_words < scheduler.words_per_block)
                 is not pad_final_block)
-        stream = CachedWeightStream(scheduler)
+        stream = PackedBitTensor.from_stream(scheduler)
         packed = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
                                 num_inferences=num_inferences, seed=0).run()
         explicit = ExplicitAgingSimulator(
@@ -265,7 +265,7 @@ class TestPackedEngineEquivalence:
         assert fast_dev == pytest.approx(reference_dev, rel=0.15)
 
     def test_packed_tensor_shared_between_policies(self, tiny_scheduler):
-        stream = CachedWeightStream(tiny_scheduler)
+        stream = PackedBitTensor.from_stream(tiny_scheduler)
         first = AgingSimulator(stream, NoMitigationPolicy(), num_inferences=2)
         first.run()
         second = AgingSimulator(stream, BarrelShifterPolicy(8), num_inferences=2)

@@ -221,7 +221,7 @@ class TestAblations:
 class TestStreamCache:
     """The process-local workload-stream cache in aging_runner."""
 
-    def _build(self, seed=0, memory_kb=16, reuse=True):
+    def _build(self, seed=0, memory_kb=16):
         from dataclasses import replace
 
         from repro.accelerator.baseline import BaselineAccelerator
@@ -235,7 +235,7 @@ class TestStreamCache:
         accelerator = BaselineAccelerator(config=config)
         scale = ExperimentScale(num_inferences=2, max_weights_per_layer=5_000)
         return build_workload_stream("lenet5", accelerator, "int8_symmetric",
-                                     scale, seed=seed, reuse=reuse)
+                                     scale, seed=seed)
 
     def test_identical_workloads_share_one_stream(self):
         from repro.experiments.aging_runner import clear_stream_cache
@@ -243,7 +243,7 @@ class TestStreamCache:
         clear_stream_cache()
         first = self._build()
         assert self._build() is first
-        # ... including the packed bit tensor hanging off it
+        # ... which is its own packed bit tensor
         assert self._build().packed_bits() is first.packed_bits()
 
     def test_different_workloads_get_distinct_streams(self):
@@ -253,13 +253,6 @@ class TestStreamCache:
         first = self._build(seed=0)
         assert self._build(seed=1) is not first
         assert self._build(memory_kb=32) is not first
-
-    def test_reuse_false_bypasses_cache(self):
-        from repro.experiments.aging_runner import clear_stream_cache
-
-        clear_stream_cache()
-        first = self._build()
-        assert self._build(reuse=False) is not first
 
     def test_cache_size_env_bounds_entries(self, monkeypatch):
         from repro.experiments import aging_runner

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accelerator.scheduler import CachedWeightStream, WeightStreamScheduler
+from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.cli import main
 from repro.core.policies import make_policy
 from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
@@ -41,7 +41,7 @@ def tiny_stream(tiny_network):
     memory = MemoryGeometry(capacity_bytes=1 * KB, word_bits=8)
     scheduler = WeightStreamScheduler(tiny_network, "int8_symmetric", memory,
                                      parallel_filters=2)
-    return CachedWeightStream(scheduler)
+    return PackedBitTensor.from_stream(scheduler)
 
 
 def _tiny_fifo_stream(network, pad_final_block=True):
@@ -50,7 +50,7 @@ def _tiny_fifo_stream(network, pad_final_block=True):
     scheduler = WeightStreamScheduler(network, "int8_symmetric", memory,
                                      parallel_filters=2, fifo_depth_tiles=4,
                                      pad_final_block=pad_final_block)
-    return CachedWeightStream(scheduler)
+    return PackedBitTensor.from_stream(scheduler)
 
 
 def _spans(leveler, num_inferences):
@@ -188,7 +188,7 @@ class TestEngineEquivalence:
                                         "explicit_scenario"])
     def test_leveler_word_width_mismatch_rejected(self, tiny_scheduler, engine):
         """Same row count, wider words: every engine refuses the leveler."""
-        stream = CachedWeightStream(tiny_scheduler)
+        stream = PackedBitTensor.from_stream(tiny_scheduler)
         assert (stream.geometry.rows, stream.geometry.word_bits) == (2048, 8)
         wide = MemoryGeometry(capacity_bytes=4 * KB, word_bits=16)
         leveler = make_leveler("wear_swap", wide)
@@ -302,14 +302,16 @@ class TestLevelingCli:
 class TestWearSwapEffect:
     def test_swap_levels_synthetic_hot_region(self):
         """A deliberately skewed FIFO stream gets measurably flatter."""
-        from repro.bench import SyntheticWeightStream
+        from repro.bench import synthetic_weight_stream
 
         geometry = MemoryGeometry(capacity_bytes=512, word_bits=8)
-        stream = SyntheticWeightStream(geometry, num_blocks=6, fifo_depth_tiles=2,
-                                       seed=0, probability_of_one=0.8)
+        dense = synthetic_weight_stream(geometry, num_blocks=6, fifo_depth_tiles=2,
+                                        seed=0, probability_of_one=0.8)
         # Make region 0's blocks much denser than region 1's.
-        stream._words[1::2] = 0
-        stream._packed = None
+        bits = dense.bits.copy()
+        bits[1::2] = 0
+        stream = PackedBitTensor(bits, dense.regions, dense.valid_words,
+                                 geometry, dense.fifo_depth_tiles)
         baseline = AgingSimulator(stream, make_policy("none", 8),
                                   num_inferences=16, seed=0).run()
         leveled = AgingSimulator(

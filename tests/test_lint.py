@@ -119,10 +119,16 @@ class TestNarrowDtypeReduction:
 class TestCachedBufferMutation:
     def test_flags_subscript_augassign_on_packed_bits(self):
         assert codes_of(
-            "from repro.accelerator.scheduler import packed_bit_tensor\n"
             "def f(stream):\n"
-            "    packed = packed_bit_tensor(stream)\n"
+            "    packed = stream.packed_bits()\n"
             "    packed.bits[0] += 1\n") == ["DL004"]
+
+    def test_flags_writes_through_a_built_stream(self):
+        for factory in ("build_workload_stream", "synthetic_weight_stream",
+                        "PackedBitTensor.from_stream"):
+            assert codes_of(f"def f(*args):\n"
+                            f"    stream = {factory}(*args)\n"
+                            f"    stream.bits[0] = 1\n") == ["DL004"], factory
 
     def test_flags_augassign_on_cached_reduction(self):
         assert codes_of("def f(packed):\n"
@@ -137,16 +143,14 @@ class TestCachedBufferMutation:
 
     def test_flags_reenabling_writes(self):
         assert codes_of(
-            "from repro.accelerator.scheduler import packed_bit_tensor\n"
             "def f(stream):\n"
-            "    packed = packed_bit_tensor(stream)\n"
+            "    packed = stream.packed_bits()\n"
             "    packed.bits.setflags(write=True)\n") == ["DL004"]
 
     def test_freezing_and_copies_are_clean(self):
         assert codes_of(
-            "from repro.accelerator.scheduler import packed_bit_tensor\n"
             "def f(stream):\n"
-            "    packed = packed_bit_tensor(stream)\n"
+            "    packed = stream.packed_bits()\n"
             "    packed.bits.setflags(write=False)\n") == []
         assert codes_of("def f(packed):\n"
                         "    ones = packed.rows_ones().copy()\n"

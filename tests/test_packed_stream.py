@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.accelerator.scheduler import (
-    CachedWeightStream,
     PackedBitTensor,
     WeightStreamScheduler,
     as_stride_indexer,
     block_axis_sum,
-    packed_bit_tensor,
 )
+from repro.core.policies import make_policy
+from repro.core.simulation import AgingSimulator
 from repro.quantization.bitops import unpack_bits
 
 
@@ -57,15 +57,21 @@ class TestPackedBitTensor:
             assert np.array_equal(packed.region_blocks(region),
                                   np.flatnonzero(expected == region))
 
-    def test_cached_stream_shares_one_tensor(self, tiny_scheduler):
-        stream = CachedWeightStream(tiny_scheduler)
-        first = stream.packed_bits()
-        assert stream.packed_bits() is first
-        assert packed_bit_tensor(stream) is first
-        # a bare scheduler gets packed on the fly
-        fresh = packed_bit_tensor(tiny_scheduler)
-        assert fresh is not first
-        assert np.array_equal(fresh.bits, first.bits)
+    def test_simulator_reuses_a_packed_streams_tensor(self, tiny_scheduler,
+                                                      pack_calls):
+        packed = PackedBitTensor.from_stream(tiny_scheduler)
+        assert packed.packed_bits() is packed
+        calls = pack_calls()
+        policy = make_policy("none", 8)
+        simulator = AgingSimulator(packed, policy, num_inferences=2)
+        simulator.run()
+        assert simulator._packed() is packed
+        assert calls == []  # no re-pack
+        # a bare scheduler gets packed on the fly, once per simulator
+        fresh = AgingSimulator(tiny_scheduler, policy, num_inferences=2)
+        assert fresh._packed() is fresh._packed()
+        assert calls == [tiny_scheduler]
+        assert np.array_equal(fresh._packed().bits, packed.bits)
 
     def test_rows_sums_are_cached_and_exact(self, tiny_fifo_scheduler):
         packed = PackedBitTensor.from_stream(tiny_fifo_scheduler)
@@ -81,6 +87,56 @@ class TestPackedBitTensor:
             counts[start:start + words] += packed.valid_mask()[index]
         assert np.array_equal(ones, expected)
         assert np.array_equal(packed.rows_writes(), counts)
+
+
+def _unpadded_scheduler(tiny_network, tiny_scheduler):
+    return WeightStreamScheduler(
+        tiny_network, "int8_symmetric", tiny_scheduler.geometry,
+        tiny_scheduler.parallel_filters, pad_final_block=False)
+
+
+class TestStreamSurface:
+    """A packed stream replays exactly the blocks it was packed from, so the
+    explicit oracle may run on it in place of the scheduler."""
+
+    @pytest.mark.parametrize("which", ["padded", "unpadded", "fifo4"])
+    def test_iter_blocks_replays_the_scheduler(self, which, tiny_network,
+                                               tiny_scheduler,
+                                               tiny_fifo_scheduler):
+        scheduler = {"padded": tiny_scheduler,
+                     "unpadded": _unpadded_scheduler(tiny_network, tiny_scheduler),
+                     "fifo4": tiny_fifo_scheduler}[which]
+        expected = list(scheduler.iter_blocks())
+        packed = PackedBitTensor.from_stream(scheduler)
+        replayed = list(packed.iter_blocks())
+        assert len(replayed) == len(expected) == scheduler.num_blocks
+        for built, block in zip(expected, replayed):
+            assert block.index == built.index
+            assert block.region == built.region
+            assert block.words.dtype == built.words.dtype
+            assert np.array_equal(block.words, built.words)
+        # the stream replays any number of times
+        assert sum(1 for _ in packed.iter_blocks()) == packed.num_blocks
+
+    def test_describe_is_recorded_from_the_scheduler(self, tiny_fifo_scheduler):
+        packed = PackedBitTensor.from_stream(tiny_fifo_scheduler)
+        assert packed.describe() == tiny_fifo_scheduler.describe()
+        # a returned description is a copy, not the recorded dict
+        packed.describe()["network"] = "changed"
+        assert packed.describe() == tiny_fifo_scheduler.describe()
+
+    def test_describe_falls_back_to_the_geometry(self, tiny_scheduler):
+        built = PackedBitTensor.from_stream(tiny_scheduler)
+        bare = PackedBitTensor(built.bits, built.regions, built.valid_words,
+                               built.geometry, built.fifo_depth_tiles)
+        assert bare.describe() == {
+            "word_bits": 8,
+            "memory_capacity_bytes": built.geometry.capacity_bytes,
+            "memory_rows": built.geometry.rows,
+            "words_per_block": built.words_per_block,
+            "fifo_depth_tiles": 1,
+            "num_blocks_per_inference": built.num_blocks,
+        }
 
 
 class TestReductionHelpers:
@@ -193,8 +249,8 @@ class TestReadOnlySharedBuffers:
         # the shared tensor is untouched by the failed attempt
         assert np.array_equal(ones, packed.rows_ones())
 
-    def test_cached_stream_block_words_are_read_only(self, tiny_scheduler):
-        stream = CachedWeightStream(tiny_scheduler)
+    def test_replayed_block_words_are_read_only(self, tiny_scheduler):
+        stream = PackedBitTensor.from_stream(tiny_scheduler)
         block = next(iter(stream.iter_blocks()))
         assert not block.words.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -31,11 +31,7 @@ from repro.bench.aging_bench import (
     _policy_for,
     _scenario_bench_factory,
 )
-from repro.accelerator.scheduler import (
-    CachedWeightStream,
-    WeightStreamScheduler,
-    packed_bit_tensor,
-)
+from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.core.policies import DnnLifePolicy
 from repro.core.simulation import AgingSimulator, TrbgReduction
 from repro.core.span_compose import compose_leveled
@@ -465,7 +461,7 @@ def _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler):
         tiny_fifo_scheduler.parallel_filters, fifo_depth_tiles=4,
         pad_final_block=False)
     assert list(scheduler.iter_blocks())[-1].num_words < scheduler.words_per_block
-    return CachedWeightStream(scheduler)
+    return PackedBitTensor.from_stream(scheduler)
 
 
 class TestFusedTrbgMatchesWalk:
@@ -560,8 +556,7 @@ class TestTrbgReduction:
     @pytest.mark.parametrize("group", [1, 3, 8])
     def test_counts_and_row_totals(self, tiny_network, tiny_fifo_scheduler,
                                    group, n):
-        packed = packed_bit_tensor(
-            _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler))
+        packed = _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler)
         reduction = TrbgReduction(packed, group)
         enables = np.random.default_rng(n).integers(
             0, n + 1, (packed.num_blocks, reduction.num_groups)).astype(

@@ -14,8 +14,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.accelerator.scheduler import CachedWeightStream, PackedBitTensor
-from repro.bench.aging_bench import SyntheticWeightStream
+from repro.accelerator.scheduler import PackedBitTensor
+from repro.bench.aging_bench import synthetic_weight_stream
 from repro.experiments.aging_runner import build_workload_stream, clear_stream_cache
 from repro.experiments.common import ExperimentScale
 from repro.memory.geometry import MemoryGeometry
@@ -38,8 +38,8 @@ from repro.utils.units import KB
 def synthetic_stream(memory_kb=1, word_bits=8, num_blocks=6, fifo_depth_tiles=1,
                      seed=0):
     geometry = MemoryGeometry(capacity_bytes=memory_kb * KB, word_bits=word_bits)
-    return SyntheticWeightStream(geometry, num_blocks,
-                                 fifo_depth_tiles=fifo_depth_tiles, seed=seed)
+    return synthetic_weight_stream(geometry, num_blocks,
+                                   fifo_depth_tiles=fifo_depth_tiles, seed=seed)
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ class TestRoundTrip:
             assert reloaded.words.flags.writeable is False
 
     def test_network_stream_roundtrip(self, store, tiny_scheduler):
-        stream = CachedWeightStream(tiny_scheduler)
+        stream = PackedBitTensor.from_stream(tiny_scheduler)
         packed = stream.packed_bits()
         key = stream_store_key("workload", {"case": "tiny_cnn"})
         store.put(key, packed, describe=stream.describe())
@@ -506,7 +506,7 @@ class TestResolution:
 # --------------------------------------------------------------------------- #
 # build_workload_stream integration (LRU x store layering)
 # --------------------------------------------------------------------------- #
-class TestWorkloadStreamIntegration:
+class TestLruStoreLayering:
     SCALE = ExperimentScale(num_inferences=2, max_weights_per_layer=2_000)
 
     @pytest.fixture(autouse=True)
@@ -527,7 +527,9 @@ class TestWorkloadStreamIntegration:
         monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
         store = StreamStore(tmp_path / "streams")
         first = self._build(tiny_accelerator, store)
-        assert isinstance(first, CachedWeightStream)
+        # A cold build is a plain tensor; only a store read is a stored one.
+        assert isinstance(first, PackedBitTensor)
+        assert not isinstance(first, StoredWeightStream)
         built_sha = packed_content_sha256(first.packed_bits())
         assert store.puts == 1
 
@@ -551,13 +553,24 @@ class TestWorkloadStreamIntegration:
         assert self._build(tiny_accelerator, store) is first
         assert (store.hits, store.misses) == counters  # untouched
 
-    def test_reuse_false_bypasses_the_store(self, tmp_path, tiny_accelerator):
+    def test_manifest_records_the_scheduler_description(self, monkeypatch,
+                                                        tmp_path,
+                                                        tiny_accelerator):
+        from repro.experiments.common import reduce_network
+        from repro.nn.models import build_model
+        from repro.nn.weights import attach_synthetic_weights
+
+        monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
         store = StreamStore(tmp_path / "streams")
-        stream = build_workload_stream("custom_mnist", tiny_accelerator,
-                                       "int8_symmetric", self.SCALE, seed=0,
-                                       reuse=False, store=store)
-        stream.packed_bits()
-        assert store.stats()["entries"] == 0  # never persisted
+        built = self._build(tiny_accelerator, store)
+        network = attach_synthetic_weights(reduce_network(
+            build_model("custom_mnist"), self.SCALE.max_weights_per_layer), seed=0)
+        expected = tiny_accelerator.build_scheduler(
+            network, "int8_symmetric").describe()
+        [entry] = store.entries()
+        assert entry["describe"] == expected
+        assert built.describe() == expected
+        assert self._build(tiny_accelerator, store).describe() == expected
 
     def test_store_none_disables_persistence(self, tiny_accelerator,
                                              monkeypatch, tmp_path):
