@@ -10,7 +10,7 @@ verbs plus one convenience subcommand per registered experiment::
     dnn-life sweep aging \
         --grid network=custom_mnist,lenet5 \
         --grid policy=none,dnn_life     # parallel parameter-grid sweep
-    dnn-life bench                      # engine perf harness -> BENCH_aging.json
+    dnn-life bench                      # leveling gate + oracles -> BENCH_aging.json
     dnn-life fig9 --quick               # per-experiment command (same as run)
     dnn-life compare --network custom_mnist --format int8_symmetric
     dnn-life scenario \
@@ -172,39 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
                                    "for DAYS days")
 
     bench_parser = subparsers.add_parser(
-        "bench", help="time the packed aging engine per policy, check it "
-                      "against the explicit engine, and write the "
-                      "BENCH_aging.json perf trajectory")
+        "bench", help="hold every leveled packed run to its overhead budget, "
+                      "check the packed engine against the explicit one, "
+                      "and write BENCH_aging.json")
     bench_parser.add_argument("--output", type=str, default=None,
                               metavar="PATH",
-                              help="trajectory file (default BENCH_aging.json; "
+                              help="result file (default BENCH_aging.json; "
                                    "'-' skips writing)")
     bench_parser.add_argument("--repeats", type=int, default=3,
                               help="timing repetitions per measurement (best "
                                    "is kept)")
-    bench_parser.add_argument("--case", dest="cases", action="append", default=[],
-                              metavar="NAME",
-                              help="run only the named case(s) (repeatable; "
-                                   "see repro.bench.default_bench_cases)")
-    bench_parser.add_argument("--seed", type=int, default=0,
-                              help="stream/policy seed of every case")
-    bench_parser.add_argument("--skip-verify", action="store_true",
-                              help="skip the explicit-engine cross-check")
-    bench_parser.add_argument("--skip-leveling", action="store_true",
-                              help="skip the wear-leveling overhead entry "
-                                   "(implied by --case)")
-    bench_parser.add_argument("--skip-scenario", action="store_true",
-                              help="skip the multi-phase scenario overhead "
-                                   "entry (implied by --case)")
-    bench_parser.add_argument("--skip-dvfs", action="store_true",
-                              help="skip the DVFS multi-operating-point "
-                                   "overhead entry (implied by --case)")
-    bench_parser.add_argument("--skip-fleet", action="store_true",
-                              help="skip the fleet-scale population entry "
-                                   "(implied by --case)")
-    bench_parser.add_argument("--skip-workloads", action="store_true",
-                              help="skip the workload-generator entry "
-                                   "(implied by --case)")
 
     lint_parser = subparsers.add_parser(
         "lint", help="run the repo's determinism/aliasing static analysis "
@@ -364,67 +341,31 @@ def _cmd_sweep(args: argparse.Namespace, cache: Optional[ResultCache]) -> Any:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Tuple[Any, int]:
-    """Run the engine benchmark harness; returns (payload, exit code)."""
+    """Run the leveling gate and both oracles; returns (payload, exit code)."""
     from repro.bench import (
         DEFAULT_OUTPUT,
-        default_bench_cases,
+        check_leveling_overheads,
         render_bench_report,
         run_aging_bench,
     )
 
-    cases = default_bench_cases()
-    if args.cases:
-        # case names are pre-validated by _validate_user_input
-        known = {case.name: case for case in cases}
-        cases = [known[name] for name in args.cases]
-    # A --case selection bounds the bench to the named cases, so the
-    # (unnamed) leveling, scenario and dvfs entries only run on full-suite
-    # invocations.
-    leveling = not args.skip_leveling and not args.cases
-    scenario = not args.skip_scenario and not args.cases
-    dvfs = not args.skip_dvfs and not args.cases
-    fleet = not args.skip_fleet and not args.cases
-    workloads = not args.skip_workloads and not args.cases
-    payload = run_aging_bench(cases, repeats=max(args.repeats, 1), seed=args.seed,
-                              verify=not args.skip_verify, leveling=leveling,
-                              scenario=scenario, dvfs=dvfs, fleet=fleet,
-                              workloads=workloads)
+    payload = run_aging_bench(repeats=max(args.repeats, 1))
     print(render_bench_report(payload))
     output = args.output if args.output is not None else DEFAULT_OUTPUT
     if output != "-":
         path = save_json(payload, output)
-        print(f"\nbenchmark trajectory written to {path}")
+        print(f"\nbenchmark record written to {path}")
     exit_code = 0
-    verification = payload.get("verification")
-    if verification is not None and not verification["explicit_match"]:
+    if not payload["verification"]["explicit_match"]:
         print("dnn-life bench: explicit-engine cross-check FAILED", file=sys.stderr)
         exit_code = 1
-    leveling_verification = payload.get("leveling", {}).get("verification")
-    if leveling_verification is not None and not leveling_verification["explicit_match"]:
+    if not payload["leveling"]["verification"]["explicit_match"]:
         print("dnn-life bench: leveling explicit-engine cross-check FAILED",
               file=sys.stderr)
         exit_code = 1
-    if payload.get("leveling") is not None:
-        from repro.bench import check_leveling_overheads
-
-        for violation in check_leveling_overheads(payload["leveling"]):
-            print(f"dnn-life bench: {violation}", file=sys.stderr)
-            exit_code = 1
-    scenario_verification = payload.get("scenario", {}).get("verification")
-    if scenario_verification is not None and not scenario_verification["explicit_match"]:
-        print("dnn-life bench: scenario explicit-engine cross-check FAILED",
-              file=sys.stderr)
+    for violation in check_leveling_overheads(payload["leveling"]):
+        print(f"dnn-life bench: {violation}", file=sys.stderr)
         exit_code = 1
-    for entry in payload.get("cases", []):
-        store_entry = entry.get("stream_store")
-        if store_entry is None:
-            continue
-        if not store_entry["hit"] or not store_entry["bit_identical"]:
-            print(f"dnn-life bench: stream-store reload check FAILED for case "
-                  f"'{entry['case']['name']}' (hit={store_entry['hit']}, "
-                  f"bit_identical={store_entry['bit_identical']})",
-                  file=sys.stderr)
-            exit_code = 1
     return payload, exit_code
 
 
@@ -571,14 +512,6 @@ def _validate_user_input(args: argparse.Namespace) -> None:
     elif args.command in REGISTRY or args.command in _COMMAND_ALIASES:
         spec, params, full = _subcommand_invocation(args)
         spec.resolve(params, full=full)
-    elif args.command == "bench" and args.cases:
-        from repro.bench import default_bench_cases
-
-        known = {case.name for case in default_bench_cases()}
-        unknown = [name for name in args.cases if name not in known]
-        if unknown:
-            raise ValueError(f"unknown bench case(s): {', '.join(unknown)} "
-                             f"(known: {', '.join(sorted(known))})")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.fleet.simulator as fleet_simulator
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.aging.nbti import ReactionDiffusionSnmModel
@@ -229,6 +230,29 @@ class TestSingleDeviceEquivalence:
         assert sum(entry["num_devices"] for entry in result.cohorts) == 16
         for entry in result.cohorts:
             assert entry["seed"] == spec.group_seed(entry["seed_group"])
+
+    def test_cohorts_share_one_scenario_run(self, factory, monkeypatch):
+        """A 1000-device spread population costs one scenario run per cohort."""
+        runs = []
+        original_run = fleet_simulator._RecordingScenarioSimulator.run
+
+        def counting_run(engine):
+            runs.append(engine)
+            return original_run(engine)
+
+        monkeypatch.setattr(fleet_simulator._RecordingScenarioSimulator, "run",
+                            counting_run)
+        scenarios, weights = parse_mix_spec(
+            "0.6*custom_mnist:int8:inversion:40@85C,idle:10@45C@0.7V:0.2GHz|"
+            "0.4*lenet5:int8:none:40@45C")
+        spec = FleetSpec(num_devices=1000, scenarios=scenarios,
+                         scenario_weights=weights,
+                         corners=((0.9, 1.0), (0.8, 0.5)),
+                         usage_sigma=0.3, thermal_sigma_c=5.0, seed_groups=2,
+                         seed=0)
+        result = FleetSimulator(spec, stream_factory=factory).run()
+        assert len(runs) == len(result.cohorts) == 4
+        assert len(runs) * 100 < spec.num_devices
 
 
 # --------------------------------------------------------------------- #

@@ -240,6 +240,7 @@ class TestEngineEquivalence:
         for fast, exact in zip(packed.phase_stress, explicit.phase_stress):
             assert np.array_equal(fast.duty, exact.duty)
         assert packed.effective_years == explicit.effective_years
+        assert packed.phase_retention == explicit.phase_retention
 
     @pytest.mark.parametrize("policy", ["none", "inversion",
                                         "inversion_per_location",

@@ -48,6 +48,9 @@ DVFS_SPECS = {
                     "idle:2@25C@0.6V:0.05GHz,"
                     "custom_mnist:int8:inversion_per_location:4@25C,"
                     "idle:2@45C@0.7V:0.2GHz"),
+    "dvfs_retention": ("custom_mnist:int8:inversion:4@85C@0.8V:0.5GHz,"
+                       "idle:3@45C@0.62V:0.1GHz,"
+                       "lenet5:int8:barrel_shifter:4@45C@0.95V:1.2GHz"),
 }
 
 
@@ -298,6 +301,8 @@ class TestRetentionSemantics:
         low = idle_retention("@0.62V:0.1GHz")
         assert low["failure_probability_mean"] > nominal["failure_probability_mean"]
         assert nominal["failure_probability_mean"] < 1e-3
+        # a 0.62 V idle is unsafe for aged data: most held cells flip
+        assert low["failure_probability_mean"] > 0.5
 
     def test_retention_tracks_all_written_cells(self, factory, geometry):
         scenario = LifetimeScenario.from_spec(

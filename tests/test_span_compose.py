@@ -19,6 +19,7 @@ Three layers of protection for the fused remap composition
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,19 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.span_compose as span_compose
-from repro.bench.aging_bench import (
-    BenchCase,
-    _policy_for,
-    _scenario_bench_factory,
-)
+from repro.bench.aging_bench import BenchCase, _policy_for
+from repro.accelerator.baseline import BaselineAccelerator
+from repro.accelerator.config import baseline_config
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.core.policies import DnnLifePolicy
 from repro.core.simulation import AgingSimulator, TrbgReduction
 from repro.core.span_compose import compose_leveled
+from repro.experiments.common import ExperimentScale
 from repro.leveling import make_leveler
 from repro.leveling.remap import _check_span_tiling, mean_duty_from_row_counts
 from repro.memory.geometry import MemoryGeometry
-from repro.scenario.driver import ScenarioAgingSimulator
+from repro.scenario.driver import ScenarioAgingSimulator, scenario_stream_factory
 from repro.scenario.phases import LifetimeScenario
 from repro.utils.units import KB
 
@@ -292,6 +292,15 @@ def _golden_300span_case() -> BenchCase:
                      policies=("none",))
 
 
+def _golden_scenario_factory(seed: int):
+    """The 8 KB x 4-tile scenario stream factory the scenario SHAs pin."""
+    config = replace(baseline_config(), name="golden_scenario",
+                     weight_memory_bytes=8 * KB, weight_fifo_depth_tiles=4)
+    scale = ExperimentScale(num_inferences=100, max_weights_per_layer=20_000)
+    return scenario_stream_factory(BaselineAccelerator(config=config),
+                                   scale=scale, seed=seed)
+
+
 def _leveled_payload_sha(case: BenchCase, policy_name: str,
                          leveler_name: str, options: dict) -> str:
     stream = case.build_stream(seed=0)
@@ -333,7 +342,7 @@ class TestGoldenPayloads:
     def test_golden_dnn_life_scenario(self, leveler_name, options):
         """Leveled dnn_life phases: draw order, feedback and held values."""
         scenario = LifetimeScenario.from_spec(GOLDEN_SCENARIO_SPEC)
-        factory = _scenario_bench_factory(seed=3)
+        factory = _golden_scenario_factory(seed=3)
         geometry = factory(scenario.active_phases[0]).geometry
         leveler = make_leveler(leveler_name, geometry, 4, **options)
         result = ScenarioAgingSimulator(scenario, stream_factory=factory,
