@@ -1,16 +1,22 @@
 """Tests for ``dnn-life bench``: the leveling gate and the engine oracles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.bench
+import repro.bench.aging_bench as aging_bench
 from repro.bench import (
     BENCH_SCHEMA,
     BenchCase,
+    check_leveling_overheads,
     render_bench_report,
     run_aging_bench,
     synthetic_weight_stream,
+    verify_against_explicit,
+    verify_leveling_against_explicit,
 )
 from repro.cli import main
 from repro.memory.geometry import MemoryGeometry
@@ -19,6 +25,42 @@ from repro.memory.geometry import MemoryGeometry
 LEVELED_ENTRIES = {f"{policy}+{leveler}"
                    for policy in ("none", "inversion", "dnn_life")
                    for leveler in ("rotation", "start_gap", "wear_swap")}
+
+
+#: The overhead budget of every leveled-run entry, written out so that a
+#: loosened limit fails here.
+ENTRY_BUDGETS = {
+    "none+rotation": 5.0, "none+start_gap": 5.0, "none+wear_swap": 20.0,
+    "inversion+rotation": 5.0, "inversion+start_gap": 5.0,
+    "inversion+wear_swap": 20.0,
+    "dnn_life+rotation": 10.0, "dnn_life+start_gap": 15.0,
+    "dnn_life+wear_swap": 25.0,
+}
+
+#: The ``bench`` options that no longer exist.
+REMOVED_BENCH_OPTIONS = (
+    ["--case", "synthetic_64kb_8bit"], ["--seed", "1"], ["--skip-verify"],
+    ["--skip-leveling"], ["--skip-scenario"], ["--skip-dvfs"],
+    ["--skip-fleet"], ["--skip-workloads"],
+)
+
+
+def canned_payload(explicit_match=True, leveling_match=True, overhead=1.5):
+    """A bench payload with chosen oracle outcomes and one overhead."""
+    entries = {key: {"baseline_seconds": 0.01, "leveled_seconds": 0.015,
+                     "overhead": overhead,
+                     "region_imbalance_baseline_pp": 0.6,
+                     "region_imbalance_leveled_pp": 0.1}
+               for key in ENTRY_BUDGETS}
+    return {
+        "schema": BENCH_SCHEMA, "created_unix": 0.0, "repeats": 1,
+        "environment": {},
+        "leveling": {"case": {"name": "canned"}, "entries": entries,
+                     "verification": {"policies": {"none+rotation": leveling_match},
+                                      "explicit_match": leveling_match}},
+        "verification": {"policies": {"none": explicit_match},
+                         "explicit_match": explicit_match},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +206,61 @@ class TestBenchHarness:
         assert "wear-leveling overhead" in text
         assert "leveling explicit-engine cross-check: OK" in text
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_BUDGETS))
+    def test_entry_is_held_to_its_budget(self, entry):
+        budget = ENTRY_BUDGETS[entry]
+        assert check_leveling_overheads(
+            {"entries": {entry: {"overhead": budget}}}) == []
+        violations = check_leveling_overheads(
+            {"entries": {entry: {"overhead": budget + 0.01}}})
+        assert violations == [f"{entry}: leveled overhead {budget + 0.01:.2f}x "
+                              f"exceeds the {budget:g}x budget"]
+
+    @pytest.mark.parametrize("failed_line", [
+        "leveling explicit-engine cross-check: FAILED",
+        "explicit-engine cross-check: FAILED (none)",
+    ])
+    def test_render_reports_a_failed_oracle(self, failed_line):
+        leveling_failed = failed_line.startswith("leveling")
+        text = render_bench_report(canned_payload(
+            explicit_match=leveling_failed, leveling_match=not leveling_failed))
+        assert failed_line in text.splitlines()
+
+    def test_render_marks_missing_overhead(self):
+        text = render_bench_report(canned_payload(overhead=None))
+        assert "n/a" in text
+
+
+class _DivergentExplicitSimulator(aging_bench.ExplicitAgingSimulator):
+    """An explicit engine whose first cell is one ulp off the true duty."""
+
+    def run(self):
+        result = super().run()
+        duty = result.duty_cycles.copy()
+        duty.flat[0] = np.nextafter(duty.flat[0], np.inf)
+        return replace(result, duty_cycles=duty)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("verify", [verify_against_explicit,
+                                        verify_leveling_against_explicit])
+    def test_oracle_flags_a_one_ulp_divergence(self, verify, monkeypatch):
+        monkeypatch.setattr(aging_bench, "ExplicitAgingSimulator",
+                            _DivergentExplicitSimulator)
+        report = verify()
+        assert report["explicit_match"] is False
+        assert report["policies"] and not any(report["policies"].values())
+
+    def test_leveling_oracle_covers_every_policy_and_leveler(self):
+        report = verify_leveling_against_explicit()
+        assert report["explicit_match"] is True
+        assert set(report["policies"]) == {
+            f"{policy}+{leveler}"
+            for policy in ("none", "inversion", "inversion_per_location",
+                           "barrel_shifter")
+            for leveler in ("rotation", "start_gap", "wear_swap")}
+        assert all(report["policies"].values())
+
 
 class TestBenchCli:
     def test_bench_verb_writes_record(self, tmp_path, capsys, monkeypatch):
@@ -188,3 +285,53 @@ class TestBenchCli:
         options = {token.rstrip(",") for token in capsys.readouterr().out.split()
                    if token.startswith("--")}
         assert options == {"--help", "--output", "--repeats"}
+
+    @pytest.mark.parametrize("outcome,expected_code,message", [
+        ({}, 0, None),
+        ({"explicit_match": False}, 1,
+         "dnn-life bench: explicit-engine cross-check FAILED"),
+        ({"leveling_match": False}, 1,
+         "dnn-life bench: leveling explicit-engine cross-check FAILED"),
+        ({"overhead": 30.0}, 1,
+         "dnn-life bench: dnn_life+wear_swap: leveled overhead 30.00x "
+         "exceeds the 25x budget"),
+    ], ids=["ok", "explicit_mismatch", "leveling_mismatch", "over_budget"])
+    def test_bench_exit_code(self, outcome, expected_code, message, tmp_path,
+                             capsys, monkeypatch):
+        monkeypatch.setattr(repro.bench, "run_aging_bench",
+                            lambda repeats: canned_payload(**outcome))
+        output = tmp_path / "bench.json"
+        assert main(["bench", "--output", str(output)]) == expected_code
+        assert json.loads(output.read_text())["schema"] == BENCH_SCHEMA
+        stderr = capsys.readouterr().err
+        if message is None:
+            assert stderr == ""
+        else:
+            assert message in stderr.splitlines()
+
+    def test_dash_output_skips_the_record(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(repro.bench, "run_aging_bench",
+                            lambda repeats: canned_payload())
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--output", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "benchmark record written" not in capsys.readouterr().out
+
+    def test_repeats_below_one_runs_once(self, monkeypatch):
+        seen = []
+
+        def fake_bench(repeats):
+            seen.append(repeats)
+            return canned_payload()
+
+        monkeypatch.setattr(repro.bench, "run_aging_bench", fake_bench)
+        assert main(["bench", "--repeats", "0", "--output", "-"]) == 0
+        assert seen == [1]
+
+    @pytest.mark.parametrize("option", REMOVED_BENCH_OPTIONS,
+                             ids=[option[0] for option in REMOVED_BENCH_OPTIONS])
+    def test_removed_option_is_a_usage_error(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--output", "-", *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
