@@ -64,11 +64,7 @@ from repro.core.policies import (
     PeriodicInversionPolicy,
 )
 from repro.core.span_compose import BatchedCounts, compose_leveled
-from repro.leveling.remap import (
-    WearLeveler,
-    check_leveler,
-    mean_duty_from_row_counts,
-)
+from repro.leveling.remap import WearLeveler, check_leveler
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive_int
@@ -396,10 +392,10 @@ def replay_epochs(stream: Union[PackedBitTensor, WeightStreamScheduler],
     then every epoch routes its :func:`replay_inference` through
     ``leveler.permutation(epoch)`` (epochs are global leveler epochs; policy
     state starts fresh at ``start``).  Feedback levelers observe the
-    accumulated physical stress after every epoch — on top of the
-    ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
-    which are advanced in place by this window's totals.  ``stored`` is
-    passed through to :func:`replay_inference`.
+    accumulated physical ``(row_ones, row_hold)`` counts after every epoch —
+    on top of the ``(row_ones, row_writes)`` totals of earlier windows in
+    ``prior_rows``, which are advanced in place by this window's totals.
+    ``stored`` is passed through to :func:`replay_inference`.
 
     Returns the window's physical ``(ones, writes)`` counts.
     """
@@ -416,8 +412,7 @@ def replay_epochs(stream: Union[PackedBitTensor, WeightStreamScheduler],
             if prior_rows is not None:
                 row_ones = prior_rows[0] + row_ones
                 row_writes = prior_rows[1] + row_writes
-            leveler.observe(epoch + 1, mean_duty_from_row_counts(
-                row_ones, row_writes * float(word_bits)))
+            leveler.observe(epoch + 1, row_ones, row_writes * float(word_bits))
     if feedback and prior_rows is not None:
         prior_rows[0][...] += ones.sum(axis=1)
         prior_rows[1][...] += writes
@@ -891,6 +886,22 @@ class AgingSimulator:
         return TrbgSpanKernel(draw, reduction)
 
 
+def _word_popcounts(bits: np.ndarray) -> np.ndarray:
+    """``bits.sum(axis=-1)`` as uint8 for a ``(..., word_bits)`` 0/1 tensor.
+
+    With whole bytes per word, each uint64 lane holds eight 0/1 bytes and one
+    multiply by ``0x0101010101010101`` sums them into its top byte (no lane
+    sum exceeds 8, so nothing carries between bytes).
+    """
+    word_bits = bits.shape[-1]
+    if word_bits % 8 or not bits.flags.c_contiguous:
+        return bits.sum(axis=-1, dtype=np.uint8)
+    counts = bits.view(np.uint64) * np.uint64(0x0101010101010101)
+    counts >>= np.uint64(56)
+    counts = counts.astype(np.uint8)
+    return counts.sum(axis=-1, dtype=np.uint8) if word_bits > 8 else counts[..., 0]
+
+
 #: Target size of one chunk's operands in the fused TRBG reduction: the
 #: per-chunk temporaries stay cache-sized however many mappings are folded.
 _TRBG_CHUNK_BYTES = 1 << 20
@@ -920,7 +931,9 @@ class TrbgReduction:
         self.ones = packed.rows_ones()
         self.writes = packed.rows_writes()
         self._row_ones: Optional[np.ndarray] = None
-        self._row_weights: Optional[np.ndarray] = None
+        #: Per-region ``(count, num_groups, group)`` word weights of
+        #: :meth:`row_totals`, keyed by the contraction dtype.
+        self._region_weights: Dict[type, List[np.ndarray]] = {}
 
     def counts(self, enables: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """One span's ``(numerator, writes)`` from its drawn enable counts."""
@@ -940,32 +953,46 @@ class TrbgReduction:
         popcount``, never over the bit axis.
         """
         packed = self.packed
-        if self._row_weights is None:
+        if self._row_ones is None:
             self._row_ones = self.ones.sum(axis=1)
-            # Column-wise adds: ~4x faster than a reduction over the short
-            # bit axis.
-            popcount = packed.bits[..., 0].astype(np.int16)
-            for column in range(1, packed.word_bits):
-                popcount += packed.bits[..., column]
-            weights = np.zeros((packed.num_blocks, self.num_groups * self.group),
-                               dtype=np.int16)
-            weights[:, :packed.words_per_block] = (
-                packed.word_bits * packed.valid_mask() - 2 * popcount)
-            self._row_weights = weights.reshape(packed.num_blocks,
-                                                self.num_groups, self.group)
         totals = self._row_ones * n
-        for row_slice, indexer in packed.region_indexers():
-            region_enables = enables[indexer]
-            count = region_enables.shape[0]
-            if not count:
+        # |sum| <= num_blocks * n * word_bits: int32 is exact below 2**31.
+        exact = (np.int32 if packed.num_blocks * n * packed.word_bits < 2 ** 31
+                 else np.int64)
+        for (row_slice, indexer), weights in zip(packed.region_indexers(),
+                                                 self._weights_by_region(exact)):
+            if not weights.shape[0]:
                 continue
-            # |sum| <= count * n * word_bits: int32 is exact below 2**31.
-            exact = (np.int32 if count * n * packed.word_bits < 2 ** 31
-                     else np.int64)
-            weighted = np.einsum("bg,bgk->gk", region_enables.astype(exact),
-                                 self._row_weights[indexer].astype(exact))
+            weighted = np.einsum("bg,bgk->gk", enables[indexer].astype(exact),
+                                 weights)
             totals[row_slice] += weighted.reshape(-1)[:packed.words_per_block]
         return totals
+
+    def _weights_by_region(self, exact: type) -> List[np.ndarray]:
+        """The word weights of :meth:`row_totals`, per region, in ``exact``.
+
+        Built once per reduction: the table in the narrowest exact dtype
+        (``|weight| <= word_bits``), then one ``exact`` slice per region.
+        """
+        slices = self._region_weights.get(exact)
+        if slices is None:
+            packed = self.packed
+            word_bits, words = packed.word_bits, packed.words_per_block
+            narrow = np.min_scalar_type(-word_bits)
+            table = np.zeros((packed.num_blocks, self.num_groups * self.group),
+                             dtype=narrow)
+            body = table[:, :words]
+            body[...] = word_bits
+            popcount = _word_popcounts(packed.bits).astype(narrow)
+            body -= popcount
+            body -= popcount
+            if packed.valid_words.min() < words:
+                body[~packed.valid_mask()] = 0
+            table = table.reshape(packed.num_blocks, self.num_groups, self.group)
+            slices = [table[indexer].astype(exact)
+                      for _, indexer in packed.region_indexers()]
+            self._region_weights[exact] = slices
+        return slices
 
     def numerator_chunks(self, enables: np.ndarray, lengths: np.ndarray
                          ) -> Iterator[Tuple[slice, np.ndarray]]:

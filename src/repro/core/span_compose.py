@@ -25,10 +25,11 @@ of structure:
   start-gap's drift), both O(rows * word_bits).
 
 Feedback-driven levelers (wear-swap) contribute explicit permutation chunks
-instead; those compose through one fused sparse mat-vec over a ``(row,
-span)`` index matrix (SciPy's ``csr_matvecs`` when available, a per-span
-gather fallback otherwise), while the per-chunk feedback signal is maintained
-as ``(rows,)`` running row totals — never a full-matrix reduction.
+instead, each with the inverse map the leveler keeps; those compose by
+gathering each basis through every span's inverse in the narrowest integer
+dtype that holds it, summing the spans that share a coefficient as integers
+(:func:`_weighted_perm_gather`), while the per-chunk feedback signal is
+maintained as ``(rows,)`` running row totals — never a full-matrix reduction.
 
 DNN-Life's kernel has no fixed basis — its TRBG draws fresh randomness per
 span, in call order — but it splits into a *draw* stage (the per-span
@@ -45,7 +46,7 @@ packed single-run and scenario engines.
 Exactness: every basis entry, coefficient, and weight is an exact integer
 held in float64 (far below 2**53), so products and partial sums are exact and
 *any* regrouping of the summation — by channel, by offset, through a
-cumulative-sum window, or via the sparse mat-vec — produces bit-identical
+cumulative-sum window, or via integer gathers — produces bit-identical
 float64 results to the iterative span loop.  The golden-SHA and
 packed-vs-explicit batteries in the test suite pin this down.
 """
@@ -63,20 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchedCounts", "SpanComposer", "compose_leveled"]
 
-try:  # SciPy is optional: the composer falls back to per-span gathers.
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-
-    _CSR_MATVECS = getattr(_scipy_sparsetools, "csr_matvecs", None)
-except Exception:  # pragma: no cover - exercised only without SciPy
-    _CSR_MATVECS = None
-
 #: Offset supports up to this size are composed as direct slice-roll adds;
 #: larger supports go through the cumulative-sum window decomposition.
 _DIRECT_ROLLS = 6
 
 #: Pending TRBG mappings are reduced (one fused pass) once this many have
-#: accumulated, or once their summed enables hold this many bytes: bounds the
-#: composer's memory and the per-chunk work on long feedback runs.
+#: accumulated, or once their summed enables and the fold's permutation-form
+#: counts hold this many bytes: bounds the composer's memory and the
+#: per-chunk work on long feedback runs.
 _FOLD_MAPPINGS = 64
 _FOLD_BYTES = 32 << 20
 
@@ -185,27 +180,30 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
         _roll_axpy(out3, base3, int(offset), float(weights[offset]))
 
 
-def _weighted_perm_matvec(out: np.ndarray, base: np.ndarray,
-                          indices: np.ndarray, weights: np.ndarray) -> None:
-    """``out[p] += sum_k weights[k] * base[indices[p, k]]`` — one fused pass.
+def _weighted_perm_gather(out: np.ndarray, base: np.ndarray,
+                          inverses: List[np.ndarray],
+                          weights: np.ndarray) -> None:
+    """``out[p] += sum_k weights[k] * base[inverses[k][p]]`` by integer gathers.
 
-    ``indices`` is the ``(rows, num_spans)`` int32 matrix of inverse
-    permutations (span k's logical occupant of each physical row).  With
-    SciPy the whole sum is one duplicate-tolerant CSR mat-vec (row-major
-    index layout, trivial indptr — no sparse constructor, no sort); without
-    it, one gather-accumulate per span.
+    ``inverses[k]`` is span k's physical→logical row map.  Every entry of
+    ``base`` and every weight is an exact integer, so the base is gathered
+    in the narrowest integer dtype that holds it, the spans sharing a weight
+    are summed in the narrowest dtype that holds their total, and each such
+    group is scaled into ``out`` once: bitwise equal to any float64
+    summation order, at a fraction of its memory traffic.
     """
-    rows, num_spans = indices.shape
-    width = base.shape[1]
-    if _CSR_MATVECS is not None and base.flags.c_contiguous:
-        indptr = np.arange(rows + 1, dtype=np.int32) * np.int32(num_spans)
-        data = np.ascontiguousarray(
-            np.broadcast_to(weights, (rows, num_spans)))
-        _CSR_MATVECS(rows, rows, width, indptr, indices.ravel(),
-                     data.ravel(), base.ravel(), out.ravel())
-        return
-    for k in range(num_spans):
-        out += weights[k] * base[indices[:, k]]
+    low, high = int(base.min(initial=0.0)), int(base.max(initial=0.0))
+    compact = base.astype(np.result_type(np.min_scalar_type(low),
+                                         np.min_scalar_type(high)))
+    for weight in np.unique(weights[weights != 0.0]):
+        members = np.flatnonzero(weights == weight)
+        bound = members.size * max(-low, high)
+        total = np.zeros(base.shape, dtype=np.result_type(
+            compact.dtype, np.min_scalar_type(bound),
+            np.min_scalar_type(-bound if low < 0 else 0)))
+        for k in members:
+            total += np.take(compact, inverses[k], axis=0)
+        out += weight * total
 
 
 class SpanComposer:
@@ -241,11 +239,10 @@ class SpanComposer:
                           if self._track else None)
         self._row_writes = (np.zeros(self.rows, dtype=np.float64)
                             if self._track else None)
-        self._identity32 = None
         #: Pending TRBG mappings of :meth:`add_draws`: the kernel's reduce
         #: stage, then per mapping its roll offset (offset-form spans, slot
-        #: index in ``_draw_slots``) or permutation, summed enables and summed
-        #: span length.
+        #: index in ``_draw_slots``) or inverse permutation, summed enables
+        #: and summed span length.
         self._reduction = None
         self._draw_slots: Dict[int, int] = {}
         self._draw_maps: List[Union[int, np.ndarray]] = []
@@ -277,27 +274,25 @@ class SpanComposer:
             self._offset_records.append(
                 (table.offsets, batched.coeffs, table.lengths))
             return
-        if self._identity32 is None:
-            self._identity32 = np.arange(self.rows, dtype=np.int32)
-        permutations = table.permutations()
         for k in range(table.num_spans):
-            inverse = np.empty(self.rows, dtype=np.int32)
-            inverse[permutations[k]] = self._identity32
+            inverse = table.inverse(k)
             self._perm_inverses.append(inverse)
             coeffs = np.asarray(batched.coeffs[:, k], dtype=np.float64)
             length = float(table.lengths[k])
             self._perm_coeffs.append(coeffs)
             self._perm_lengths.append(length)
             if self._track:
-                gathered = self._row_bases[0][inverse]
+                gathered = np.take(self._row_bases[0], inverse)
                 if coeffs[0] != 1.0:
-                    gathered = gathered * coeffs[0]
+                    gathered *= coeffs[0]
                 for channel in range(1, len(self._row_bases)):
                     if coeffs[channel] != 0.0:
                         gathered += (coeffs[channel]
-                                     * self._row_bases[channel][inverse])
+                                     * np.take(self._row_bases[channel],
+                                               inverse))
                 self._row_ones += gathered
-                self._row_writes += length * self._writes_base[inverse]
+                self._row_writes += length * np.take(self._writes_base,
+                                                     inverse)
 
     def add_draws(self, table: "SpanTable", kernel: "TrbgSpanKernel",
                   origin: int) -> None:
@@ -315,7 +310,7 @@ class SpanComposer:
         for index, (start, length) in enumerate(table.iter_spans()):
             enables = kernel.draw(start - origin, length)
             if table.offsets is None:
-                mapping, slot = table.permutation(index), None
+                mapping, slot = table.inverse(index), None
             else:
                 mapping = int(table.offsets[index])
                 slot = self._draw_slots.get(mapping)
@@ -331,21 +326,46 @@ class SpanComposer:
                     self._draw_enables[slot], enables,
                     dtype=np.min_scalar_type(self._draw_lengths[slot]))
             if self._track:
-                permutation = table.permutation(index)
-                self._row_ones[permutation] += reduction.row_totals(enables,
-                                                                    length)
-                self._row_writes[permutation] += reduction.writes * length
+                inverse = table.inverse(index)
+                self._row_ones += np.take(
+                    reduction.row_totals(enables, length), inverse)
+                self._row_writes += length * np.take(reduction.writes,
+                                                     inverse)
             if (len(self._draw_maps) >= _FOLD_MAPPINGS
-                    or sum(e.nbytes for e in self._draw_enables) >= _FOLD_BYTES):
+                    or self._pending_bytes() >= _FOLD_BYTES):
                 self._fold_draws()
+
+    def _numerator_dtype(self, length: int) -> np.dtype:
+        """Narrowest exact dtype of a ``length``-inference span's counts.
+
+        A cell stores at most one '1' per write, so its count is at most
+        ``length`` times its row's per-inference writes.
+        """
+        return np.min_scalar_type(int(length) * int(self._reduction.writes.max()))
+
+    def _pending_bytes(self) -> int:
+        """Bytes the pending TRBG mappings hold, or will hold at the fold."""
+        total = sum(e.nbytes for e in self._draw_enables)
+        lengths = [length for mapping, length in zip(self._draw_maps,
+                                                     self._draw_lengths)
+                   if isinstance(mapping, np.ndarray)]
+        if lengths:
+            total += (len(lengths) * self.rows * self.word_bits
+                      * self._numerator_dtype(max(lengths)).itemsize)
+        return total
 
     def _fold_draws(self) -> None:
         """Reduce every pending TRBG mapping in one fused pass.
 
         One :meth:`~repro.core.simulation.TrbgReduction.numerator_chunks`
         pass over the packed tensor yields every mapping's logical counts a
-        chunk of rows at a time; each chunk is rolled (offset form) or
-        scattered (permutation form) into the dense physical accumulators.
+        chunk of rows at a time.  Offset-form chunks are rolled into the
+        dense physical accumulators as they come.  Permutation-form counts
+        are kept whole, in the narrowest exact dtype, and then gathered
+        through each mapping's inverse: one sequential pass per mapping
+        instead of a random scatter per chunk.  With feedback tracking the
+        running row totals already hold every span's physical writes, so
+        the fold leaves the writes to them.
         """
         if not self._draw_maps:
             return
@@ -355,30 +375,38 @@ class SpanComposer:
         ones, writes = self._dense
         reduction = self._reduction
         region_rows = self.region_rows
+        permuted = [k for k, mapping in enumerate(self._draw_maps)
+                    if isinstance(mapping, np.ndarray)]
+        rolled = [(mapping, k) for k, mapping in enumerate(self._draw_maps)
+                  if not isinstance(mapping, np.ndarray)]
+        if permuted:
+            # Zeros: regions no block writes are never yielded.
+            logical = np.zeros(
+                (len(permuted), self.rows, self.word_bits),
+                dtype=self._numerator_dtype(
+                    max(self._draw_lengths[k] for k in permuted)))
         for rows, numerators in reduction.numerator_chunks(
                 np.stack(self._draw_enables), np.asarray(self._draw_lengths)):
+            if permuted:
+                logical[:, rows] = (numerators if not rolled
+                                    else numerators[permuted])
             count = rows.stop - rows.start
             base = rows.start - rows.start % region_rows
-            for mapping, numerator in zip(self._draw_maps, numerators):
-                if isinstance(mapping, np.ndarray):
-                    # A bijection has no repeated targets: gather, add, put
-                    # (faster than a fancy-index ``+=``).
-                    targets = mapping[rows]
-                    gathered = np.take(ones, targets, axis=0)
-                    gathered += numerator
-                    ones[targets] = gathered
-                    continue
-                first = (rows.start - base + mapping) % region_rows
+            for offset, k in rolled:
+                first = (rows.start - base + offset) % region_rows
                 head = min(count, region_rows - first)
-                ones[base + first:base + first + head] += numerator[:head]
-                ones[base:base + count - head] += numerator[head:]
-        for mapping, length in zip(self._draw_maps, self._draw_lengths):
-            if isinstance(mapping, np.ndarray):
-                writes[mapping] += reduction.writes * length
-            else:
-                _roll_axpy(writes.reshape(-1, region_rows, 1),
-                           reduction.writes.reshape(-1, region_rows, 1),
-                           mapping, float(length))
+                ones[base + first:base + first + head] += numerators[k, :head]
+                ones[base:base + count - head] += numerators[k, head:]
+        for slot, k in enumerate(permuted):
+            ones += np.take(logical[slot], self._draw_maps[k], axis=0)
+        if not self._track:
+            for mapping, length in zip(self._draw_maps, self._draw_lengths):
+                if isinstance(mapping, np.ndarray):
+                    writes += length * np.take(reduction.writes, mapping)
+                else:
+                    _roll_axpy(writes.reshape(-1, region_rows, 1),
+                               reduction.writes.reshape(-1, region_rows, 1),
+                               mapping, float(length))
         self._draw_slots.clear()
         self._draw_maps.clear()
         self._draw_enables.clear()
@@ -391,13 +419,19 @@ class SpanComposer:
         return self._row_ones, self._row_writes
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialise the composed physical ``(ones, writes)`` counts."""
+        """Materialise the composed physical ``(ones, writes)`` counts.
+
+        With feedback tracking the writes are the running row totals, which
+        already cover every span (exact integers: any order is the same).
+        """
         self._fold_draws()
         if self._dense is not None:
             ones, writes = self._dense
         else:
             ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
             writes = np.zeros(self.rows, dtype=np.float64)
+        if self._track:
+            writes = self._row_writes.copy()
         if self._bases is None:  # no batched spans
             return ones, writes
         num_channels = len(self._bases)
@@ -420,23 +454,14 @@ class SpanComposer:
                                   self._writes_base.reshape(-1, 1),
                                   gamma_writes, region_rows)
         if self._perm_inverses:
-            indices = np.stack(self._perm_inverses, axis=1)
             coeffs = np.stack(self._perm_coeffs, axis=1)
             for channel in range(num_channels):
-                active = np.flatnonzero(coeffs[channel])
-                if not active.size:
-                    continue
-                if active.size == indices.shape[1]:
-                    _weighted_perm_matvec(ones, self._bases[channel],
-                                          indices, coeffs[channel])
-                else:
-                    _weighted_perm_matvec(ones, self._bases[channel],
-                                          np.ascontiguousarray(
-                                              indices[:, active]),
-                                          coeffs[channel][active])
-            for inverse, length in zip(self._perm_inverses,
-                                       self._perm_lengths):
-                writes += length * self._writes_base[inverse]
+                _weighted_perm_gather(ones, self._bases[channel],
+                                      self._perm_inverses, coeffs[channel])
+            if not self._track:
+                for inverse, length in zip(self._perm_inverses,
+                                           self._perm_lengths):
+                    writes += length * np.take(self._writes_base, inverse)
         return ones, writes
 
 
@@ -455,8 +480,9 @@ def compose_leveled(kernel: Union["PackedSpanKernel", "TrbgSpanKernel"],
     (:class:`~repro.core.simulation.TrbgSpanKernel`) draws every span in
     order through :meth:`SpanComposer.add_draws` and is reduced in one fused
     pass at :meth:`SpanComposer.finalize`.  The explicit engines' leveled
-    walk, :func:`~repro.core.simulation.replay_epochs`, is its oracle.  Feedback levelers observe the
-    accumulated physical stress at the end of every table — on top of the
+    walk, :func:`~repro.core.simulation.replay_epochs`, is its oracle.
+    Feedback levelers observe the accumulated physical ``(row_ones,
+    row_hold)`` counts at the end of every table — on top of the
     ``(row_ones, row_writes)`` totals of earlier windows in ``prior_rows``,
     which are advanced in place by this window's totals.
 
@@ -464,7 +490,6 @@ def compose_leveled(kernel: Union["PackedSpanKernel", "TrbgSpanKernel"],
     composed span tables, oldest first.
     """
     from repro.core.simulation import TrbgSpanKernel
-    from repro.leveling.remap import mean_duty_from_row_counts
 
     word_bits = leveler.geometry.word_bits
     feedback = leveler.uses_feedback
@@ -486,8 +511,7 @@ def compose_leveled(kernel: Union["PackedSpanKernel", "TrbgSpanKernel"],
                 row_ones = prior_rows[0] + row_ones
                 row_writes = prior_rows[1] + row_writes
             leveler.observe(int(table.starts[-1] + table.lengths[-1]),
-                            mean_duty_from_row_counts(row_ones,
-                                                      row_writes * float(word_bits)))
+                            row_ones, row_writes * float(word_bits))
     if feedback and prior_rows is not None:
         row_ones, row_writes = composer.row_totals()
         prior_rows[0][...] += row_ones

@@ -26,11 +26,12 @@ CLI resolve the ``leveling`` parameter through.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.leveling.remap import SpanTable, WearLeveler
+from repro.leveling.remap import (SpanTable, WearLeveler,
+                                  mean_duty_from_row_counts)
 from repro.memory.geometry import MemoryGeometry
 from repro.utils.validation import check_positive_int
 
@@ -118,16 +119,25 @@ class WearSwapLeveler(WearLeveler):
 
     Every ``interval`` inferences the leveler ranks all physical rows by
     their mean duty-cycle so far (the
-    :func:`~repro.leveling.remap.mean_duty_from_row_counts` stress both
-    engines report), pairs the hottest ``swap_fraction`` of rows
-    with the coldest, and swaps each pair's logical occupants — the remap
-    analogue of the FTL practice of moving hot data into the least-worn
-    blocks.  Pairs whose stress difference is not strictly positive are left
-    alone, so a perfectly balanced memory keeps its mapping.
+    :func:`~repro.leveling.remap.mean_duty_from_row_counts` ratio of the
+    ``(row_ones, row_hold)`` counts both engines report), pairs the hottest
+    ``swap_fraction`` of rows with the coldest, and swaps each pair's
+    logical occupants — the remap analogue of the FTL practice of moving hot
+    data into the least-worn blocks.  Pairs whose stress difference is not
+    strictly positive are left alone, so a perfectly balanced memory keeps
+    its mapping.
 
     Unlike the rotation policies the swap table is global: hot rows migrate
     across FIFO region boundaries, which is what lets this policy reduce the
     *region* imbalance an uneven block-to-tile placement accumulates.
+
+    Ranking runs on integer keys where it can (:meth:`_ranking_keys`): when
+    every written row holds the same total, the ratio is monotone in the
+    ones count, and never-written rows report 0 ones, so a stable sort of
+    the ones counts orders the rows exactly as a stable sort of the ratio.
+    The leveler also keeps the inverse of its permutation (each physical
+    row's logical occupant, held in int32) and hands it to the composer with
+    every chunk.
     """
 
     name = "wear_swap"
@@ -146,15 +156,18 @@ class WearSwapLeveler(WearLeveler):
 
     def reset(self) -> None:
         self._perm = self._identity.copy()
-        self._stress: Optional[np.ndarray] = None
+        self._inverse = self._identity.astype(np.int32)
+        self._counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._next_swap = self.interval
         self.num_swaps_applied = 0
 
-    def observe(self, epoch: int, row_stress: np.ndarray) -> None:
-        self._stress = np.asarray(row_stress, dtype=np.float64).copy()
+    def observe(self, epoch: int, row_ones: np.ndarray,
+                row_hold: np.ndarray) -> None:
+        self._counts = (np.array(row_ones, dtype=np.float64).reshape(-1),
+                        np.array(row_hold, dtype=np.float64).reshape(-1))
 
     def permutation(self, epoch: int) -> np.ndarray:
-        if epoch >= self._next_swap and self._stress is not None:
+        if epoch >= self._next_swap and self._counts is not None:
             self._apply_swaps()
             self._next_swap = (int(epoch) // self.interval + 1) * self.interval
         return self._perm
@@ -168,36 +181,58 @@ class WearSwapLeveler(WearLeveler):
 
         Each chunk's permutation is resolved only when the driver pulls it —
         i.e. after the driver has composed the previous chunk and fed the
-        accumulated stress through :meth:`observe` — so the chunked walk
+        accumulated counts through :meth:`observe` — so the chunked walk
         makes exactly the same swap decisions as an epoch-by-epoch walk.
+        The chunk carries the permutation's inverse too.
         """
         starts, lengths = self._span_bounds(num_inferences, start, stop)
         for span_start, length in zip(starts, lengths):
             permutation = self.permutation(int(span_start))
             yield SpanTable(self, starts=np.asarray([span_start]),
                             lengths=np.asarray([length]),
-                            permutations=permutation[None, :])
+                            permutations=permutation[None, :],
+                            inverses=self._inverse[None, :])
+
+    def _ranking_keys(self) -> np.ndarray:
+        """Per-row keys whose stable order is the mean-duty order.
+
+        Where the hold total takes one value over the written rows, the
+        ratio is monotone in the ones count, so the uint16 ones counts rank
+        the rows exactly as the ratio does (numpy's stable sort of 16-bit
+        keys is a radix sort).  Wider counts and non-uniform holds rank on
+        the float ratio itself.
+        """
+        row_ones, row_hold = self._counts
+        top = row_hold.max(initial=0.0)
+        lowest_written = row_hold.min(where=row_hold > 0.0, initial=top)
+        if lowest_written >= top and row_ones.max(initial=0.0) < 2 ** 16:
+            return row_ones.astype(np.uint16)
+        return mean_duty_from_row_counts(row_ones, row_hold)
 
     def _apply_swaps(self) -> None:
         """Exchange the logical occupants of the hottest/coldest row pairs."""
         if self._pair_count == 0:
             return
-        # Stable sort: the stress values are ratios of exact integer counts,
-        # so tie-breaking by physical row index keeps the packed and explicit
-        # engines' swap decisions bit-identical.
-        order = np.argsort(self._stress, kind="stable")
+        # Stable sort: the keys are exact integers or ratios of exact integer
+        # counts, so tie-breaking by physical row index keeps the packed and
+        # explicit engines' swap decisions bit-identical.
+        keys = self._ranking_keys()
+        order = np.argsort(keys, kind="stable")
         cold = order[:self._pair_count]
         hot = order[-self._pair_count:][::-1]
-        improves = self._stress[hot] > self._stress[cold]
+        improves = keys[hot] > keys[cold]
         if not improves.any():
             return
         hot, cold = hot[improves], cold[improves]
-        inverse = np.empty(self.rows, dtype=np.int64)
-        inverse[self._perm] = self._identity
-        perm = self._perm.copy()
-        perm[inverse[hot]] = cold
-        perm[inverse[cold]] = hot
-        self._perm = perm
+        # ``swap`` exchanges each hot physical row with its cold partner; the
+        # new map is ``swap`` after the old one, and the new inverse the old
+        # one after ``swap`` (an involution).  Both are fresh arrays: the
+        # span tables of earlier chunks keep the old ones.
+        swap = self._identity.copy()
+        swap[hot] = cold
+        swap[cold] = hot
+        self._perm = np.take(swap, self._perm)
+        self._inverse = np.take(self._inverse, swap)
         self.num_swaps_applied += 1
 
     def describe(self) -> Dict[str, object]:

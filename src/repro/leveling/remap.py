@@ -17,9 +17,12 @@ the granularity both simulation paths consume it at:
   through it.
 
 Feedback-driven policies (the wear-map-guided swap) additionally receive the
-accumulated per-physical-row stress through :meth:`WearLeveler.observe`; both
-walks report the same quantity (:func:`mean_duty_from_row_counts` over exact
-integral counts), so the permutations they derive are bit-identical.
+accumulated per-physical-row ``(row_ones, row_hold)`` counts through
+:meth:`WearLeveler.observe`: the ones stored and the cell-holds written per
+row, exact integers both walks accumulate identically, so the permutations
+derived from them are bit-identical.  The stress they stand for is
+:func:`mean_duty_from_row_counts`; a leveler ranks on the integer counts
+where they order the rows like that ratio and on the ratio otherwise.
 :func:`check_leveler` is the one geometry check every engine applies to the
 leveler it is given.
 """
@@ -119,13 +122,15 @@ class SpanTable:
       family: identity, rotation, start-gap).  Offset form is what enables the
       fused roll/window composition in the packed engine.
     * an explicit ``(num_spans, rows)`` permutation matrix, for table-driven
-      levelers (wear-swap chunks).  :meth:`permutations` materialises this
-      form for either flavour.
+      levelers (wear-swap chunks).  A leveler that keeps its inverse map
+      passes it as ``inverses`` (each physical row's logical occupant), so
+      the composer never rebuilds it; :meth:`inverse` derives it otherwise.
     """
 
     def __init__(self, leveler: "WearLeveler", starts: np.ndarray,
                  lengths: np.ndarray, offsets: Optional[np.ndarray] = None,
-                 permutations: Optional[np.ndarray] = None):
+                 permutations: Optional[np.ndarray] = None,
+                 inverses: Optional[np.ndarray] = None):
         self.leveler = leveler
         self.starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         self.lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
@@ -137,6 +142,7 @@ class SpanTable:
                         else np.asarray(offsets, dtype=np.int64).reshape(-1)
                         % leveler.region_rows)
         self._permutations = permutations
+        self._inverses = inverses
 
     @property
     def num_spans(self) -> int:
@@ -153,13 +159,14 @@ class SpanTable:
             return self._permutations[index]
         return self.leveler._region_rotation(int(self.offsets[index]))
 
-    def permutations(self) -> np.ndarray:
-        """Materialise the full ``(num_spans, rows)`` permutation matrix."""
-        if self._permutations is not None:
-            return self._permutations
-        if not self.num_spans:
-            return np.empty((0, self.leveler.rows), dtype=np.int64)
-        return np.stack([self.permutation(k) for k in range(self.num_spans)])
+    def inverse(self, index: int) -> np.ndarray:
+        """The physical→logical row map of span ``index``."""
+        if self._inverses is not None:
+            return self._inverses[index]
+        permutation = self.permutation(index)
+        inverse = np.empty_like(permutation)
+        inverse[permutation] = self.leveler._identity
+        return inverse
 
 
 class WearLeveler:
@@ -171,8 +178,9 @@ class WearLeveler:
 
     * :meth:`permutation` returns the logical→physical row map in force for
       ``epoch``; drivers call it with non-decreasing epochs;
-    * :meth:`observe` feeds the accumulated per-physical-row stress after
-      ``epoch`` epochs (only consulted when :attr:`uses_feedback`);
+    * :meth:`observe` feeds the accumulated per-physical-row ``(row_ones,
+      row_hold)`` counts after ``epoch`` epochs (only consulted when
+      :attr:`uses_feedback`);
     * :meth:`change_epochs` lists every epoch at which the map may differ
       from the previous epoch's, so the fast engine can batch the constant
       stretches; :meth:`span_tables` cuts them into span tables.
@@ -206,8 +214,15 @@ class WearLeveler:
         """The logical→physical row map in force during ``epoch``."""
         return self._region_rotation(self._offset_at(epoch))
 
-    def observe(self, epoch: int, row_stress: np.ndarray) -> None:
-        """Report per-physical-row stress accumulated over the first ``epoch`` epochs."""
+    def observe(self, epoch: int, row_ones: np.ndarray,
+                row_hold: np.ndarray) -> None:
+        """Report the per-physical-row counts of the first ``epoch`` epochs.
+
+        ``row_ones`` is the ones stored per row and ``row_hold`` the
+        cell-holds written per row (writes times word width); both are exact
+        non-negative integers with ``row_ones <= row_hold``, and their ratio
+        (:func:`mean_duty_from_row_counts`) is the row's mean duty.
+        """
 
     def change_epochs(self, num_inferences: int) -> np.ndarray:
         """Epochs in ``[0, num_inferences)`` at which the mapping may change."""
@@ -273,10 +288,10 @@ class WearLeveler:
 
         The driver contract of the batched composition path: compose every
         yielded table, then (for :attr:`uses_feedback` levelers) call
-        :meth:`observe` with the accumulated physical stress *before* pulling
+        :meth:`observe` with the accumulated physical counts *before* pulling
         the next chunk — the generator resolves the next chunk's mapping only
         after control returns, so feedback-driven tables see exactly the
-        stress an epoch-by-epoch walk would have shown them.
+        counts an epoch-by-epoch walk would have shown them.
         Schedule-driven levelers yield the whole window as a single table.
         """
         yield self.span_table(num_inferences, start=start, stop=stop)

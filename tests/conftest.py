@@ -70,6 +70,27 @@ def pack_calls(monkeypatch):
 
 
 @pytest.fixture
+def ranking_paths(monkeypatch):
+    """Record the path of every wear_swap ranking: ``"int"`` or ``"ratio"``.
+
+    Returns the (live) list; ``"int"`` is a ranking on the uint16 ones
+    counts, ``"ratio"`` one on the float mean-duty fallback.
+    """
+    from repro.leveling.policies import WearSwapLeveler
+
+    paths = []
+    original = WearSwapLeveler._ranking_keys
+
+    def recording(self):
+        keys = original(self)
+        paths.append("int" if keys.dtype == np.uint16 else "ratio")
+        return keys
+
+    monkeypatch.setattr(WearSwapLeveler, "_ranking_keys", recording)
+    return paths
+
+
+@pytest.fixture
 def rng():
     """A seeded random generator."""
     return np.random.default_rng(1234)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
+from repro.bench.aging_bench import BenchCase
 from repro.cli import main
 from repro.core.policies import make_policy
 from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
@@ -106,9 +107,9 @@ class TestPermutations:
     def test_wear_swap_moves_hot_to_cold(self, geometry):
         leveler = WearSwapLeveler(geometry, interval=1, swap_fraction=0.1)
         leveler.reset()
-        stress = np.zeros(32)
-        stress[3] = 1.0  # hottest physical row
-        leveler.observe(1, stress)
+        row_ones = np.zeros(32)
+        row_ones[3] = 8.0  # hottest physical row
+        leveler.observe(1, row_ones, np.full(32, 8.0))
         permutation = check_permutation(leveler.permutation(1), 32)
         # Logical row 3 now targets the (stable-argsort) coldest row 0.
         assert permutation[3] == 0
@@ -118,7 +119,7 @@ class TestPermutations:
     def test_wear_swap_balanced_memory_keeps_identity(self, geometry):
         leveler = WearSwapLeveler(geometry, interval=1)
         leveler.reset()
-        leveler.observe(1, np.full(32, 0.5))
+        leveler.observe(1, np.full(32, 4.0), np.full(32, 8.0))
         assert np.array_equal(leveler.permutation(1), np.arange(32))
         assert leveler.num_swaps_applied == 0
 
@@ -151,7 +152,7 @@ class TestEngineEquivalence:
                                         "inversion_per_location", "barrel_shifter"])
     @pytest.mark.parametrize("pad_final_block", [True, False])
     def test_packed_matches_explicit(self, tiny_network, pad_final_block,
-                                     leveling, options, policy):
+                                     leveling, options, policy, ranking_paths):
         # Unpadded, the stream's word count is not a multiple of the word
         # width: barrel rotations and inversion parities drift per epoch.
         stream = _tiny_fifo_stream(tiny_network, pad_final_block)
@@ -170,6 +171,29 @@ class TestEngineEquivalence:
             assert fast_leveler.num_swaps_applied > 0
             assert fast_leveler.num_swaps_applied == exact_leveler.num_swaps_applied
             assert np.array_equal(fast_leveler._perm, exact_leveler._perm)
+            # The tiny network's blocks land unevenly on the four tiles, so
+            # the rows' hold totals differ and the ranking uses the ratio.
+            assert set(ranking_paths) == {"ratio"}
+
+    @pytest.mark.parametrize("policy", ["none", "inversion", "barrel_shifter"])
+    def test_integer_ranking_matches_explicit(self, policy, ranking_paths):
+        """Padded synthetic stream: every row holds the same total, so both
+        engines rank on integer keys and still swap identically."""
+        case = BenchCase(name="uniform_holds", description="test",
+                         memory_kb=8, word_bits=8, num_blocks=12,
+                         fifo_depth_tiles=4, num_inferences=6)
+        stream = case.build_stream(seed=0)
+        levelers = [make_leveler("wear_swap", stream.geometry, 4, interval=2,
+                                 swap_fraction=0.25) for _ in range(2)]
+        fast = AgingSimulator(stream, make_policy(policy, 8), num_inferences=6,
+                              seed=0, leveler=levelers[0]).run()
+        exact = ExplicitAgingSimulator(stream, make_policy(policy, 8),
+                                       num_inferences=6,
+                                       leveler=levelers[1]).run()
+        assert np.array_equal(fast.duty_cycles, exact.duty_cycles)
+        assert levelers[0].num_swaps_applied > 0
+        assert np.array_equal(levelers[0]._perm, levelers[1]._perm)
+        assert set(ranking_paths) == {"int"}
 
     def test_rotation_period_one_equals_no_leveling(self, tiny_stream):
         baseline = AgingSimulator(tiny_stream, make_policy("inversion", 8),

@@ -15,6 +15,9 @@ from repro.core.policies import (
     NoMitigationPolicy,
     PeriodicInversionPolicy,
 )
+from repro.leveling.policies import WearSwapLeveler
+from repro.leveling.remap import mean_duty_from_row_counts
+from repro.memory.geometry import MemoryGeometry
 from repro.quantization.bitops import (
     bit_probabilities,
     invert_words,
@@ -423,3 +426,79 @@ class TestCellClassEquivalence:
         for axis in (None, 0):
             assert np.array_equal(_nanmean(values, axis=axis),
                                   np.nanmean(values, axis=axis))
+
+
+def _float_ratio_swap(perm, row_ones, row_hold, pair_count):
+    """Reference hot/cold swap: ranked on the float mean-duty ratio, with the
+    inverse map rebuilt from the permutation.  Returns ``(order, perm)``."""
+    stress = mean_duty_from_row_counts(row_ones, row_hold)
+    order = np.argsort(stress, kind="stable")
+    cold, hot = order[:pair_count], order[-pair_count:][::-1]
+    improves = stress[hot] > stress[cold]
+    if not improves.any():
+        return order, perm
+    hot, cold = hot[improves], cold[improves]
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    perm = perm.copy()
+    perm[inverse[hot]] = cold
+    perm[inverse[cold]] = hot
+    return order, perm
+
+
+@st.composite
+def wear_count_rounds(draw):
+    """Rounds of ``(row_ones, row_hold)`` counts of one kind.
+
+    ``uniform``: one hold total over the written rows, never-written rows
+    (0 ones, 0 hold) and a few shared ones levels (heavy ties); ``wide``: the
+    same with a ones count at or above 2**16; ``nonuniform``: written rows
+    with different hold totals.
+    """
+    kind = draw(st.sampled_from(["uniform", "wide", "nonuniform"]))
+    rows = draw(st.sampled_from([8, 10, 24, 64]))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        written = np.array(draw(st.lists(st.booleans(), min_size=rows,
+                                         max_size=rows)))
+        written[:2] = True
+        if kind == "nonuniform":
+            holds = draw(st.lists(st.integers(1, 400), min_size=2, max_size=3,
+                                  unique=True))
+            row_hold = np.array([holds[draw(st.integers(0, len(holds) - 1))]
+                                 for _ in range(rows)])
+            row_hold[:2] = holds[:2]
+        else:
+            low = 2 ** 16 if kind == "wide" else 1
+            row_hold = np.full(rows, draw(st.integers(low, 2 ** 20)))
+        top = int(row_hold.min()) if kind == "nonuniform" else min(
+            int(row_hold[0]), 2 ** 16 - 1)
+        levels = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+        row_ones = np.array([levels[draw(st.integers(0, len(levels) - 1))]
+                             for _ in range(rows)])
+        if kind == "wide":
+            row_ones[0] = draw(st.integers(2 ** 16, int(row_hold[0])))
+        row_ones[~written], row_hold[~written] = 0, 0
+        rounds.append((row_ones.astype(np.float64), row_hold.astype(np.float64)))
+    return kind, rows, rounds, draw(st.sampled_from([0.1, 0.25, 0.5]))
+
+
+class TestWearSwapRankingProperties:
+    """Integer-key ranking makes exactly the float-ratio swap decisions."""
+
+    @given(case=wear_count_rounds())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_keys_rank_like_the_float_ratio(self, case):
+        kind, rows, rounds, swap_fraction = case
+        leveler = WearSwapLeveler(MemoryGeometry(capacity_bytes=rows, word_bits=8),
+                                  interval=1, swap_fraction=swap_fraction)
+        perm = np.arange(rows)
+        for epoch, (row_ones, row_hold) in enumerate(rounds, start=1):
+            leveler.observe(epoch, row_ones, row_hold)
+            keys = leveler._ranking_keys()
+            assert keys.dtype == (np.uint16 if kind == "uniform" else np.float64)
+            order, perm = _float_ratio_swap(perm, row_ones, row_hold,
+                                            leveler._pair_count)
+            assert np.array_equal(np.argsort(keys, kind="stable"), order)
+            assert np.array_equal(leveler.permutation(epoch), perm)
+            assert np.array_equal(leveler._inverse[perm], np.arange(rows))

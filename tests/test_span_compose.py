@@ -14,7 +14,8 @@ Three layers of protection for the fused remap composition
   expose any narrow-dtype shortcut in the composition, plus live
   cross-checks of the fused composition (batched deterministic kernels and
   the draw/reduce dnn_life kernel) against a literal per-span walk, of the
-  TRBG reduce stage against the encoder arithmetic, and of scipy vs numpy.
+  TRBG reduce stage against the encoder arithmetic, and of the integer
+  permutation gathers against a float64 loop.
 """
 
 import hashlib
@@ -32,11 +33,12 @@ from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.core.policies import DnnLifePolicy
-from repro.core.simulation import AgingSimulator, TrbgReduction
+from repro.core.simulation import (AgingSimulator, TrbgReduction,
+                                   _word_popcounts)
 from repro.core.span_compose import compose_leveled
 from repro.experiments.common import ExperimentScale
 from repro.leveling import make_leveler
-from repro.leveling.remap import _check_span_tiling, mean_duty_from_row_counts
+from repro.leveling.remap import _check_span_tiling
 from repro.memory.geometry import MemoryGeometry
 from repro.scenario.driver import ScenarioAgingSimulator, scenario_stream_factory
 from repro.scenario.phases import LifetimeScenario
@@ -76,22 +78,23 @@ def _build_leveler(spec, fifo_depth_tiles=4, capacity_bytes=64):
     return make_leveler(name, geometry, fifo_depth_tiles, **options)
 
 
-def _stress(leveler, epoch):
-    """A distinct per-row stress for ``epoch``: every swap opportunity of a
-    feedback leveler then changes the mapping."""
-    return np.random.default_rng(epoch).permutation(leveler.rows).astype(float)
+def _counts(leveler, epoch):
+    """Distinct per-row ``(row_ones, row_hold)`` counts for ``epoch``: every
+    swap opportunity of a feedback leveler then changes the mapping."""
+    row_ones = np.random.default_rng(epoch).permutation(leveler.rows).astype(float)
+    return row_ones, np.full(leveler.rows, float(leveler.rows))
 
 
 def _constant_mapping_runs(leveler, start, stop):
     """Test-local reference: maximal runs of equal ``permutation(epoch)``.
 
     Walks ``[start, stop)`` epoch by epoch; feedback levelers observe
-    :func:`_stress` before the window (as an earlier window would have left
+    :func:`_counts` before the window (as an earlier window would have left
     them) and after every epoch.
     """
     runs, previous = [], None
     if leveler.uses_feedback:
-        leveler.observe(start, _stress(leveler, start))
+        leveler.observe(start, *_counts(leveler, start))
     for epoch in range(start, stop):
         permutation = leveler.permutation(epoch).copy()
         if previous is not None and np.array_equal(permutation, previous):
@@ -100,7 +103,7 @@ def _constant_mapping_runs(leveler, start, stop):
             runs.append([epoch, 1])
         previous = permutation
         if leveler.uses_feedback:
-            leveler.observe(epoch + 1, _stress(leveler, epoch + 1))
+            leveler.observe(epoch + 1, *_counts(leveler, epoch + 1))
     return [tuple(run) for run in runs]
 
 
@@ -114,14 +117,14 @@ class TestSpanTableProperties:
         expected = _constant_mapping_runs(_build_leveler(spec), start, stop)
         leveler = _build_leveler(spec)
         if leveler.uses_feedback:
-            leveler.observe(start, _stress(leveler, start))
+            leveler.observe(start, *_counts(leveler, start))
         got = []
         for table in leveler.span_tables(num_inferences, start=start,
                                          stop=stop):
             got.extend(table.iter_spans())
             if leveler.uses_feedback and table.num_spans:
                 end = int(table.starts[-1] + table.lengths[-1])
-                leveler.observe(end, _stress(leveler, end))
+                leveler.observe(end, *_counts(leveler, end))
         assert got == expected
 
     @settings(max_examples=200, deadline=None)
@@ -358,7 +361,7 @@ def _per_span_walk(kernel, leveler, horizon, start=0, stop=None,
 
     ``kernel(span_start - start, n)`` per span, in table order, scattered
     through ``table.permutation(k)``; feedback levelers observe the dense
-    physical stress (on top of ``prior_rows``, advanced in place) at every
+    physical counts (on top of ``prior_rows``, advanced in place) at every
     table end, exactly as the fused path must.
     """
     word_bits = leveler.geometry.word_bits
@@ -376,8 +379,7 @@ def _per_span_walk(kernel, leveler, horizon, start=0, stop=None,
                 row_ones = prior_rows[0] + row_ones
                 row_writes = prior_rows[1] + row_writes
             leveler.observe(int(table.starts[-1] + table.lengths[-1]),
-                            mean_duty_from_row_counts(
-                                row_ones, row_writes * float(word_bits)))
+                            row_ones, row_writes * float(word_bits))
     if leveler.uses_feedback and prior_rows is not None:
         prior_rows[0][...] += ones.sum(axis=1)
         prior_rows[1][...] += writes
@@ -418,12 +420,16 @@ class TestBatchedMatchesLoop:
                              ["none", "inversion", "barrel_shifter"])
     @pytest.mark.parametrize("leveler_name,options",
                              GOLDEN_LEVELERS, ids=lambda v: str(v))
-    def test_bitwise_equal_results(self, policy_name, leveler_name, options):
+    def test_bitwise_equal_results(self, policy_name, leveler_name, options,
+                                   ranking_paths):
         case = _golden_8kb_case()
         _assert_fused_matches_walk(
             case.build_stream(seed=0),
             lambda: _policy_for(case, policy_name, 0), leveler_name, options,
             case.fifo_depth_tiles, case.num_inferences)
+        # Every row of the padded case holds the same total: integer keys.
+        assert set(ranking_paths) == ({"int"} if leveler_name == "wear_swap"
+                                      else set())
 
     def test_300_span_schedule_bitwise_equal(self):
         case = _golden_300span_case()
@@ -432,27 +438,24 @@ class TestBatchedMatchesLoop:
             "rotation", {"period": 8, "step": 1}, case.fifo_depth_tiles,
             case.num_inferences)
 
-    def _run(self, case, policy_name, leveler_name, options):
-        stream = case.build_stream(seed=0)
-        leveler = make_leveler(leveler_name, stream.geometry,
-                               case.fifo_depth_tiles, **options)
-        return AgingSimulator(stream, _policy_for(case, policy_name, 0),
-                              num_inferences=case.num_inferences, seed=0,
-                              leveler=leveler).run()
-
-    def test_permutation_matvec_fallback_is_bitwise_equal(self, monkeypatch):
-        """The numpy gather fallback must match the scipy csr_matvecs path."""
-        if span_compose._CSR_MATVECS is None:
-            pytest.skip("scipy csr_matvecs unavailable; fallback already "
-                        "exercised by the other tests")
-        case = _golden_8kb_case()
-        scipy_result = self._run(case, "inversion", "wear_swap",
-                                 {"interval": 2, "swap_fraction": 0.25})
-        monkeypatch.setattr(span_compose, "_CSR_MATVECS", None)
-        numpy_result = self._run(case, "inversion", "wear_swap",
-                                 {"interval": 2, "swap_fraction": 0.25})
-        assert np.array_equal(scipy_result.duty_cycles,
-                              numpy_result.duty_cycles)
+    def test_permutation_gather_matches_float_loop(self):
+        """The integer gathers of permutation-form spans equal the float64
+        gather-accumulate: unsigned, signed and wide bases, with repeated
+        and zero weights."""
+        generator = np.random.default_rng(3)
+        rows = 64
+        inverses = [generator.permutation(rows) for _ in range(6)]
+        weights = np.array([2.0, 2.0, 0.0, 5.0, 2.0, 1.0])
+        for low, high in [(0, 255), (-128, 127), (-200, 300), (0, 2 ** 40)]:
+            base = generator.integers(low, high, (rows, 8),
+                                      endpoint=True).astype(np.float64)
+            base[0, 0], base[1, 1] = low, high  # the extremes pick the dtypes
+            expected = np.zeros((rows, 8))
+            for inverse, weight in zip(inverses, weights):
+                expected += weight * base[inverse]
+            got = np.zeros((rows, 8))
+            span_compose._weighted_perm_gather(got, base, inverses, weights)
+            assert np.array_equal(got, expected)
 
 
 #: TRBG configurations of the fused dnn_life battery: an unbiased TRBG, and a
@@ -501,12 +504,17 @@ class TestFusedTrbgMatchesWalk:
     @pytest.mark.parametrize("leveler_name,options",
                              GOLDEN_LEVELERS, ids=lambda v: str(v))
     def test_unpadded_final_block(self, tiny_network, tiny_fifo_scheduler,
-                                  leveler_name, options, words_per_enable):
+                                  leveler_name, options, words_per_enable,
+                                  ranking_paths):
         stream = _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler)
         _assert_fused_matches_walk(
             stream, lambda: DnnLifePolicy(8, seed=2, trbg_bias=0.7,
                                           words_per_enable=words_per_enable),
             leveler_name, options, 4, 9, seed=2)
+        # The short final block leaves some rows with fewer writes: the
+        # holds differ, so the ranking falls back to the ratio.
+        assert set(ranking_paths) == ({"ratio"} if leveler_name == "wear_swap"
+                                      else set())
 
     @pytest.mark.parametrize("trbg", sorted(TRBG_CONFIGS))
     @pytest.mark.parametrize("leveler_name,options",
@@ -544,6 +552,12 @@ class TestFusedTrbgMatchesWalk:
 
 class TestTrbgReduction:
     """The reduce stage against the literal per-block encoder arithmetic."""
+
+    @pytest.mark.parametrize("word_bits", [4, 8, 16, 64])
+    def test_word_popcounts_are_bit_sums(self, word_bits):
+        bits = np.random.default_rng(word_bits).integers(
+            0, 2, (3, 5, word_bits)).astype(np.uint8)
+        assert np.array_equal(_word_popcounts(bits), bits.sum(axis=-1))
 
     @staticmethod
     def _literal_numerator(packed, enables, group, n):
