@@ -359,6 +359,7 @@ class PackedBitTensor:
         self._valid_mask: Optional[np.ndarray] = None
         self._rows_ones: Optional[np.ndarray] = None
         self._rows_writes: Optional[np.ndarray] = None
+        self._word_popcounts: Optional[np.ndarray] = None
 
     # -- construction ---------------------------------------------------- #
     @classmethod
@@ -527,3 +528,11 @@ class PackedBitTensor:
         if self._rows_writes is None:
             self._rows_writes = _freeze(self.rows_sum(self.valid_mask()))
         return self._rows_writes
+
+    def word_popcounts(self) -> np.ndarray:
+        """``uint8`` ``(num_blocks, words_per_block)`` count of '1' bits per
+        word (cached, read-only; padding words count 0)."""
+        if self._word_popcounts is None:
+            self._word_popcounts = _freeze(self.bits.sum(axis=-1,
+                                                         dtype=np.uint8))
+        return self._word_popcounts

@@ -886,22 +886,6 @@ class AgingSimulator:
         return TrbgSpanKernel(draw, reduction)
 
 
-def _word_popcounts(bits: np.ndarray) -> np.ndarray:
-    """``bits.sum(axis=-1)`` as uint8 for a ``(..., word_bits)`` 0/1 tensor.
-
-    With whole bytes per word, each uint64 lane holds eight 0/1 bytes and one
-    multiply by ``0x0101010101010101`` sums them into its top byte (no lane
-    sum exceeds 8, so nothing carries between bytes).
-    """
-    word_bits = bits.shape[-1]
-    if word_bits % 8 or not bits.flags.c_contiguous:
-        return bits.sum(axis=-1, dtype=np.uint8)
-    counts = bits.view(np.uint64) * np.uint64(0x0101010101010101)
-    counts >>= np.uint64(56)
-    counts = counts.astype(np.uint8)
-    return counts.sum(axis=-1, dtype=np.uint8) if word_bits > 8 else counts[..., 0]
-
-
 #: Target size of one chunk's operands in the fused TRBG reduction: the
 #: per-chunk temporaries stay cache-sized however many mappings are folded.
 _TRBG_CHUNK_BYTES = 1 << 20
@@ -983,7 +967,7 @@ class TrbgReduction:
                              dtype=narrow)
             body = table[:, :words]
             body[...] = word_bits
-            popcount = _word_popcounts(packed.bits).astype(narrow)
+            popcount = packed.word_popcounts().astype(narrow)
             body -= popcount
             body -= popcount
             if packed.valid_words.min() < words:

@@ -261,16 +261,21 @@ class SpanComposer:
             raise ValueError("SpanComposer requires a single kernel: basis "
                              "matrices changed between chunks")
 
+    def _check_trackable(self, table: "SpanTable") -> None:
+        """Feedback tracking needs permutation-form tables (the only form
+        feedback levelers emit): their spans carry the inverse maps."""
+        if self._track and table.offsets is not None:
+            raise NotImplementedError(
+                "feedback tracking over offset-form tables is not "
+                "supported: feedback levelers emit permutation chunks")
+
     def add_table(self, table: "SpanTable", batched: BatchedCounts) -> None:
         """Fold one span table's contribution into the composition."""
         if not table.num_spans:
             return
         self._bind(batched)
+        self._check_trackable(table)
         if table.offsets is not None:
-            if self._track:
-                raise NotImplementedError(
-                    "feedback tracking over offset-form tables is not "
-                    "supported: feedback levelers emit permutation chunks")
             self._offset_records.append(
                 (table.offsets, batched.coeffs, table.lengths))
             return
@@ -306,6 +311,7 @@ class SpanComposer:
         (feedback chunks) each keep their own.  The reduce stage runs later,
         for all pending mappings at once (:meth:`_fold_draws`).
         """
+        self._check_trackable(table)
         reduction = self._reduction = kernel.reduction
         for index, (start, length) in enumerate(table.iter_spans()):
             enables = kernel.draw(start - origin, length)
@@ -326,11 +332,10 @@ class SpanComposer:
                     self._draw_enables[slot], enables,
                     dtype=np.min_scalar_type(self._draw_lengths[slot]))
             if self._track:
-                inverse = table.inverse(index)
                 self._row_ones += np.take(
-                    reduction.row_totals(enables, length), inverse)
+                    reduction.row_totals(enables, length), mapping)
                 self._row_writes += length * np.take(reduction.writes,
-                                                     inverse)
+                                                     mapping)
             if (len(self._draw_maps) >= _FOLD_MAPPINGS
                     or self._pending_bytes() >= _FOLD_BYTES):
                 self._fold_draws()

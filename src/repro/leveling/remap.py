@@ -122,9 +122,9 @@ class SpanTable:
       family: identity, rotation, start-gap).  Offset form is what enables the
       fused roll/window composition in the packed engine.
     * an explicit ``(num_spans, rows)`` permutation matrix, for table-driven
-      levelers (wear-swap chunks).  A leveler that keeps its inverse map
-      passes it as ``inverses`` (each physical row's logical occupant), so
-      the composer never rebuilds it; :meth:`inverse` derives it otherwise.
+      levelers (wear-swap chunks), with the matching ``inverses`` matrix
+      (each physical row's logical occupant) the leveler keeps, so the
+      composer never rebuilds an inverse.
     """
 
     def __init__(self, leveler: "WearLeveler", starts: np.ndarray,
@@ -138,6 +138,8 @@ class SpanTable:
             raise ValueError("starts and lengths must have matching shapes")
         if (offsets is None) == (permutations is None):
             raise ValueError("exactly one of offsets/permutations is required")
+        if (permutations is None) != (inverses is None):
+            raise ValueError("permutations and inverses come together")
         self.offsets = (None if offsets is None
                         else np.asarray(offsets, dtype=np.int64).reshape(-1)
                         % leveler.region_rows)
@@ -160,13 +162,8 @@ class SpanTable:
         return self.leveler._region_rotation(int(self.offsets[index]))
 
     def inverse(self, index: int) -> np.ndarray:
-        """The physical→logical row map of span ``index``."""
-        if self._inverses is not None:
-            return self._inverses[index]
-        permutation = self.permutation(index)
-        inverse = np.empty_like(permutation)
-        inverse[permutation] = self.leveler._identity
-        return inverse
+        """The physical→logical row map of permutation-form span ``index``."""
+        return self._inverses[index]
 
 
 class WearLeveler:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
-from repro.bench.aging_bench import BenchCase
 from repro.cli import main
 from repro.core.policies import make_policy
 from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
@@ -52,6 +51,16 @@ def _tiny_fifo_stream(network, pad_final_block=True):
                                      parallel_filters=2, fifo_depth_tiles=4,
                                      pad_final_block=pad_final_block)
     return PackedBitTensor.from_stream(scheduler)
+
+
+def _uniform_fifo_stream():
+    """Random int8 words in eight full blocks on the same 4-tile memory."""
+    memory = MemoryGeometry(capacity_bytes=1 * KB, word_bits=8)
+    words = memory.rows // 4
+    bits = np.random.default_rng(0).random((8, words, 8)) < 0.35
+    return PackedBitTensor(bits=bits.astype(np.uint8), regions=np.arange(8) % 4,
+                           valid_words=np.full(8, words), geometry=memory,
+                           fifo_depth_tiles=4)
 
 
 def _spans(leveler, num_inferences):
@@ -150,12 +159,21 @@ class TestEngineEquivalence:
     ])
     @pytest.mark.parametrize("policy", ["none", "inversion",
                                         "inversion_per_location", "barrel_shifter"])
-    @pytest.mark.parametrize("pad_final_block", [True, False])
-    def test_packed_matches_explicit(self, tiny_network, pad_final_block,
-                                     leveling, options, policy, ranking_paths):
+    @pytest.mark.parametrize("stream_kind,ranking", [
+        # The tiny network's blocks land unevenly on the four tiles, so the
+        # rows' hold totals differ and wear_swap ranks on the ratio.
+        ("padded", "ratio"),
         # Unpadded, the stream's word count is not a multiple of the word
         # width: barrel rotations and inversion parities drift per epoch.
-        stream = _tiny_fifo_stream(tiny_network, pad_final_block)
+        ("unpadded", "ratio"),
+        # Full blocks fill the tiles evenly: every row holds the same total,
+        # so wear_swap ranks on integer keys.
+        ("uniform", "int"),
+    ])
+    def test_packed_matches_explicit(self, tiny_network, stream_kind, ranking,
+                                     leveling, options, policy, ranking_paths):
+        stream = (_uniform_fifo_stream() if stream_kind == "uniform"
+                  else _tiny_fifo_stream(tiny_network, stream_kind == "padded"))
         geometry = stream.geometry
         fast_leveler = make_leveler(leveling, geometry, 4, **options)
         exact_leveler = make_leveler(leveling, geometry, 4, **options)
@@ -171,29 +189,7 @@ class TestEngineEquivalence:
             assert fast_leveler.num_swaps_applied > 0
             assert fast_leveler.num_swaps_applied == exact_leveler.num_swaps_applied
             assert np.array_equal(fast_leveler._perm, exact_leveler._perm)
-            # The tiny network's blocks land unevenly on the four tiles, so
-            # the rows' hold totals differ and the ranking uses the ratio.
-            assert set(ranking_paths) == {"ratio"}
-
-    @pytest.mark.parametrize("policy", ["none", "inversion", "barrel_shifter"])
-    def test_integer_ranking_matches_explicit(self, policy, ranking_paths):
-        """Padded synthetic stream: every row holds the same total, so both
-        engines rank on integer keys and still swap identically."""
-        case = BenchCase(name="uniform_holds", description="test",
-                         memory_kb=8, word_bits=8, num_blocks=12,
-                         fifo_depth_tiles=4, num_inferences=6)
-        stream = case.build_stream(seed=0)
-        levelers = [make_leveler("wear_swap", stream.geometry, 4, interval=2,
-                                 swap_fraction=0.25) for _ in range(2)]
-        fast = AgingSimulator(stream, make_policy(policy, 8), num_inferences=6,
-                              seed=0, leveler=levelers[0]).run()
-        exact = ExplicitAgingSimulator(stream, make_policy(policy, 8),
-                                       num_inferences=6,
-                                       leveler=levelers[1]).run()
-        assert np.array_equal(fast.duty_cycles, exact.duty_cycles)
-        assert levelers[0].num_swaps_applied > 0
-        assert np.array_equal(levelers[0]._perm, levelers[1]._perm)
-        assert set(ranking_paths) == {"int"}
+            assert set(ranking_paths) == {ranking}
 
     def test_rotation_period_one_equals_no_leveling(self, tiny_stream):
         baseline = AgingSimulator(tiny_stream, make_policy("inversion", 8),

@@ -33,12 +33,11 @@ from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
 from repro.core.policies import DnnLifePolicy
-from repro.core.simulation import (AgingSimulator, TrbgReduction,
-                                   _word_popcounts)
+from repro.core.simulation import AgingSimulator, TrbgReduction
 from repro.core.span_compose import compose_leveled
 from repro.experiments.common import ExperimentScale
 from repro.leveling import make_leveler
-from repro.leveling.remap import _check_span_tiling
+from repro.leveling.remap import SpanTable, _check_span_tiling
 from repro.memory.geometry import MemoryGeometry
 from repro.scenario.driver import ScenarioAgingSimulator, scenario_stream_factory
 from repro.scenario.phases import LifetimeScenario
@@ -182,6 +181,15 @@ class TestSpanTableProperties:
         leveler = _build_leveler(("wear_swap", {"interval": 2}))
         with pytest.raises(NotImplementedError):
             leveler.span_table(10)
+
+    def test_permutation_tables_carry_their_inverses(self):
+        leveler = _build_leveler(("wear_swap", {"interval": 3}))
+        table = next(leveler.span_tables(10))
+        permutation = table.permutation(0)
+        np.testing.assert_array_equal(table.inverse(0)[permutation],
+                                      np.arange(permutation.size))
+        with pytest.raises(ValueError, match="permutations and inverses"):
+            SpanTable(leveler, [0], [3], permutations=permutation[None, :])
 
     def test_feedback_driven_tables_chunk_at_observe_boundaries(self):
         leveler = _build_leveler(("wear_swap", {"interval": 3}))
@@ -552,12 +560,6 @@ class TestFusedTrbgMatchesWalk:
 
 class TestTrbgReduction:
     """The reduce stage against the literal per-block encoder arithmetic."""
-
-    @pytest.mark.parametrize("word_bits", [4, 8, 16, 64])
-    def test_word_popcounts_are_bit_sums(self, word_bits):
-        bits = np.random.default_rng(word_bits).integers(
-            0, 2, (3, 5, word_bits)).astype(np.uint8)
-        assert np.array_equal(_word_popcounts(bits), bits.sum(axis=-1))
 
     @staticmethod
     def _literal_numerator(packed, enables, group, n):
