@@ -79,6 +79,7 @@ __all__ = [
     "DEFAULT_REFERENCE_VOLTAGE_V",
     "DEFAULT_REFERENCE_FREQUENCY_GHZ",
     "DEFAULT_VOLTAGE_ACCELERATION_PER_V",
+    "DEVICE_TILE_ELEMENTS",
     "aggregate_stress",
     "scaling_for_model",
 ]
@@ -86,6 +87,13 @@ __all__ = [
 
 #: A per-phase scalar, or one value per device along a leading device axis.
 DeviceScalar = Union[float, np.ndarray]
+
+#: Device-cells per tile of the device-axis evaluations (the stress blend
+#: here, the idle retention probabilities of
+#: :class:`~repro.scenario.operating_point.RetentionModel`): one float64
+#: temporary of a tile holds 512 KB, so a tile's few live temporaries stay
+#: in a core's L2 cache however large the (devices x cells) grid is.
+DEVICE_TILE_ELEMENTS = 1 << 16
 
 
 def _celsius_to_kelvin(temperature_c: DeviceScalar) -> DeviceScalar:
@@ -231,10 +239,28 @@ def aggregate_stress(phases: Sequence[PhaseStress],
     effective_years = sum(weights)
     if not np.all(effective_years > 0):  # also rejects NaN
         raise ValueError("effective stress-time must be positive")
-    effective_duty = np.multiply.outer(weights[0] / effective_years, phases[0].duty)
-    for weight, phase in zip(weights[1:], phases[1:]):
-        effective_duty += np.multiply.outer(weight / effective_years, phase.duty)
-    return effective_duty, _scalar_or_array(effective_years)
+    # Normalised weights as (devices, phases).  Blocks of whole device rows
+    # (one row at least, else about DEVICE_TILE_ELEMENTS cells) are blended
+    # in place through one reusable scratch block, with each phase's weights
+    # as a (rows, 1) column: the same products and sums as an outer product
+    # per phase, without a (devices x cells) temporary each.
+    lead = np.shape(effective_years)
+    normalised = np.stack([np.broadcast_to(np.divide(weight, effective_years), lead)
+                           for weight in weights], axis=-1).reshape(-1, len(phases))
+    duties = [phase.duty.reshape(1, -1) for phase in phases]
+    devices, cells = normalised.shape[0], duties[0].shape[1]
+    effective_duty = np.empty((devices, cells))
+    block = max(1, DEVICE_TILE_ELEMENTS // max(cells, 1))
+    scratch = np.empty((min(block, devices), cells)) if len(phases) > 1 else None
+    for first in range(0, devices, block):
+        rows = effective_duty[first:first + block]
+        columns = normalised[first:first + block]
+        np.multiply(columns[:, :1], duties[0], out=rows)
+        for index in range(1, len(phases)):
+            rows += np.multiply(columns[:, index:index + 1], duties[index],
+                                out=scratch[:rows.shape[0]])
+    return (effective_duty.reshape(lead + shape),
+            _scalar_or_array(effective_years))
 
 
 @dataclass

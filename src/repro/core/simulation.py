@@ -500,7 +500,9 @@ class AgingSimulator:
             snm_model=self.snm_model,
         )
 
-    def counts_kernel(self) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:
+    def counts_kernel(self, shared: Union[PackedSpanKernel, "TrbgSpanKernel",
+                                          None] = None
+                      ) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:
         """The policy's closed-form kernel (public driver entry point).
 
         Returns the kernel described in :meth:`_packed_kernel` — callable as
@@ -511,8 +513,17 @@ class AgingSimulator:
         (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates per
         phase: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
+
+        ``shared`` is a kernel an earlier call built for the same stream and
+        policy parameters.  A deterministic kernel depends on nothing else
+        and is returned as it is; a DNN-Life kernel lends its reduce stage,
+        and the returned kernel draws from this simulator's RNG.
         """
-        return self._packed_kernel(self.policy)
+        if shared is None:
+            return self._packed_kernel(self.policy)
+        if isinstance(shared, TrbgSpanKernel):
+            return self._packed_dnn_life_kernel(self.policy, shared.reduction)
+        return shared
 
     def last_bits_kernel(self) -> Tuple[LastBitsKernel, np.ndarray]:
         """Closed-form "value left behind" factory.
@@ -841,12 +852,14 @@ class AgingSimulator:
 
         return PackedSpanKernel(bases, writes, coefficients)
 
-    def _packed_dnn_life_kernel(self, policy: DnnLifePolicy) -> "TrbgSpanKernel":
-        packed = self._packed()
-        num_blocks = packed.num_blocks
+    def _packed_dnn_life_kernel(self, policy: DnnLifePolicy,
+                                reduction: Optional["TrbgReduction"] = None
+                                ) -> "TrbgSpanKernel":
+        if reduction is None:
+            reduction = TrbgReduction(self._packed(), policy.words_per_enable)
+        num_blocks = reduction.packed.num_blocks
         bias = policy.controller.trbg.nominal_bias
         balancer = policy.controller.bias_balancer
-        reduction = TrbgReduction(packed, policy.words_per_enable)
         num_groups = reduction.num_groups
         rng = self.rng
 
@@ -914,6 +927,11 @@ class TrbgReduction:
         self.num_groups = -(-packed.words_per_block // self.group)
         self.ones = packed.rows_ones()
         self.writes = packed.rows_writes()
+        #: The per-inference write count every row shares (a padded stream
+        #: writes each row equally often), or ``None`` when rows differ.
+        self.uniform_writes: Optional[float] = (
+            float(self.writes[0]) if self.writes.size
+            and bool((self.writes == self.writes[0]).all()) else None)
         self._row_ones: Optional[np.ndarray] = None
         #: Per-region ``(count, num_groups, group)`` word weights of
         #: :meth:`row_totals`, keyed by the contraction dtype.

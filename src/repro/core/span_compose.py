@@ -334,11 +334,21 @@ class SpanComposer:
             if self._track:
                 self._row_ones += np.take(
                     reduction.row_totals(enables, length), mapping)
-                self._row_writes += length * np.take(reduction.writes,
-                                                     mapping)
+                self._row_writes += self._mapped_writes(mapping, length)
             if (len(self._draw_maps) >= _FOLD_MAPPINGS
                     or self._pending_bytes() >= _FOLD_BYTES):
                 self._fold_draws()
+
+    def _mapped_writes(self, mapping: Union[int, np.ndarray],
+                       length: int) -> Union[float, np.ndarray]:
+        """Physical writes of a ``length``-inference TRBG span under
+        ``mapping``: a scalar when every row is written equally often
+        (any mapping moves equal counts onto equal counts), else the
+        per-row counts gathered through the span's inverse."""
+        uniform = self._reduction.uniform_writes
+        if uniform is not None:
+            return length * uniform
+        return length * np.take(self._reduction.writes, mapping)
 
     def _numerator_dtype(self, length: int) -> np.dtype:
         """Narrowest exact dtype of a ``length``-inference span's counts.
@@ -406,8 +416,9 @@ class SpanComposer:
             ones += np.take(logical[slot], self._draw_maps[k], axis=0)
         if not self._track:
             for mapping, length in zip(self._draw_maps, self._draw_lengths):
-                if isinstance(mapping, np.ndarray):
-                    writes += length * np.take(reduction.writes, mapping)
+                if (isinstance(mapping, np.ndarray)
+                        or reduction.uniform_writes is not None):
+                    writes += self._mapped_writes(mapping, length)
                 else:
                     _roll_axpy(writes.reshape(-1, region_rows, 1),
                                reduction.writes.reshape(-1, region_rows, 1),

@@ -74,6 +74,7 @@ from repro.aging.stress import (
 )
 from repro.fleet.spec import FleetSample, FleetSpec
 from repro.scenario.driver import (
+    KernelMemo,
     ScenarioAgingSimulator,
     ScenarioResult,
     StreamFactory,
@@ -288,7 +289,8 @@ class FleetSimulator:
     the module docstring for the factorisation).  All cohorts share one
     ``stream_factory``, so distinct cohorts of the same workload ride the
     process-wide stream cache, and sweep jobs with stream affinity reuse it
-    across fleet points.
+    across fleet points.  Within one :meth:`run` they also share the phase
+    kernels: one per (stream, policy) pair, dropped when the run returns.
     """
 
     def __init__(self, spec: FleetSpec,
@@ -360,13 +362,16 @@ class FleetSimulator:
         cohort_keys = sorted(set(zip(sample.scenario_index.tolist(),
                                      sample.seed_group.tolist())))
         cohorts: List[Dict[str, object]] = []
+        # The cohorts' phase kernels, shared for this run only.
+        kernels: KernelMemo = {}
         for scenario_index, group in cohort_keys:
             scenario = self.scenarios[scenario_index]
             seed = self.spec.group_seed(group)
             engine = _RecordingScenarioSimulator(
                 scenario, stream_factory=self.stream_factory, seed=seed,
                 snm_model=self.snm_model, leveler=self.leveler,
-                scaling=self.scaling, retention_model=self.retention_model)
+                scaling=self.scaling, retention_model=self.retention_model,
+                kernel_memo=kernels)
             result = engine.run()
             members = np.nonzero((sample.scenario_index == scenario_index)
                                  & (sample.seed_group == group))[0]
@@ -448,8 +453,11 @@ class FleetSimulator:
             blend, effective_years = timeline.effective()
             # The memory's lifetime is its most-aged cell's; degradation is
             # monotone in the stress fraction max(d, 1-d), so only each
-            # device's max-stress cell needs the power law.
-            stress_max = np.maximum(blend, 1.0 - blend).reshape(devices, -1).max(axis=1)
+            # device's max-stress cell needs the power law.  Rounded
+            # ``1 - d`` is monotone in ``d``, so the largest max(d, 1-d) of a
+            # row is exactly max(max d, 1 - min d): two reductions, no grid.
+            blend = blend.reshape(devices, -1)
+            stress_max = np.maximum(blend.max(axis=1), 1.0 - blend.min(axis=1))
             snm_years[chunk] = (self.estimator.cell_lifetimes_years(stress_max)
                                 / (effective_years / timeline.wall_years)
                                 / usage[chunk])

@@ -27,10 +27,10 @@ one shared contract:
 
 The fast driver evaluates each active phase through the policy's closed-form
 kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`) — one
-kernel build per phase, called once as ``counts(0, n)`` without a leveler or
-composed over the phase's leveling spans by
-:func:`repro.core.span_compose.compose_leveled`, never a per-block Python
-loop.  The explicit engine replays every phase write by write via
+kernel build per (stream, policy) pair and run, called once per phase as
+``counts(0, n)`` without a leveler or composed over the phase's leveling
+spans by :func:`repro.core.span_compose.compose_leveled`, never a per-block
+Python loop.  The explicit engine replays every phase write by write via
 :func:`repro.core.simulation.replay_epochs`, the same leveled walk as
 :class:`~repro.core.simulation.ExplicitAgingSimulator`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
@@ -80,6 +80,11 @@ __all__ = [
 #: A stream factory maps an active :class:`Phase` to its weight stream: a
 #: :class:`~repro.accelerator.scheduler.PackedBitTensor` or a bare scheduler.
 StreamFactory = Callable[[Phase], object]
+
+#: Run-scoped memo of :class:`ScenarioAgingSimulator`: per (stream, policy
+#: name, policy options), the stream, the phase counts kernel (a DNN-Life
+#: kernel lends only its reduce stage) and the last-bits kernel.
+KernelMemo = Dict[Tuple[int, str, str], Dict[str, object]]
 
 
 def scenario_stream_factory(accelerator: Optional[object] = None,
@@ -522,13 +527,32 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
     arguments are phase-local (policy state resets at boundaries) while
     leveler permutations are addressed by the global active-epoch cursor
     (remap state persists).
+
+    Phases on the same stream under the same policy share one kernel per
+    run: the kernel's stream-only parts and the last-bits tables are built
+    on the pair's first phase, while DNN-Life still draws each phase from
+    its own RNG.  ``kernel_memo`` extends that sharing across the runs of
+    one caller (a fleet's cohorts); without it nothing outlives
+    :meth:`run`.
     """
 
     engine_name = "packed"
 
+    def __init__(self, *args, kernel_memo: Optional[KernelMemo] = None,
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Memo of the stream-only kernel parts to share with other runs of
+        #: the same caller (the fleet's cohorts); ``None``: one per run.
+        self.kernel_memo = kernel_memo
+        self._kernels: Optional[KernelMemo] = None
+
     def run(self) -> ScenarioResult:
         """Evaluate the whole timeline; returns the scenario result."""
-        return _run_timeline(self)
+        self._kernels = {} if self.kernel_memo is None else self.kernel_memo
+        try:
+            return _run_timeline(self)
+        finally:
+            self._kernels = None
 
     def _phase_counts(self, stream: object, policy: MitigationPolicy,
                       phase: Phase, cursor: int, rng: np.random.Generator
@@ -536,10 +560,18 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
         simulator = AgingSimulator(stream, policy,
                                    num_inferences=phase.duration,
                                    seed=rng, snm_model=self.snm_model)
-        kernel = simulator.counts_kernel()
+        # The kernel parts that depend only on the stream and the policy
+        # parameters are built once per (stream, policy) pair and run; the
+        # entry holds the stream, so its id cannot be reused meanwhile.
+        shared = self._kernels.setdefault(
+            (id(stream), phase.policy, repr(phase.policy_options)),
+            {"stream": stream})
+        kernel = shared["counts"] = simulator.counts_kernel(shared.get("counts"))
         track_held = self._held is not None
         if track_held:
-            last_bits, written = simulator.last_bits_kernel()
+            if "last_bits" not in shared:
+                shared["last_bits"] = simulator.last_bits_kernel()
+            last_bits, written = shared["last_bits"]
         leveler = self.leveler
         if leveler is None:
             if track_held:

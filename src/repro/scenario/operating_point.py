@@ -40,6 +40,7 @@ from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
     DEFAULT_REFERENCE_TEMPERATURE_C,
     DEFAULT_REFERENCE_VOLTAGE_V,
+    DEVICE_TILE_ELEMENTS,
     DeviceScalar,
 )
 from repro.utils.validation import (
@@ -228,36 +229,40 @@ class RetentionModel:
                       * (1.0 / reference - 1.0 / kelvin))
 
     @staticmethod
-    def _side_degradation(snm_model: "SnmDegradationModel",
-                          stress_fraction: np.ndarray,
-                          years: DeviceScalar) -> np.ndarray:
-        """One-sided SNM degradation of the inverter stressed at ``stress_fraction``.
+    def _side_law(snm_model: "SnmDegradationModel",
+                  years: DeviceScalar) -> Tuple[np.ndarray, np.ndarray]:
+        """``(worst, gamma)`` of the one-sided SNM degradation ``worst * s ** gamma``.
 
         Derived model-agnostically from the model's two anchors: the
         symmetric model reports ``worst * max(d, 1-d) ** gamma``; the side
         holding the value degrades as ``worst * s ** gamma`` where ``s`` is
         *that* side's lifetime stress duty (for
         :class:`~repro.aging.snm.CalibratedSnmModel` this is exactly its
-        internal power law, one-sided).  ``years`` broadcasts against the
-        stress (one column per device).
+        internal power law, one-sided).  Both are per-device columns when
+        ``years`` is one.
         """
         worst = snm_model.worst_case_percent(years)
         best = snm_model.best_case_percent(years)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = np.where(worst > best, np.log2(worst / best), 1.0)
-            return worst * np.power(np.clip(stress_fraction, 0.0, 1.0), gamma)
+            return worst, np.where(worst > best, np.log2(worst / best), 1.0)
 
-    def failure_rate_per_year(self, degradation_percent: np.ndarray,
-                              voltage_v: DeviceScalar,
-                              temperature_c: DeviceScalar) -> np.ndarray:
-        """Per-cell upset rate (1/year) at the idle corner (broadcasting)."""
-        check_positive_finite(voltage_v, "voltage_v")
-        margin = ((voltage_v - self.retention_voltage_v)
-                  - self.margin_loss_v_per_percent
-                  * np.asarray(degradation_percent, dtype=np.float64))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate = self.attempts_per_year * np.exp(-margin / self.voltage_scale_v)
-        return rate * self._thermal_factor(temperature_c)
+    def _upset_rate(self, degradation: np.ndarray, headroom: np.ndarray,
+                    thermal: np.ndarray) -> np.ndarray:
+        """Per-cell upset rate (1/year), computed in place over ``degradation``.
+
+        ``degradation`` is the held side's SNM degradation (percent),
+        ``headroom`` the idle supply's distance above the retention voltage
+        and ``thermal`` the thermal activation factor; the latter two are
+        per-device columns broadcasting against the cells.
+        """
+        margin = np.multiply(self.margin_loss_v_per_percent, degradation,
+                             out=degradation)
+        np.subtract(headroom, margin, out=margin)
+        rate = np.negative(margin, out=margin)
+        np.divide(rate, self.voltage_scale_v, out=rate)
+        np.exp(rate, out=rate)
+        np.multiply(self.attempts_per_year, rate, out=rate)
+        return np.multiply(rate, thermal, out=rate)
 
     def failure_probability(self, held_one_probability: np.ndarray,
                             duty: np.ndarray, snm_model: "SnmDegradationModel",
@@ -282,34 +287,71 @@ class RetentionModel:
         hold probability is exactly 0 is skipped per cell: its term is an
         exact ``0 * finite = 0``, so deterministic policies (held values
         0/1) pay for one side only.
+
+        The per-device corner terms are ``(rows, 1)`` columns computed once;
+        each side's cells are then walked in tiles of at most
+        :data:`DEVICE_TILE_ELEMENTS` device-cells, so every temporary
+        stays cache-sized however many devices and cells there are.  Each
+        tile applies the same elementwise operations as a whole-array pass,
+        so the tiling never changes a bit.
         """
         held = np.asarray(held_one_probability, dtype=np.float64)
         duty = np.asarray(duty, dtype=np.float64)
         shape = duty.shape
         held = held.reshape(-1)
-        duty = duty.reshape(shape[:duty.ndim - np.ndim(held_one_probability)]
-                            + held.shape)
-        # Per-device scalars as columns broadcasting against the cell axis.
+        lead = shape[:duty.ndim - np.ndim(held_one_probability)]
+        duty = duty.reshape(-1, held.size)
+        rows = duty.shape[0]
+        # Per-device scalars as (rows, 1) columns against the cell axis.
         stressed_years, voltage_v, temperature_c, idle_years = (
-            np.expand_dims(np.asarray(value, dtype=np.float64), -1)
+            np.broadcast_to(np.asarray(value, dtype=np.float64), lead)
+            .reshape(rows, 1)
             for value in (stressed_years, voltage_v, temperature_c, idle_years))
         check_positive(idle_years, "idle_years")
+        check_positive_finite(voltage_v, "voltage_v")
+        worst, gamma = self._side_law(snm_model, stressed_years)
+        headroom = voltage_v - self.retention_voltage_v
+        thermal = self._thermal_factor(temperature_c)
         written = np.isfinite(held)
         probability = np.zeros(duty.shape)
+        tile = max(1, DEVICE_TILE_ELEMENTS // rows)
+        # A contiguous run of a side's cells is walked in column slices; a
+        # scattered set gathers and scatters through flat (rows, tile)
+        # positions, which numpy indexes far faster than column lists.
+        flat_duty, flat_probability = duty.reshape(-1), probability.reshape(-1)
+        row_starts = np.arange(rows)[:, None] * held.size
         for value_probability, complement in ((held, False), (1.0 - held, True)):
             cells = np.flatnonzero(written & (value_probability != 0.0))
-            if not cells.size:
-                continue
-            stress = duty[..., cells]
-            degradation = self._side_degradation(
-                snm_model, 1.0 - stress if complement else stress, stressed_years)
-            rate = self.failure_rate_per_year(degradation, voltage_v,
-                                              temperature_c)
-            with np.errstate(over="ignore", invalid="ignore"):
-                probability[..., cells] += value_probability[cells] * (
-                    1.0 - np.exp(-rate * idle_years))
-        probability = np.clip(probability, 0.0, 1.0)
-        probability[..., ~written] = np.nan
+            contiguous = cells.size and int(cells[-1] - cells[0]) + 1 == cells.size
+            for first in range(0, cells.size, tile):
+                chunk = cells[first:first + tile]
+                if contiguous:
+                    select = (slice(None),
+                              slice(int(chunk[0]), int(chunk[-1]) + 1))
+                    source, target = duty, probability
+                else:
+                    select = row_starts + chunk
+                    source, target = flat_duty, flat_probability
+                stress = source[select]
+                if complement:
+                    stress = np.subtract(1.0, stress)
+                with np.errstate(divide="ignore", over="ignore",
+                                 invalid="ignore"):
+                    # A column slice of ``duty`` is a view: clip it into a
+                    # new tile; any other tile is new already.
+                    side = np.clip(stress, 0.0, 1.0, out=(
+                        None if contiguous and not complement else stress))
+                    np.power(side, gamma, out=side)
+                    rate = self._upset_rate(np.multiply(worst, side, out=side),
+                                            headroom, thermal)
+                    np.negative(rate, out=rate)
+                    np.multiply(rate, idle_years, out=rate)
+                    kept = np.exp(rate, out=rate)
+                    np.subtract(1.0, kept, out=kept)
+                    target[select] += np.multiply(value_probability[chunk],
+                                                  kept, out=kept)
+        np.clip(probability, 0.0, 1.0, out=probability)
+        probability[:, ~written] = np.nan
         return probability.reshape(shape)
 
     def describe(self) -> Dict[str, float]:

@@ -32,10 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.core.simulation as simulation
 import repro.fleet.simulator as fleet_simulator
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.aging.nbti import ReactionDiffusionSnmModel
+from repro.core.simulation import AgingSimulator
 from repro.experiments.common import ExperimentScale
 from repro.fleet import (
     DEFAULT_QUANTILES,
@@ -253,6 +255,53 @@ class TestSingleDeviceEquivalence:
         result = FleetSimulator(spec, stream_factory=factory).run()
         assert len(runs) == len(result.cohorts) == 4
         assert len(runs) * 100 < spec.num_devices
+
+    def test_fleet_run_builds_each_phase_kernel_once(self, factory,
+                                                     monkeypatch):
+        """Cohorts share one kernel per (stream, policy) pair, for one run.
+
+        Every active phase precedes an idle one, so each pair also needs its
+        last-bits kernel.  A second run builds everything again: nothing is
+        kept across runs.
+        """
+        builds = []
+
+        def counting(name):
+            original = getattr(AgingSimulator, name)
+
+            def build(simulator, *args):
+                builds.append((name, type(simulator.policy).__name__))
+                return original(simulator, *args)
+            return build
+
+        class CountingReduction(simulation.TrbgReduction):
+            def __init__(self, *args, **kwargs):
+                builds.append(("TrbgReduction", "DnnLifePolicy"))
+                super().__init__(*args, **kwargs)
+
+        for name in ("_packed_kernel", "last_bits_kernel"):
+            monkeypatch.setattr(AgingSimulator, name, counting(name))
+        monkeypatch.setattr(simulation, "TrbgReduction", CountingReduction)
+        idle = "idle:1@45C@0.7V:0.2GHz"
+        scenarios, weights = parse_mix_spec(
+            f"0.5*custom_mnist:int8:inversion:3,{idle},lenet5:int8:dnn_life:3,"
+            f"{idle}|0.5*lenet5:int8:dnn_life:4,{idle},"
+            f"custom_mnist:int8:inversion:2,{idle}")
+        spec = FleetSpec(num_devices=24, scenarios=scenarios,
+                         scenario_weights=weights, usage_sigma=0.3,
+                         thermal_sigma_c=5.0, seed_groups=2, seed=3)
+        once = sorted([("_packed_kernel", "PeriodicInversionPolicy"),
+                       ("_packed_kernel", "DnnLifePolicy"),
+                       ("TrbgReduction", "DnnLifePolicy"),
+                       ("last_bits_kernel", "PeriodicInversionPolicy"),
+                       ("last_bits_kernel", "DnnLifePolicy")])
+        first = FleetSimulator(spec, stream_factory=factory).run()
+        # 4 cohorts of 2 active phases each share the 2 pairs' kernels.
+        assert len(first.cohorts) == 4
+        assert sorted(builds) == once
+        again = FleetSimulator(spec, stream_factory=factory).run()
+        assert sorted(builds) == sorted(once * 2)
+        assert again.to_payload() == first.to_payload()
 
 
 # --------------------------------------------------------------------- #

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aging.nbti import ReactionDiffusionSnmModel
+from repro.aging.nbti import BOLTZMANN_EV, ReactionDiffusionSnmModel
 from repro.aging.snm import default_snm_model
 from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
     DEFAULT_REFERENCE_TEMPERATURE_C,
     DEFAULT_REFERENCE_VOLTAGE_V,
+    DEVICE_TILE_ELEMENTS,
     ArrheniusTimeScaling,
     PhaseStress,
     aggregate_stress,
@@ -184,6 +185,78 @@ held_values = st.one_of(st.sampled_from([0.0, 1.0, float("nan")]),
                         st.floats(0.0, 1.0))
 
 
+def whole_array_failure_probability(model, held, duty, snm_model, stressed_years,
+                                    voltage_v, temperature_c, idle_years):
+    """The untiled evaluation of ``RetentionModel.failure_probability``.
+
+    One pass per side over whole ``(devices, cells)`` arrays, with the
+    per-device corner terms as ``(devices, 1)`` columns: the arithmetic the
+    tiled walk must reproduce bit for bit.
+    """
+    held = np.asarray(held, dtype=np.float64)
+    duty = np.asarray(duty, dtype=np.float64)
+    stressed_years, voltage_v, temperature_c, idle_years = (
+        np.expand_dims(np.asarray(value, dtype=np.float64), -1)
+        for value in (stressed_years, voltage_v, temperature_c, idle_years))
+    worst = snm_model.worst_case_percent(stressed_years)
+    best = snm_model.best_case_percent(stressed_years)
+    kelvin = temperature_c + 273.15
+    reference = model.reference_temperature_c + 273.15
+    thermal = np.exp((model.activation_energy_ev / BOLTZMANN_EV)
+                     * (1.0 / reference - 1.0 / kelvin))
+    written = np.isfinite(held)
+    probability = np.zeros(duty.shape)
+    for value_probability, complement in ((held, False), (1.0 - held, True)):
+        cells = np.flatnonzero(written & (value_probability != 0.0))
+        if not cells.size:
+            continue
+        stress = duty[..., cells]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.where(worst > best, np.log2(worst / best), 1.0)
+            degradation = worst * np.power(
+                np.clip(1.0 - stress if complement else stress, 0.0, 1.0), gamma)
+        margin = ((voltage_v - model.retention_voltage_v)
+                  - model.margin_loss_v_per_percent * degradation)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = (model.attempts_per_year
+                    * np.exp(-margin / model.voltage_scale_v) * thermal)
+            probability[..., cells] += value_probability[cells] * (
+                1.0 - np.exp(-rate * idle_years))
+    probability = np.clip(probability, 0.0, 1.0)
+    probability[..., ~written] = np.nan
+    return probability
+
+
+def whole_array_blend(phases, scaling):
+    """The untiled stress blend: one outer-product temporary per phase."""
+    weights = [phase.years * scaling.time_factor(phase.temperature_c,
+                                                 phase.voltage_v)
+               for phase in phases]
+    effective_years = sum(weights)
+    blend = np.multiply.outer(weights[0] / effective_years, phases[0].duty)
+    for weight, phase in zip(weights[1:], phases[1:]):
+        blend += np.multiply.outer(weight / effective_years, phase.duty)
+    return blend, effective_years
+
+
+def held_pattern(kind, cells, rng):
+    """Held values of one idle phase, never-written (NaN) cells at both ends.
+
+    ``expectations`` leaves every other cell written with a TRBG-style
+    expectation (each side's cells are one contiguous run); ``bits`` and
+    ``mixed`` scatter exact 0/1 values, expectations and NaN cells.
+    """
+    if kind == "expectations":
+        held = rng.uniform(0.01, 0.99, cells)
+    else:
+        values = [0.0, 1.0] if kind == "bits" else [0.0, 1.0, 0.5, 0.25, 0.9]
+        held = rng.choice(values, size=cells)
+        held[rng.random(cells) < 0.05] = np.nan
+    held[:3] = np.nan
+    held[-2:] = np.nan
+    return held
+
+
 class TestDeviceAxis:
     SCALING = ArrheniusTimeScaling()
     MODEL = RetentionModel()
@@ -272,6 +345,69 @@ class TestDeviceAxis:
                  in zip(duties, grids)], self.SCALING)
             assert duty[row].tobytes() == row_duty.tobytes()
             assert effective_years[row] == row_years
+
+    # Tiled walks against the whole-array arithmetic.  Cell counts span
+    # several tiles of DEVICE_TILE_ELEMENTS and end in a partial tile, so
+    # every tile boundary, the short last tile and both the sliced
+    # (contiguous) and gathered (scattered) cell walks are covered.
+    @staticmethod
+    def corners(rng, devices):
+        temperature = rng.uniform(-40.0, 125.0, devices)
+        voltage = rng.uniform(0.55, 1.1, devices)
+        temperature[::3] = DEFAULT_REFERENCE_TEMPERATURE_C
+        voltage[1::3] = DEFAULT_REFERENCE_VOLTAGE_V
+        return temperature, voltage
+
+    @pytest.mark.parametrize("kind", ["bits", "expectations", "mixed"])
+    @pytest.mark.parametrize("devices", [1, 5, 64])
+    def test_failure_probability_tiles_match_whole_array(self, devices, kind):
+        rng = np.random.default_rng(devices)
+        tile = DEVICE_TILE_ELEMENTS // devices
+        cells = 2 * tile + tile // 3 + 7
+        held = held_pattern(kind, cells, rng)
+        duty = rng.random((devices, cells))
+        duty[:, :5] = (0.0, 1.0, 0.5, 0.0, 1.0)
+        temperature, voltage = self.corners(rng, devices)
+        stressed, idle = rng.uniform(0.05, 10.0, (2, devices))
+        model = default_snm_model()
+        expected = whole_array_failure_probability(
+            self.MODEL, held, duty, model, stressed, voltage, temperature, idle)
+        batched = self.MODEL.failure_probability(
+            held, duty, model, stressed, voltage, temperature, idle)
+        assert batched.tobytes() == expected.tobytes()
+        for row in {0, devices // 2, devices - 1}:
+            scalar = self.MODEL.failure_probability(
+                held, duty[row], model, float(stressed[row]),
+                float(voltage[row]), float(temperature[row]), float(idle[row]))
+            assert scalar.tobytes() == expected[row].tobytes()
+
+    @pytest.mark.parametrize("devices,cells,phases", [
+        (1, DEVICE_TILE_ELEMENTS + 3, 14),     # one row over budget
+        (7, DEVICE_TILE_ELEMENTS // 3 + 1, 9),  # 2-row blocks, 1-row tail
+        (61, DEVICE_TILE_ELEMENTS // 5 + 11, 14),  # 4-row blocks, 1-row tail
+        (64, 6, 3),                             # every row in one block
+    ])
+    def test_aggregate_stress_tiles_match_whole_array(self, devices, cells,
+                                                      phases):
+        rng = np.random.default_rng(cells)
+        timeline = []
+        for _ in range(phases):
+            temperature, voltage = self.corners(rng, devices)
+            timeline.append(PhaseStress(rng.random(cells),
+                                        rng.uniform(0.01, 7.0, devices),
+                                        temperature, voltage_v=voltage))
+        expected, expected_years = whole_array_blend(timeline, self.SCALING)
+        duty, effective_years = aggregate_stress(timeline, self.SCALING)
+        assert duty.tobytes() == expected.tobytes()
+        assert effective_years.tobytes() == expected_years.tobytes()
+        for row in {0, devices // 2, devices - 1}:
+            row_duty, row_years = aggregate_stress(
+                [PhaseStress(phase.duty, float(phase.years[row]),
+                             float(phase.temperature_c[row]),
+                             voltage_v=float(phase.voltage_v[row]))
+                 for phase in timeline], self.SCALING)
+            assert row_duty.tobytes() == expected[row].tobytes()
+            assert row_years == expected_years[row]
 
 
 # --------------------------------------------------------------------------- #
