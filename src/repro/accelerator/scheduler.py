@@ -531,8 +531,16 @@ class PackedBitTensor:
 
     def word_popcounts(self) -> np.ndarray:
         """``uint8`` ``(num_blocks, words_per_block)`` count of '1' bits per
-        word (cached, read-only; padding words count 0)."""
+        word (cached, read-only; padding words count 0).
+
+        An 8-bit word's bit-bytes (each 0 or 1) are one ``uint64`` whose
+        popcount is their sum; wider words, or a numpy without
+        ``bitwise_count``, sum along the bit axis.
+        """
         if self._word_popcounts is None:
-            self._word_popcounts = _freeze(self.bits.sum(axis=-1,
-                                                         dtype=np.uint8))
+            if self.word_bits == 8 and hasattr(np, "bitwise_count"):
+                counts = np.bitwise_count(self.bits.view(np.uint64))[..., 0]
+            else:
+                counts = self.bits.sum(axis=-1, dtype=np.uint8)
+            self._word_popcounts = _freeze(counts)
         return self._word_popcounts

@@ -510,8 +510,8 @@ class AgingSimulator:
         :meth:`PackedSpanKernel.counts_batch` (or, for DNN-Life, the
         :class:`TrbgSpanKernel` draw/reduce stages) on top for span-table
         batches.  This is what the scenario driver
-        (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates per
-        phase: the heavy tensor reductions run once here, and every
+        (:class:`repro.scenario.driver.ScenarioAgingSimulator`) evaluates for
+        its phases: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
 
         ``shared`` is a kernel an earlier call built for the same stream and
@@ -939,11 +939,16 @@ class TrbgReduction:
 
     def counts(self, enables: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """One span's ``(numerator, writes)`` from its drawn enable counts."""
-        numerator = np.zeros_like(self.ones)
-        for rows, numerators in self.numerator_chunks(enables[None],
-                                                      np.asarray([n])):
-            numerator[rows] += numerators[0]
-        return numerator, self.writes * n
+        return self.numerators(enables[None], np.asarray([n]))[0], self.writes * n
+
+    def numerators(self, enables: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The dense float64 ``(K, rows, word_bits)`` numerators of ``K``
+        enable sets, from one :meth:`numerator_chunks` pass (zero on rows no
+        block writes)."""
+        dense = np.zeros((enables.shape[0],) + self.ones.shape, dtype=np.float64)
+        for rows, numerators in self.numerator_chunks(enables, lengths):
+            dense[:, rows] = numerators
+        return dense
 
     def row_totals(self, enables: np.ndarray, n: int) -> np.ndarray:
         """``counts(enables, n)[0].sum(axis=1)`` from a ``(B, W)`` pass.
@@ -1125,19 +1130,25 @@ _DUTY_TOLERANCE = 1e-9
 def _duty_from_counts(ones: np.ndarray, writes: np.ndarray) -> np.ndarray:
     """Duty-cycle = accumulated ones / accumulated writes; unwritten rows hold 0.
 
+    ``ones`` is ``(rows, word_bits)`` over per-row ``writes``, or a batch of
+    ``(K, rows, word_bits)`` over ``(K, rows)``: each slice of the batch is
+    bit for bit the single call on that slice.
+
     Every closed-form kernel accounts integral (one, write) counts, so a
     ratio outside ``[0, 1]`` can only come from a numerator-accounting bug.
     Such values are reported loudly instead of being clipped away silently;
     the final clip only absorbs genuine float round-off within
-    :data:`_DUTY_TOLERANCE`.
+    :data:`_DUTY_TOLERANCE`, and is skipped when nothing needs it.
     """
     writes_matrix = np.asarray(writes, dtype=np.float64)
-    if writes_matrix.ndim == 1:
-        writes_matrix = writes_matrix[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        duty = np.where(writes_matrix > 0, ones / writes_matrix, 0.0)
+    if writes_matrix.ndim == np.ndim(ones) - 1:
+        writes_matrix = writes_matrix[..., None]
+    duty = np.zeros(np.broadcast_shapes(np.shape(ones), writes_matrix.shape))
+    np.divide(ones, writes_matrix, out=duty, where=writes_matrix > 0)
     if duty.size:
         low, high = float(duty.min()), float(duty.max())
+        if 0.0 <= low and high <= 1.0:
+            return duty
         if high > 1.0 + _DUTY_TOLERANCE or low < -_DUTY_TOLERANCE:
             out_of_range = int(np.count_nonzero((duty > 1.0 + _DUTY_TOLERANCE)
                                                 | (duty < -_DUTY_TOLERANCE)))
@@ -1145,4 +1156,4 @@ def _duty_from_counts(ones: np.ndarray, writes: np.ndarray) -> np.ndarray:
                 f"duty-cycle accounting produced {out_of_range} value(s) outside "
                 f"[0, 1] (min {low!r}, max {high!r}); this indicates a numerator "
                 "bug in a closed-form kernel, not float round-off")
-    return np.clip(duty, 0.0, 1.0)
+    return np.clip(duty, 0.0, 1.0, out=duty)

@@ -9,7 +9,7 @@ scenario engine's math:
 * the per-cell **duty arrays** of a timeline depend only on (scenario,
   policy seed, leveler) — the cohort axis.  One packed
   :class:`~repro.scenario.driver.ScenarioAgingSimulator` run per cohort
-  (evaluating each active phase with one ``counts_kernel`` call) produces
+  (one plan step over its active phases' ``counts_kernel`` calls) produces
   the duty arrays, the exact last-written values entering each idle phase
   and the cohort's effective :class:`~repro.core.simulation.AgingResult`;
 * everything a *device* adds — its default DVFS corner (via
@@ -104,16 +104,18 @@ DEVICE_CHUNK = 64
 class _RecordingScenarioSimulator(ScenarioAgingSimulator):
     """The packed scenario driver, recording idle-phase retention inputs.
 
-    The base engine reduces each idle phase to a summary report; the fleet
-    needs the raw inputs (the exact last-written cell values and the phase's
-    position in the stress timeline) to re-evaluate retention at every
-    *device's* corner.  The override snapshots them and then delegates, so
-    the cohort result itself stays byte-identical to a plain scenario run.
+    The base engine reduces each idle phase to a summary report at the
+    scenario's own corner; the fleet needs the raw inputs instead (the exact
+    last-written cell values and the phase's position in the stress
+    timeline) to re-evaluate retention at every *device's* corner.  The
+    override snapshots them and reports nothing, so the cohort result equals
+    a plain scenario run except that its ``phase_retention`` entries are all
+    ``None`` (the fleet never reads them).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: ``(position_in_phase_stress, held_copy)`` per reported idle phase.
+        #: ``(position_in_phase_stress, held_copy)`` per recorded idle phase.
         self.recorded_idles: List[Tuple[int, np.ndarray]] = []
 
     def _retention_report(self, phase: Phase, idle_years: float,
@@ -122,7 +124,7 @@ class _RecordingScenarioSimulator(ScenarioAgingSimulator):
         held = self._held
         if held is not None and np.any(np.isfinite(held)):
             self.recorded_idles.append((len(stress_so_far) - 1, held.copy()))
-        return super()._retention_report(phase, idle_years, stress_so_far, label)
+        return None
 
 
 def failure_times_from_scenario_result(
@@ -468,7 +470,10 @@ class FleetSimulator:
                     held, duty, self.snm_model, stressed,
                     voltage[chunk, position], temperature[chunk, position],
                     years[chunk, position])
-                flips[chunk] += np.nansum(probability.reshape(devices, -1), axis=1)
+                # nansum's own arithmetic, without its copy of the grid.
+                probability = probability.reshape(devices, -1)
+                np.copyto(probability, 0.0, where=np.isnan(probability))
+                flips[chunk] += probability.sum(axis=1)
         with np.errstate(divide="ignore"):
             retention_years = np.where(flips > 0,
                                        result.wall_years / (flips * usage), np.inf)

@@ -27,10 +27,12 @@ one shared contract:
 
 The fast driver evaluates each active phase through the policy's closed-form
 kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`) — one
-kernel build per (stream, policy) pair and run, called once per phase as
-``counts(0, n)`` without a leveler or composed over the phase's leveling
-spans by :func:`repro.core.span_compose.compose_leveled`, never a per-block
-Python loop.  The explicit engine replays every phase write by write via
+kernel build per (stream, policy) pair and run.  Without a leveler one plan
+step evaluates every phase: ``counts(0, n)`` once per distinct duration of a
+deterministic policy, and one fused TRBG reduction for the DNN-Life phases
+of each (stream, policy) pair; with one, each phase is composed over its
+leveling spans by :func:`repro.core.span_compose.compose_leveled`.  There is
+never a per-block Python loop.  The explicit engine replays every phase write by write via
 :func:`repro.core.simulation.replay_epochs`, the same leveled walk as
 :class:`~repro.core.simulation.ExplicitAgingSimulator`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
@@ -41,7 +43,16 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -57,10 +68,13 @@ from repro.core.policies import MitigationPolicy, make_policy
 from repro.core.simulation import (
     AgingResult,
     AgingSimulator,
+    LastBitsKernel,
+    PackedSpanKernel,
+    TrbgSpanKernel,
     _duty_from_counts,
     replay_epochs,
 )
-from repro.core.span_compose import compose_leveled
+from repro.core.span_compose import _FOLD_BYTES, compose_leveled
 from repro.leveling.remap import check_leveler
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
@@ -83,7 +97,8 @@ StreamFactory = Callable[[Phase], object]
 
 #: Run-scoped memo of :class:`ScenarioAgingSimulator`: per (stream, policy
 #: name, policy options), the stream, the phase counts kernel (a DNN-Life
-#: kernel lends only its reduce stage) and the last-bits kernel.
+#: kernel lends only its reduce stage), the last-bits kernel and, for a
+#: deterministic policy, its read-only duty per phase duration.
 KernelMemo = Dict[Tuple[int, str, str], Dict[str, object]]
 
 
@@ -434,6 +449,23 @@ class _ScenarioEngineBase:
         """
         raise NotImplementedError
 
+    def _phase_duties(self, phases: List[Phase],
+                      policies: List[MitigationPolicy],
+                      rngs: List[np.random.Generator]) -> Iterator[np.ndarray]:
+        """Yield each active phase's duty-cycles, in phase order.
+
+        One :meth:`_phase_counts` call per phase, made only when the walk
+        asks for the phase: its held-value updates land before the idle
+        phases after it are reported.
+        """
+        streams = self.streams()
+        cursor = 0
+        for phase, policy, rng in zip(phases, policies, rngs):
+            stream = streams[(phase.network, phase.data_format)]
+            yield _duty_from_counts(
+                *self._phase_counts(stream, policy, phase, cursor, rng))
+            cursor += phase.duration
+
 
 # --------------------------------------------------------------------------- #
 # The shared timeline walk (template method on the engine base)
@@ -444,10 +476,11 @@ def _run_timeline(engine: "_ScenarioEngineBase") -> ScenarioResult:
     Everything that defines the scenario semantics — idle phases holding the
     preceding duty, per-phase policy construction/reset, the global
     active-epoch cursor, leveler lifetime, stress packaging — lives here
-    once; the two engines only differ in how one active phase's ``(ones,
-    writes)`` counts are computed (:meth:`_ScenarioEngineBase._phase_counts`).
-    Keeping the contract single-sourced is what makes their bit-for-bit
-    equivalence a property of the count kernels alone.
+    once; the two engines only differ in how the active phases' duties are
+    computed (:meth:`_ScenarioEngineBase._phase_duties`: phase by phase
+    through :meth:`~_ScenarioEngineBase._phase_counts`, or the packed
+    engine's plan step).  Keeping the contract single-sourced is what makes
+    their bit-for-bit equivalence a property of the count kernels alone.
     """
     streams = engine.streams()
     rows, word_bits = engine._geometry()
@@ -466,13 +499,18 @@ def _run_timeline(engine: "_ScenarioEngineBase") -> ScenarioResult:
     engine._held = (np.full((rows, word_bits), np.nan, dtype=np.float64)
                     if last_idle_index >= 0 else None)
     engine._prepare(scenario.active_epochs)
-    rngs = spawn_rngs(engine.seed, len(scenario.active_phases))
+    active = scenario.active_phases
+    # Every active phase's policy comes from its own spawned RNG; the engine
+    # plans all their duties in one step and hands them out in phase order.
+    rngs = spawn_rngs(engine.seed, len(active))
+    policies = [engine._phase_policy(phase, word_bits, rng)
+                for phase, rng in zip(active, rngs)]
+    duties = engine._phase_duties(active, policies, rngs)
     phase_years = scenario.phase_years()
     phase_stress: List[PhaseStress] = []
     phase_results: List[Optional[AgingResult]] = []
     phase_retention: List[Optional[Dict[str, object]]] = []
     previous_duty: Optional[np.ndarray] = None
-    cursor = 0
     active_index = 0
     for index, phase in enumerate(scenario.phases):
         if index > last_idle_index:
@@ -487,17 +525,14 @@ def _run_timeline(engine: "_ScenarioEngineBase") -> ScenarioResult:
             phase_retention.append(engine._retention_report(
                 phase, phase_years[index], phase_stress, label))
             continue
-        stream = streams[(phase.network, phase.data_format)]
-        policy = engine._phase_policy(phase, word_bits, rngs[active_index])
-        ones, writes = engine._phase_counts(
-            stream, policy, phase, cursor, rngs[active_index])
-        duty = _duty_from_counts(ones, writes)
+        policy = policies[active_index]
+        duty = next(duties)
         result = AgingResult(
             policy_name=policy.name,
             policy_description={**policy.describe(), "phase": label},
             duty_cycles=duty,
             num_inferences=phase.duration,
-            num_blocks=stream.num_blocks,
+            num_blocks=streams[(phase.network, phase.data_format)].num_blocks,
             snm_model=engine.snm_model,
             years=phase_years[index],
         )
@@ -507,7 +542,6 @@ def _run_timeline(engine: "_ScenarioEngineBase") -> ScenarioResult:
                                         voltage_v=voltage))
         phase_retention.append(None)
         previous_duty = duty
-        cursor += phase.duration
         active_index += 1
     return engine._package(phase_stress, phase_results, phase_retention)
 
@@ -520,20 +554,22 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
 
     Per active phase, one :class:`~repro.core.simulation.AgingSimulator` is
     built on the phase's (cached) stream and its
-    :meth:`~repro.core.simulation.AgingSimulator.counts_kernel` evaluated —
-    once for the whole phase without a leveler, or composed over the phase's
-    window of the leveler's span tables with one
+    :meth:`~repro.core.simulation.AgingSimulator.counts_kernel` evaluated.
+    Without a leveler, one plan step (:meth:`_plan`) evaluates every phase:
+    deterministic kernels once per distinct duration, DNN-Life phases that
+    share a stream and policy in one fused TRBG reduction.  With a leveler,
+    each phase is composed over its window of the leveler's span tables
     (:func:`~repro.core.span_compose.compose_leveled`).  Kernel ``start``
     arguments are phase-local (policy state resets at boundaries) while
     leveler permutations are addressed by the global active-epoch cursor
     (remap state persists).
 
     Phases on the same stream under the same policy share one kernel per
-    run: the kernel's stream-only parts and the last-bits tables are built
-    on the pair's first phase, while DNN-Life still draws each phase from
-    its own RNG.  ``kernel_memo`` extends that sharing across the runs of
-    one caller (a fleet's cohorts); without it nothing outlives
-    :meth:`run`.
+    run: the kernel's stream-only parts, the last-bits tables and the
+    deterministic duties are built on the pair's first phase, while DNN-Life
+    still draws each phase from its own RNG.  ``kernel_memo`` extends that
+    sharing across the runs of one caller (a fleet's cohorts); without it
+    nothing outlives :meth:`run`.
     """
 
     engine_name = "packed"
@@ -554,9 +590,13 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
         finally:
             self._kernels = None
 
-    def _phase_counts(self, stream: object, policy: MitigationPolicy,
-                      phase: Phase, cursor: int, rng: np.random.Generator
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+    def _phase_kernel(self, phase: Phase, policy: MitigationPolicy,
+                      rng: np.random.Generator
+                      ) -> Tuple[Union[PackedSpanKernel, TrbgSpanKernel],
+                                 AgingSimulator, Dict[str, object]]:
+        """The phase's counts kernel (a DNN-Life kernel draws from ``rng``),
+        its simulator and its (stream, policy) memo entry."""
+        stream = self.streams()[(phase.network, phase.data_format)]
         simulator = AgingSimulator(stream, policy,
                                    num_inferences=phase.duration,
                                    seed=rng, snm_model=self.snm_model)
@@ -567,31 +607,109 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
             (id(stream), phase.policy, repr(phase.policy_options)),
             {"stream": stream})
         kernel = shared["counts"] = simulator.counts_kernel(shared.get("counts"))
-        track_held = self._held is not None
-        if track_held:
-            if "last_bits" not in shared:
-                shared["last_bits"] = simulator.last_bits_kernel()
-            last_bits, written = shared["last_bits"]
-        leveler = self.leveler
-        if leveler is None:
-            if track_held:
+        return kernel, simulator, shared
+
+    def _held_kernel(self, simulator: AgingSimulator,
+                     shared: Dict[str, object]
+                     ) -> Optional[Tuple[LastBitsKernel, np.ndarray]]:
+        """The pair's ``(last_bits, written)`` kernel, built on its first use,
+        or ``None`` once no idle phase is left to report."""
+        if self._held is None:
+            return None
+        if "last_bits" not in shared:
+            shared["last_bits"] = simulator.last_bits_kernel()
+        return shared["last_bits"]
+
+    def _phase_duties(self, phases: List[Phase],
+                      policies: List[MitigationPolicy],
+                      rngs: List[np.random.Generator]) -> Iterator[np.ndarray]:
+        if self.leveler is not None:
+            yield from super()._phase_duties(phases, policies, rngs)
+            return
+        duties, contexts = self._plan(phases, policies, rngs)
+        for phase, duty, (simulator, shared) in zip(phases, duties, contexts):
+            held = self._held_kernel(simulator, shared)
+            if held is not None:
                 # The value each written row holds after the phase is
                 # whatever its final write of the final epoch stored.
+                last_bits, written = held
                 self._held[written] = last_bits(phase.duration - 1)[written]
-            return kernel(0, phase.duration)
+            yield duty
+
+    def _plan(self, phases: List[Phase], policies: List[MitigationPolicy],
+              rngs: List[np.random.Generator]
+              ) -> Tuple[List[np.ndarray],
+                         List[Tuple[AgingSimulator, Dict[str, object]]]]:
+        """Every unleveled phase's duty, and its simulator and memo entry.
+
+        A deterministic phase's counts depend only on its kernel and
+        duration, so each distinct duration's duty is computed once and kept
+        read-only in the memo entry (each phase gets its own view: an idle
+        phase aliases the duty of the phase it follows, not of its twins).
+        DNN-Life phases draw their enables from their own RNGs, in phase
+        order; the phases sharing a reduction are then reduced together,
+        ``K`` at a time with ``K`` bounded by ``_FOLD_BYTES``: one
+        :meth:`~repro.core.simulation.TrbgReduction.numerators` pass and one
+        :func:`~repro.core.simulation._duty_from_counts` call per batch.
+        """
+        duties: List[Optional[np.ndarray]] = [None] * len(phases)
+        contexts = []
+        batches: Dict[int, List[Tuple[int, TrbgSpanKernel]]] = {}
+        for position, (phase, policy, rng) in enumerate(
+                zip(phases, policies, rngs)):
+            kernel, simulator, shared = self._phase_kernel(phase, policy, rng)
+            contexts.append((simulator, shared))
+            if isinstance(kernel, TrbgSpanKernel):
+                batches.setdefault(id(kernel.reduction), []).append(
+                    (position, kernel))
+                continue
+            memo = shared.setdefault("duties", {})
+            if phase.duration not in memo:
+                frozen = _duty_from_counts(*kernel(0, phase.duration))
+                frozen.flags.writeable = False
+                memo[phase.duration] = frozen
+            duties[position] = memo[phase.duration].view()
+        for members in batches.values():
+            reduction = members[0][1].reduction
+            lengths = np.asarray([phases[position].duration
+                                  for position, _ in members], dtype=np.int64)
+            # A set costs its enables and two float64 cell grids: its
+            # numerators and its duties.
+            set_bytes = (2 * reduction.ones.nbytes
+                         + reduction.packed.num_blocks * reduction.num_groups
+                         * np.min_scalar_type(int(lengths.max())).itemsize)
+            size = max(1, _FOLD_BYTES // set_bytes)
+            for first in range(0, len(members), size):
+                batch = members[first:first + size]
+                batch_lengths = lengths[first:first + size]
+                enables = np.stack([kernel.draw(0, int(length))
+                                    for (_, kernel), length
+                                    in zip(batch, batch_lengths)])
+                batch_duties = _duty_from_counts(
+                    reduction.numerators(enables, batch_lengths),
+                    reduction.writes * batch_lengths[:, None])
+                for (position, _), duty in zip(batch, batch_duties):
+                    duties[position] = duty
+        return duties, contexts
+
+    def _phase_counts(self, stream: object, policy: MitigationPolicy,
+                      phase: Phase, cursor: int, rng: np.random.Generator
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """One leveled phase's counts (unleveled phases go through :meth:`_plan`)."""
+        kernel, simulator, shared = self._phase_kernel(phase, policy, rng)
         # Kernel starts are phase-local (policy state resets at phase
         # boundaries); the tables' global starts keep addressing the
         # persistent leveler schedule.
         ones, writes, tables = compose_leveled(
-            kernel, leveler, self._total_active, start=cursor,
+            kernel, self.leveler, self._total_active, start=cursor,
             stop=cursor + phase.duration, prior_rows=self._prior_rows)
-        if track_held:
-            self._scatter_held(tables, cursor, last_bits, written)
+        held = self._held_kernel(simulator, shared)
+        if held is not None:
+            self._scatter_held(tables, cursor, *held)
         return ones, writes
 
     def _scatter_held(self, tables: List["SpanTable"], cursor: int,
-                      last_bits: Callable[[int], np.ndarray],
-                      written: np.ndarray) -> None:
+                      last_bits: LastBitsKernel, written: np.ndarray) -> None:
         """Batched ``last_bits`` scatter over a phase's span tables.
 
         The iterative walk overwrites each physical cell span after span, so

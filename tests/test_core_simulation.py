@@ -298,6 +298,33 @@ class TestDutyFromCountsGuard:
         duty = _duty_from_counts(np.array([[4.0 + 1e-12]]), np.array([4]))
         assert duty[0, 0] == 1.0
 
+    def test_batch_equals_per_slice_calls(self):
+        rng = np.random.default_rng(7)
+        writes = rng.integers(0, 9, (5, 33)).astype(np.float64)
+        ones = np.floor(rng.random((5, 33, 8)) * (writes[..., None] + 1))
+        batch = _duty_from_counts(ones, writes)
+        assert batch.shape == ones.shape
+        assert not batch[writes == 0].any()
+        for k in range(5):
+            assert (batch[k].tobytes()
+                    == _duty_from_counts(ones[k], writes[k]).tobytes())
+
+    def test_batch_slice_beyond_tolerance_raises(self):
+        ones = np.array([[[1.0]], [[4.0 + 1e-6]]])
+        with pytest.raises(FloatingPointError, match="numerator"):
+            _duty_from_counts(ones, np.array([[4], [4]]))
+
+    @pytest.mark.parametrize("round_off", [0.0, 1e-12])
+    def test_negative_zero_is_kept(self, round_off):
+        # Whether or not some other value needs the clip, -0.0 stays -0.0
+        # (np.clip keeps it), so skipping the clip is bit-identical.
+        ones = np.array([[[-0.0, 1.0]], [[4.0 + round_off, 2.0]]])
+        duty = _duty_from_counts(ones, np.array([[4], [4]]))
+        assert np.signbit(duty[0, 0, 0]) and duty[0, 0, 0] == 0.0
+        assert duty[1, 0, 0] == 1.0
+        assert duty.tobytes() == np.stack(
+            [_duty_from_counts(ones[k], np.array([4])) for k in range(2)]).tobytes()
+
 
 class TestCellClassTables:
     """Both engines key their results' cell-class tables by the integer counts."""

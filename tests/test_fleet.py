@@ -52,7 +52,7 @@ from repro.fleet import (
     parse_mix_spec,
 )
 from repro.leveling import make_leveler
-from repro.scenario import Phase, ScenarioAgingSimulator
+from repro.scenario import LifetimeScenario, Phase, ScenarioAgingSimulator
 from repro.scenario.driver import scenario_stream_factory
 from repro.utils.units import KB
 
@@ -255,6 +255,23 @@ class TestSingleDeviceEquivalence:
         result = FleetSimulator(spec, stream_factory=factory).run()
         assert len(runs) == len(result.cohorts) == 4
         assert len(runs) * 100 < spec.num_devices
+
+    def test_recording_engine_keeps_held_values_not_reports(self, factory):
+        """Cohort runs record each idle's held values and skip its report."""
+        idle = "idle:2@45C@0.7V:0.2GHz"
+        scenario = LifetimeScenario.from_spec(
+            f"custom_mnist:int8:inversion:3,{idle},lenet5:int8:dnn_life:2,{idle}")
+        engine = fleet_simulator._RecordingScenarioSimulator(
+            scenario, stream_factory=factory, seed=2)
+        recorded = engine.run()
+        plain = ScenarioAgingSimulator(scenario, stream_factory=factory,
+                                       seed=2).run()
+        assert recorded.phase_retention == [None] * 4
+        assert recorded.effective.to_payload() == plain.effective.to_payload()
+        assert [position for position, _ in engine.recorded_idles] == [1, 3]
+        for position, held in engine.recorded_idles:
+            report = plain.phase_retention[position]
+            assert int(np.isfinite(held).sum()) == report["cells_tracked"]
 
     def test_fleet_run_builds_each_phase_kernel_once(self, factory,
                                                      monkeypatch):

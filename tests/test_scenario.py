@@ -33,7 +33,7 @@ from repro.aging.stress import (
     scaling_for_model,
 )
 from repro.core.policies import make_policy
-from repro.core.simulation import AgingSimulator
+from repro.core.simulation import AgingSimulator, TrbgReduction, _duty_from_counts
 from repro.experiments.common import ExperimentScale
 from repro.leveling import make_leveler
 from repro.nn.models import build_model
@@ -47,6 +47,7 @@ from repro.scenario import (
     parse_scenario_spec,
 )
 from repro.scenario.driver import scenario_stream_factory
+from repro.utils.rng import spawn_rngs
 from repro.utils.units import KB
 
 #: Every deterministic policy appears in at least one phase across the two
@@ -290,6 +291,94 @@ class TestEngineEquivalence:
                               second.effective.duty_cycles)
         assert not np.array_equal(first.effective.duty_cycles,
                                   other.effective.duty_cycles)
+
+
+#: Unleveled packed plan: two (stream, dnn_life) batches of 3 and 1 phases,
+#: and inversion twins of one duration, around low-voltage idles.
+PLAN_SPEC = ("lenet5:int8:dnn_life:3,custom_mnist:int8:inversion:4,"
+             "idle:2@45C@0.7V:0.2GHz,lenet5:int8:dnn_life:5,"
+             "custom_mnist:int8:dnn_life:2,custom_mnist:int8:inversion:4,"
+             "lenet5:int8:dnn_life:3,idle:1@45C@0.7V:0.2GHz")
+
+
+class TestUnleveledPlan:
+    """The packed driver's plan step against a phase-by-phase replay."""
+
+    @staticmethod
+    def _replay(factory, scenario, seed):
+        """Each active phase's ``counts_kernel()(0, n)`` duty, on the run's
+        spawned RNGs."""
+        duties = []
+        for phase, rng in zip(scenario.active_phases,
+                              spawn_rngs(seed, len(scenario.active_phases))):
+            stream = factory(phase)
+            policy = make_policy(phase.policy, stream.geometry.word_bits,
+                                 seed=rng, **dict(phase.policy_options))
+            kernel = AgingSimulator(stream, policy, num_inferences=phase.duration,
+                                    seed=rng).counts_kernel()
+            duties.append(_duty_from_counts(*kernel(0, phase.duration)))
+        return duties
+
+    @staticmethod
+    def _run(factory, seed=5, **kwargs):
+        return ScenarioAgingSimulator(LifetimeScenario.from_spec(PLAN_SPEC),
+                                      stream_factory=factory, seed=seed,
+                                      **kwargs).run()
+
+    def test_duties_match_phase_by_phase_replay(self, factory):
+        result = self._run(factory)
+        planned = [phase.duty_cycles for phase in result.phase_results
+                   if phase is not None]
+        expected = self._replay(factory, LifetimeScenario.from_spec(PLAN_SPEC), 5)
+        assert len(planned) == len(expected) == 6
+        for got, want in zip(planned, expected):
+            assert got.tobytes() == want.tobytes()
+        # Idle phases hold the duty of the phase they follow.
+        assert result.phase_stress[2].duty is result.phase_stress[1].duty
+        assert result.phase_stress[7].duty is result.phase_stress[6].duty
+
+    def test_one_reduction_pass_per_stream_policy_batch(self, factory,
+                                                        monkeypatch):
+        passes = []
+        original = TrbgReduction.numerator_chunks
+
+        def counting(reduction, enables, lengths):
+            passes.append(int(enables.shape[0]))
+            return original(reduction, enables, lengths)
+
+        monkeypatch.setattr(TrbgReduction, "numerator_chunks", counting)
+        result = self._run(factory)
+        # lenet5 x dnn_life holds 3 phases, custom_mnist x dnn_life 1.
+        assert sorted(passes) == [1, 3]
+        passes.clear()
+        # A budget below one set's bytes reduces the phases one at a time,
+        # with the same duties.
+        monkeypatch.setattr("repro.scenario.driver._FOLD_BYTES", 1)
+        split = self._run(factory)
+        assert passes == [1, 1, 1, 1]
+        for whole, single in zip(result.phase_stress, split.phase_stress):
+            assert whole.duty.tobytes() == single.duty.tobytes()
+
+    def test_deterministic_duties_are_memoized_read_only(self, factory):
+        memo = {}
+        first = self._run(factory, kernel_memo=memo)
+        second = self._run(factory, seed=6, kernel_memo=memo)
+        twins = [first.phase_results[index].duty_cycles for index in (1, 5)]
+        # One duty per (stream, policy, duration), shared by the phases and
+        # the runs of one memo, each phase holding its own view of it.
+        assert twins[0] is not twins[1]
+        assert np.shares_memory(twins[0], twins[1])
+        assert np.shares_memory(twins[0], second.phase_results[1].duty_cycles)
+        memoized = [duty for entry in memo.values()
+                    for duty in entry.get("duties", {}).values()]
+        assert len(memoized) == 1
+        for duty in memoized + twins:
+            assert not duty.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                duty[0, 0] = 0.5
+        # The twins are separate payload entries; only idles reference back.
+        entries = first.to_payload()["phase_stress"]
+        assert "duty" in entries[5] and entries[2]["duty_ref"] == 1
 
 
 class TestScenarioSemantics:

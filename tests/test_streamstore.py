@@ -84,6 +84,45 @@ class TestKeying:
 
 
 # --------------------------------------------------------------------------- #
+# Per-word popcounts of a memory-mapped stream
+# --------------------------------------------------------------------------- #
+class TestWordPopcounts:
+    @staticmethod
+    def _padded_stream(word_bits):
+        """Random bits in 5 blocks of 64 words, the last one 37 words long."""
+        rng = np.random.default_rng(word_bits)
+        bits = (rng.random((5, 64, word_bits)) < 0.5).astype(np.uint8)
+        valid = np.array([64, 64, 64, 64, 37])
+        bits[-1, 37:] = 0
+        geometry = MemoryGeometry(capacity_bytes=64 * word_bits // 8,
+                                  word_bits=word_bits)
+        return PackedBitTensor(bits, np.zeros(5, dtype=np.int64), valid,
+                               geometry, fifo_depth_tiles=1)
+
+    @pytest.mark.parametrize("word_bits", [8, 16, 32])
+    def test_word_popcounts_are_bit_sums(self, store, word_bits):
+        packed = self._padded_stream(word_bits)
+        key = stream_store_key("synthetic", {"case": "popcounts",
+                                             "word_bits": word_bits})
+        store.put(key, packed)
+        loaded = store.load_stream(key)
+        assert isinstance(loaded, StoredWeightStream)
+        expected = packed.bits.sum(axis=-1)
+        assert not expected[-1, 37:].any()
+        for stream in (loaded, packed):
+            counts = stream.word_popcounts()
+            assert counts.dtype == np.uint8
+            assert np.array_equal(counts, expected)
+            assert counts.flags.writeable is False
+
+    def test_without_bitwise_count_the_bits_are_summed(self, monkeypatch):
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        packed = self._padded_stream(8)
+        assert np.array_equal(packed.word_popcounts(),
+                              packed.bits.sum(axis=-1))
+
+
+# --------------------------------------------------------------------------- #
 # Round-trip identity
 # --------------------------------------------------------------------------- #
 class TestRoundTrip:
