@@ -32,8 +32,9 @@ technique is orthogonal to the device model — so any other implementation of
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,33 +181,36 @@ class CellClasses:
 
     A cell written ``K`` times holds a duty-cycle ``i / K``, so a result whose
     rows share a few write counts has only a few distinct duty-cycles, and
-    the SNM model need run once per class rather than once per cell.
-    ``values[c]`` is the duty of class ``c``, ``counts[c]`` the number of
-    cells in it (``None`` for the one-class-per-cell table, whose classes
-    are single cells), and ``key`` (the duty matrix's shape, in the
-    narrowest unsigned dtype that fits) the class of every cell:
-    ``values[key]`` is the duty matrix bit for bit.  Exact reductions
-    (min/max, cell counts, histograms) run on the classes; float means
-    gather the class values back through ``key`` and reduce per cell, so
-    every statistic keeps the bits of a per-cell evaluation.
-
-    The table describes the duty matrix it was built from; it caches the
-    gathered degradation of the last ``(model, years)`` it was asked for.
+    the SNM model need run once per class rather than once per cell.  The
+    table is canonical, whichever of :meth:`from_counts` and :meth:`per_cell`
+    builds it: ``values`` are the distinct duty-cycles in ascending order
+    (NaN last), ``counts[c]`` the number of cells holding ``values[c]`` and
+    :attr:`key` (the matrix's shape, narrowest unsigned dtype) the class of
+    every cell, so ``values[key]`` is the duty matrix.  Statistics are
+    count-weighted sums over the classes and the integer populations of bit
+    columns and row bands; only cell-level consumers gather through ``key``.
+    ``cells`` is the key, or each cell's index into the ``class_of`` map that
+    the key is gathered through on first use.
     """
 
-    def __init__(self, values: np.ndarray, counts: Optional[np.ndarray],
-                 key: np.ndarray):
+    def __init__(self, values: np.ndarray, counts: np.ndarray, cells: np.ndarray,
+                 class_of: Optional[np.ndarray] = None,
+                 column_counts: Optional[np.ndarray] = None):
         self.values = values
         self.counts = counts
-        self.key = key
-        self._degradation: Optional[Tuple[object, np.ndarray, np.ndarray]] = None
+        self._cells = cells
+        self._class_of = class_of
+        self._column_counts = column_counts
+        self._degradation: Optional[Tuple[object, np.ndarray]] = None
 
     @classmethod
     def per_cell(cls, duty: np.ndarray) -> "CellClasses":
-        """One class per cell: the table of a duty matrix without counts."""
+        """The table of a duty matrix: ``np.unique`` values, ``searchsorted`` keys."""
         duty = np.asarray(duty, dtype=np.float64)
-        key = np.arange(duty.size, dtype=_index_dtype(duty.size)).reshape(duty.shape)
-        return cls(duty.reshape(-1), None, key)
+        values = np.unique(duty)
+        index = np.searchsorted(values, duty)
+        return cls(values, np.bincount(index.reshape(-1), minlength=values.size),
+                   index.astype(_index_dtype(values.size)))
 
     @classmethod
     def from_counts(cls, ones: np.ndarray, writes: np.ndarray) -> Optional["CellClasses"]:
@@ -214,72 +218,131 @@ class CellClasses:
 
         ``ones`` is the ``(rows, word_bits)`` matrix of accumulated ones and
         ``writes`` the per-row write count.  Each distinct write count ``w``
-        owns the ``w + 1`` keys ``offset(w) + i`` of the cells holding ``i``
-        ones, so the classes come from one ``np.bincount`` instead of a float
-        sort, and ``values[key]`` is the duty-cycle ``i / w`` (0 on unwritten
-        rows) of every cell.  Returns ``None`` when a count is not an
-        integer with ``0 <= ones <= writes`` of its row, or when the key span
-        exceeds the cell count (a one-class-per-cell table is cheaper then).
+        owns the ``w + 1`` indices ``offset(w) + i`` of the cells holding
+        ``i`` ones, repeated per bit column, so one narrow-dtype bincount
+        gives every column's populations without a float sort.  Equal
+        duty-cycles (0/20, 0/40 and unwritten rows) merge into one class of
+        the ``class_of`` map.  Returns ``None`` when a count is not an
+        integer with ``0 <= ones <= writes`` of its row, or when the
+        (column, index) table would exceed both the cell count and ``2**16``
+        entries (:meth:`per_cell` is cheaper then).
         """
         ones = np.asarray(ones, dtype=np.float64)
         writes = np.asarray(writes, dtype=np.float64)
         if ones.ndim != 2 or writes.shape != ones.shape[:1] or not ones.size:
             return None
+        rows, columns = ones.shape
         with np.errstate(invalid="ignore"):
             row_writes = writes.astype(np.int64)
-            raw = ones.astype(np.int64)
-        if (not np.array_equal(row_writes, writes) or row_writes.min() < 0
-                or row_writes.max() >= ones.size):
+        low, high = row_writes.min(), row_writes.max()
+        if not np.array_equal(row_writes, writes) or low < 0 or high >= ones.size:
             return None
-        levels = np.flatnonzero(np.bincount(row_writes))
+        levels = (row_writes[:1] if low == high  # one write count: every padded stream
+                  else np.flatnonzero(np.bincount(row_writes)))
         widths = levels + 1
         offsets = np.cumsum(widths) - widths
         span = int(widths.sum())
-        if span > ones.size or not np.array_equal(raw, ones) or raw.min() < 0:
+        table = span * columns
+        if table > max(ones.size, 1 << 16):
+            return None
+        dtype = _index_dtype(table)
+        with np.errstate(invalid="ignore"):
+            index = ones.astype(dtype)
+        flat, parts = index.reshape(-1), _chunks(index.size)
+        # Equal to its unsigned cast: a non-negative integer count.
+        if not all(np.array_equal(flat[part], ones.reshape(-1)[part]) for part in parts):
             return None
         # No cell holds more ones than the smallest write count: all in range.
-        if raw.max() > levels[0] and (raw > row_writes[:, None]).any():
+        high = index.max()
+        if high > levels[0] and (high > levels[-1] or (index > row_writes[:, None]).any()):
             return None
         if levels.size > 1:  # one write count: every offset is 0
-            offset_of = np.zeros(levels[-1] + 1, dtype=np.int64)
+            offset_of = np.zeros(levels[-1] + 1, dtype=dtype)
             offset_of[levels] = offsets
-            raw += offset_of[row_writes][:, None]
-        population = np.bincount(raw.reshape(-1), minlength=span)
-        occupied = np.flatnonzero(population)
-        class_of = np.zeros(span, dtype=_index_dtype(occupied.size))
-        class_of[occupied] = np.arange(occupied.size)
+            index += offset_of[row_writes][:, None]
+        if columns > 1:  # over wide row groups: a one-row inner loop is slow
+            group = math.gcd(rows, 256)
+            index.reshape(-1, group * columns)[...] += np.tile(
+                (np.arange(columns) * span).astype(dtype), group)
+        population = sum(np.bincount(flat[part], minlength=table) for part in parts)
+        population = population.reshape(columns, span)
+        occupied = np.flatnonzero(population.any(axis=0))
         class_writes = np.repeat(levels, widths)[occupied]
         class_ones = occupied - np.repeat(offsets, widths)[occupied]
         with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(class_writes > 0, class_ones / class_writes, 0.0)
-        return cls(values, population[occupied], class_of[raw])
+            ratios = np.where(class_writes > 0, class_ones / class_writes, 0.0)
+        values, merged = np.unique(ratios, return_inverse=True)
+        column_counts = np.zeros((values.size, columns), dtype=np.int64)
+        np.add.at(column_counts, merged, population[:, occupied].T)
+        class_of = np.zeros(span, dtype=_index_dtype(values.size))
+        class_of[occupied] = merged
+        return cls(values, column_counts.sum(axis=1), index, np.tile(class_of, columns),
+                   np.ascontiguousarray(column_counts.T))
+
+    @property
+    def key(self) -> np.ndarray:
+        """The class of every cell."""
+        if self._class_of is not None:
+            self._cells, self._class_of = np.take(self._class_of, self._cells), None
+        return self._cells
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """Shape of the duty matrix."""
+        return self._cells.shape
 
     @property
     def num_cells(self) -> int:
         """Number of cells the table covers."""
-        return int(self.key.size)
+        return int(self._cells.size)
 
     def fraction(self, selected: np.ndarray) -> float:
         """Fraction of all cells in the classes a boolean class mask selects."""
-        cells = (np.count_nonzero(selected) if self.counts is None
-                 else np.sum(self.counts[selected], dtype=np.int64))
-        return float(cells / self.num_cells)
+        return float(np.sum(self.counts[selected]) / self.num_cells)
 
-    def degradation(self, model: SnmDegradationModel,
-                    years: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``(per_class, per_cell)`` SNM degradation (percent) after ``years``.
+    def mean(self, per_class: np.ndarray) -> float:
+        """Mean over all cells of a per-class quantity (NaN if a class is NaN)."""
+        return float(np.sum(self.counts * per_class) / self.num_cells)
 
-        The model runs on the class values only; the per-cell matrix (the
-        duty matrix's shape, read-only) is their gather through ``key``,
-        computed once and shared by every consumer of the table.
-        """
+    def column_counts(self, rows: slice = slice(None)) -> np.ndarray:
+        """``(columns, classes)`` cell populations of the bit columns of ``rows`` (default all)."""
+        whole = rows == slice(None)
+        if whole and self._column_counts is not None:
+            return self._column_counts
+        block = self.key[rows]
+        index = block + np.arange(block.shape[1]) * self.values.size
+        counts = np.bincount(index.reshape(-1), minlength=index.shape[1] * self.values.size
+                             ).reshape(index.shape[1], self.values.size)
+        if whole:
+            self._column_counts = counts
+        return counts
+
+    def row_band_counts(self, bands: int) -> np.ndarray:
+        """``(bands, classes)`` cell populations of ``bands`` equal row bands."""
+        size = self.values.size if self._class_of is None else self._class_of.size
+        counts = np.stack([
+            sum((np.bincount(band[part], minlength=size) for part in _chunks(band.size)),
+                np.zeros(size, dtype=np.int64))
+            for band in self._cells.reshape(bands, -1)])
+        if self._class_of is None:
+            return counts
+        merged = np.zeros((bands, self.values.size), dtype=np.int64)
+        np.add.at(merged.T, self._class_of, counts.T)
+        return merged
+
+    def degradation(self, model: SnmDegradationModel, years: float) -> np.ndarray:
+        """Per-class SNM degradation (percent) after ``years``; ``[key]`` gathers cells."""
         cached = self._degradation
         if cached is None or cached[0] != (model, years):
-            per_class = model.degradation_percent(self.values, years)
-            per_cell = per_class[self.key]
-            per_cell.setflags(write=False)
-            cached = self._degradation = ((model, years), per_class, per_cell)
-        return cached[1], cached[2]
+            cached = self._degradation = (
+                (model, years), model.degradation_percent(self.values, years))
+        return cached[1]
+
+
+def _chunks(size: int, cells: int = 1 << 16) -> List[slice]:
+    """Slices of ``cells`` cells: per-cell passes over them keep their
+    temporaries cache-sized instead of page-faulting in whole-matrix ones."""
+    return [slice(start, start + cells) for start in range(0, size, cells)]
 
 
 def _index_dtype(size: int) -> np.dtype:

@@ -37,7 +37,6 @@ replays each phase through the same :func:`replay_epochs` walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -132,64 +131,74 @@ def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Result container
 # --------------------------------------------------------------------------- #
-@dataclass
 class AgingResult:
     """Outcome of an aging simulation for one (workload, policy) pair.
 
-    The SNM statistics are evaluated on :attr:`cell_classes`, the result's
-    table of distinct duty-cycles: :meth:`from_counts` (both engines) keys
-    it by the integer counts, any other result gets one class per cell.
+    The SNM statistics are count-weighted sums over :attr:`cell_classes`,
+    the result's table of distinct duty-cycles: :meth:`from_counts` (both
+    engines) keys it by the integer counts, any other result builds it from
+    its duty matrix when first asked.  A count-built result keeps no
+    per-cell float matrix: :attr:`duty_cycles` and :meth:`snm_degradation`
+    gather the class values through the table's key on every call.
     """
 
-    policy_name: str
-    policy_description: Dict[str, object]
-    duty_cycles: np.ndarray
-    num_inferences: int
-    num_blocks: int
-    snm_model: SnmDegradationModel = field(default_factory=default_snm_model)
-    years: float = 7.0
-    _cell_classes: Optional[CellClasses] = field(default=None, init=False,
-                                                 repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.duty_cycles = np.asarray(self.duty_cycles, dtype=np.float64)
+    def __init__(self, policy_name: str, policy_description: Dict[str, object],
+                 duty_cycles: Optional[np.ndarray], num_inferences: int,
+                 num_blocks: int, snm_model: Optional[SnmDegradationModel] = None,
+                 years: float = 7.0):
+        self.policy_name = policy_name
+        self.policy_description = policy_description
+        self.num_inferences = num_inferences
+        self.num_blocks = num_blocks
+        self.snm_model = snm_model or default_snm_model()
+        self.years = years
+        self._duty = (None if duty_cycles is None
+                      else np.asarray(duty_cycles, dtype=np.float64))
+        self._cell_classes: Optional[CellClasses] = None
 
     @classmethod
     def from_counts(cls, ones: np.ndarray, writes: np.ndarray,
                     **fields: object) -> "AgingResult":
         """The result of per-cell ``ones`` over per-row ``writes`` counts.
 
-        In-range integer counts are keyed into a cell-class table and the
-        duty matrix is gathered from it; any other counts go through
-        :func:`_duty_from_counts` (which rejects out-of-range values) onto a
-        one-class-per-cell table.  Both give the same duty-cycles bit for bit.
+        In-range integer counts are keyed into a cell-class table, and the
+        result holds only that table; any other counts go through
+        :func:`_duty_from_counts` (which rejects out-of-range values).  Both
+        give the same duty-cycles and the same table bit for bit.
         """
         classes = CellClasses.from_counts(ones, writes)
         if classes is None:
             return cls(duty_cycles=_duty_from_counts(ones, writes), **fields)
-        result = cls(duty_cycles=classes.values[classes.key], **fields)
+        result = cls(duty_cycles=None, **fields)
         result._cell_classes = classes
         return result
 
     @property
+    def duty_cycles(self) -> np.ndarray:
+        """Per-cell duty-cycles (a gather of the class table for count-built results)."""
+        if self._duty is not None:
+            return self._duty
+        return self._cell_classes.values[self._cell_classes.key]
+
+    @property
     def cell_classes(self) -> CellClasses:
-        """The duty matrix's cell-class table (one class per cell if not built from counts)."""
+        """The duty matrix's cell-class table, built on first use if not from counts."""
         if self._cell_classes is None:
-            self._cell_classes = CellClasses.per_cell(self.duty_cycles)
+            self._cell_classes = CellClasses.per_cell(self._duty)
         return self._cell_classes
 
     @property
     def num_cells(self) -> int:
         """Number of 6T-SRAM cells covered by the result."""
-        return int(self.duty_cycles.size)
+        return int(self._duty.size) if self._duty is not None else self.cell_classes.num_cells
 
-    def _degradation(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(per_class, per_cell)`` SNM degradation after ``years`` years."""
+    def _class_degradation(self) -> np.ndarray:
+        """Per-class SNM degradation after ``years`` years."""
         return self.cell_classes.degradation(self.snm_model, self.years)
 
     def snm_degradation(self) -> np.ndarray:
-        """Per-cell SNM degradation (percent) after ``years`` years (read-only)."""
-        return self._degradation()[1].reshape(-1)
+        """Per-cell SNM degradation (percent) after ``years`` years, flattened."""
+        return self._class_degradation()[self.cell_classes.key.reshape(-1)]
 
     def histogram(self, bin_edges: Optional[np.ndarray] = None
                   ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
@@ -200,28 +209,27 @@ class AgingResult:
         edges = (np.asarray(bin_edges, dtype=np.float64) if bin_edges is not None
                  else default_degradation_bins(self.snm_model, years=self.years))
         percentages, edges = degradation_histogram(
-            self._degradation()[0], edges, counts=self.cell_classes.counts)
+            self._class_degradation(), edges, counts=self.cell_classes.counts)
         return percentages, edges, bin_labels(edges)
 
     def duty_cycle_statistics(self) -> Dict[str, float]:
-        """Summary statistics of the per-cell duty-cycles."""
-        values = self.cell_classes.values
-        duty = self.duty_cycles.reshape(-1)
-        mean, std = float(duty.mean()), float(duty.std())
-        deviation = duty - 0.5
-        np.abs(deviation, out=deviation)
+        """Summary statistics of the per-cell duty-cycles (count-weighted over classes)."""
+        classes = self.cell_classes
+        values = classes.values
+        mean = classes.mean(values)
+        deviation = np.abs(values - 0.5)
         return {
             "mean": mean,
-            "std": std,
+            "std": float(np.sqrt(classes.mean(np.square(values - mean)))),
             "min": float(values.min()),
             "max": float(values.max()),
-            "mean_abs_deviation_from_half": float(deviation.mean()),
-            "max_abs_deviation_from_half": float(np.abs(values - 0.5).max()),
+            "mean_abs_deviation_from_half": classes.mean(deviation),
+            "max_abs_deviation_from_half": float(deviation.max()),
         }
 
     def summary(self) -> Dict[str, object]:
         """Headline metrics used by the experiment reports."""
-        per_class, per_cell = self._degradation()
+        per_class = self._class_degradation()
         best = self.snm_model.best_case_percent(self.years)
         worst = self.snm_model.worst_case_percent(self.years)
         classes = self.cell_classes
@@ -230,7 +238,7 @@ class AgingResult:
             "num_cells": self.num_cells,
             "num_blocks": self.num_blocks,
             "num_inferences": self.num_inferences,
-            "mean_snm_degradation_percent": float(per_cell.reshape(-1).mean()),
+            "mean_snm_degradation_percent": classes.mean(per_class),
             "max_snm_degradation_percent": float(per_class.max()),
             "percent_cells_near_best": classes.fraction(per_class <= best + 0.5) * 100.0,
             "percent_cells_near_worst": classes.fraction(per_class >= worst - 0.5) * 100.0,
@@ -249,11 +257,12 @@ class AgingResult:
         supports the same derived queries (histograms, summaries) as a
         freshly computed one.
         """
+        duty = self.duty_cycles
         return {
             "policy_name": self.policy_name,
             "policy_description": dict(self.policy_description),
-            "duty_cycles_shape": list(self.duty_cycles.shape),
-            "duty_cycles": self.duty_cycles.reshape(-1).tolist(),
+            "duty_cycles_shape": list(duty.shape),
+            "duty_cycles": duty.reshape(-1).tolist(),
             "num_inferences": self.num_inferences,
             "num_blocks": self.num_blocks,
             "years": self.years,

@@ -3,17 +3,18 @@
 The Fig. 9/11 histograms aggregate over all cells; designers also want to know
 *where* in the memory the stressed cells sit (e.g. whether a particular bit
 column or FIFO tile wears out first, which drives wear-levelling or column
-remapping decisions).  A :class:`WearMap` summarises a duty-cycle (or SNM
-degradation) matrix along rows, bit columns and FIFO regions and renders a
-coarse ASCII heat map.  The SNM model runs once per duty class of the map's
+remapping decisions).  A :class:`WearMap` summarises a duty-cycle matrix's
+SNM degradation along bit columns and FIFO regions and renders a coarse
+ASCII heat map.  The SNM model runs once per duty class of the map's
 :class:`~repro.aging.snm.CellClasses` table (the result's own table when built
-by :func:`wear_map_from_result`).
+by :func:`wear_map_from_result`), and every mean is a count-weighted sum over
+those classes.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -25,57 +26,47 @@ from repro.utils.validation import check_positive_int
 _HEAT_CHARS = " .:-=+*#%@"
 
 
-def _nanmean(values: np.ndarray, axis=None) -> np.ndarray:
-    """``np.nanmean`` without the all-NaN RuntimeWarning (result stays NaN).
+def _defined_means(populations: np.ndarray, per_class: np.ndarray) -> np.ndarray:
+    """Mean of ``per_class`` over each population row (classes on the last axis).
 
-    Without NaN the plain mean gives the same bits (the same sum over the
-    same cells, divided by the same count) and skips the NaN-masked copy.
+    NaN classes (never-written cells) are left out; a row with no defined
+    cell is NaN.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        if np.isnan(values).any():
-            return np.nanmean(values, axis=axis)
-        return np.mean(values, axis=axis)
-
-
-def _column_means(degradation: np.ndarray) -> np.ndarray:
-    """NaN-aware mean of each bit column of a degradation matrix."""
-    return _nanmean(degradation, axis=0)
-
-
-def _region_means(degradation: np.ndarray, num_regions: int) -> np.ndarray:
-    """NaN-aware mean of each of ``num_regions`` equal row bands."""
-    region_rows = degradation.shape[0] // num_regions
-    return np.array([
-        _nanmean(degradation[index * region_rows:(index + 1) * region_rows])
-        for index in range(num_regions)
-    ])
+    finite = np.isfinite(per_class)
+    populations = populations[..., finite]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (np.sum(populations * per_class[finite], axis=-1)
+                / populations.sum(axis=-1))
 
 
 @dataclass
 class WearMap:
-    """Spatial aging summary of a weight memory."""
+    """Spatial aging summary of a weight memory.
 
-    duty_cycles: np.ndarray          # (rows, word_bits)
+    The map holds the :class:`~repro.aging.snm.CellClasses` table of a
+    ``(rows, word_bits)`` duty matrix: the one passed as ``cell_classes``,
+    or the table of ``duty_cycles``.  Every aggregation is a count-weighted
+    sum over the table's classes; only :attr:`degradation` and
+    :meth:`worst_cells` gather per-cell values.
+    """
+
+    duty_cycles: InitVar[Optional[np.ndarray]] = None
     num_regions: int = 1
     snm_model: Optional[SnmDegradationModel] = None
     years: float = 7.0
-    #: Class table of ``duty_cycles``; one class per cell when not given.
     cell_classes: Optional[CellClasses] = None
 
-    def __post_init__(self) -> None:
-        self.duty_cycles = np.asarray(self.duty_cycles, dtype=np.float64)
-        if self.duty_cycles.ndim != 2:
-            raise ValueError("duty_cycles must be a (rows, word_bits) matrix")
+    def __post_init__(self, duty_cycles: Optional[np.ndarray]) -> None:
+        if self.cell_classes is None:
+            duty = np.asarray(duty_cycles, dtype=np.float64)
+            if duty.ndim != 2:
+                raise ValueError("duty_cycles must be a (rows, word_bits) matrix")
+            self.cell_classes = CellClasses.per_cell(duty)
         check_positive_int(self.num_regions, "num_regions")
-        if self.duty_cycles.shape[0] % self.num_regions != 0:
+        if self.cell_classes.shape[0] % self.num_regions != 0:
             raise ValueError("rows must divide evenly into num_regions")
         if self.snm_model is None:
             self.snm_model = default_snm_model()
-        if self.cell_classes is None:
-            self.cell_classes = CellClasses.per_cell(self.duty_cycles)
-        elif self.cell_classes.key.shape != self.duty_cycles.shape:
-            raise ValueError("cell_classes does not match the duty_cycles shape")
 
     # ------------------------------------------------------------------ #
     # Aggregations
@@ -90,14 +81,14 @@ class WearMap:
         classes = self.cell_classes
         return classes.fraction(np.isfinite(classes.values)) if classes.num_cells else 0.0
 
-    def _degradation(self):
-        """``(per_class, per_cell)`` SNM degradation of the map's cell classes."""
+    def _class_degradation(self) -> np.ndarray:
+        """Per-class SNM degradation of the map's cell classes."""
         return self.cell_classes.degradation(self.snm_model, self.years)
 
     @property
     def degradation(self) -> np.ndarray:
-        """Per-cell SNM degradation matrix (percent, read-only); NaN where duty is undefined."""
-        return self._degradation()[1]
+        """Per-cell SNM degradation matrix (percent); NaN where duty is undefined."""
+        return self._class_degradation()[self.cell_classes.key]
 
     def per_bit_column(self) -> np.ndarray:
         """Mean SNM degradation of each bit column (MSB-first index).
@@ -105,11 +96,12 @@ class WearMap:
         Never-written cells are excluded; a column with no written cell at
         all reports NaN (check :attr:`coverage`).
         """
-        return _column_means(self.degradation)
+        return _defined_means(self.cell_classes.column_counts(), self._class_degradation())
 
     def per_region(self) -> np.ndarray:
         """Mean SNM degradation of each FIFO region / tile (NaN-cell aware)."""
-        return _region_means(self.degradation, self.num_regions)
+        return _defined_means(self.cell_classes.row_band_counts(self.num_regions),
+                              self._class_degradation())
 
     def worst_cells(self, count: int = 10) -> Dict[str, np.ndarray]:
         """Coordinates and degradation of the ``count`` most-aged cells.
@@ -132,12 +124,11 @@ class WearMap:
 
     def summary(self) -> Dict[str, float]:
         """Headline spatial statistics (NaN-cell aware, see :attr:`coverage`)."""
-        per_class, degradation = self._degradation()
+        per_class = self._class_degradation()
         finite = np.isfinite(per_class)
-        defined = (degradation.reshape(-1) if finite.all()
-                   else degradation[np.isfinite(degradation)])
-        per_column = _column_means(degradation)
-        per_region = _region_means(degradation, self.num_regions)
+        defined = bool(finite.any())
+        per_column = self.per_bit_column()
+        per_region = self.per_region()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=RuntimeWarning)
             column_max = np.nanmax(per_column) if per_column.size else np.nan
@@ -146,13 +137,14 @@ class WearMap:
             region_min = np.nanmin(per_region) if per_region.size else np.nan
         return {
             "coverage": self.coverage,
-            "mean_degradation_percent": float(defined.mean()) if defined.size else float("nan"),
-            "max_degradation_percent": (float(per_class[finite].max()) if defined.size
+            "mean_degradation_percent": float(_defined_means(self.cell_classes.counts,
+                                                             per_class)),
+            "max_degradation_percent": (float(per_class[finite].max()) if defined
                                         else float("nan")),
-            "worst_bit_column": int(np.nanargmax(per_column)) if defined.size else -1,
+            "worst_bit_column": int(np.nanargmax(per_column)) if defined else -1,
             "worst_bit_column_mean_percent": float(column_max),
             "best_bit_column_mean_percent": float(column_min),
-            "worst_region": int(np.nanargmax(per_region)) if defined.size else -1,
+            "worst_region": int(np.nanargmax(per_region)) if defined else -1,
             "worst_region_mean_percent": float(region_max),
             "column_imbalance_pp": float(column_max - column_min),
             "region_imbalance_pp": float(region_max - region_min),
@@ -171,8 +163,9 @@ class WearMap:
         as ``?``.
         """
         check_positive_int(max_rows, "max_rows")
-        degradation = self.degradation
-        rows, bits = degradation.shape
+        classes = self.cell_classes
+        per_class = self._class_degradation()
+        rows, bits = classes.shape
         buckets = min(max_rows, rows)
         # np.unique drops repeated integer edges (linspace truncation can
         # produce them), guaranteeing strictly increasing, non-empty buckets;
@@ -185,7 +178,8 @@ class WearMap:
         lines = [f"Wear map ({rows} rows x {bits} bit columns, "
                  f"{bucket_edges.size - 1} row buckets, MSB on the left)"]
         for low, high in zip(bucket_edges[:-1], bucket_edges[1:]):
-            column_means = _nanmean(degradation[low:high], axis=0)
+            column_means = _defined_means(classes.column_counts(slice(low, high)),
+                                          per_class)
             levels = np.clip((column_means - best) / span, 0.0, 1.0)
             chars = "".join(
                 "?" if not np.isfinite(level)
@@ -216,6 +210,5 @@ def default_wear_regions(rows: int, fifo_depth_tiles: int) -> int:
 
 def wear_map_from_result(result, num_regions: int = 1) -> WearMap:
     """Build a :class:`WearMap` from an :class:`~repro.core.simulation.AgingResult`."""
-    return WearMap(duty_cycles=result.duty_cycles, num_regions=num_regions,
-                   snm_model=result.snm_model, years=result.years,
-                   cell_classes=result.cell_classes)
+    return WearMap(num_regions=num_regions, snm_model=result.snm_model,
+                   years=result.years, cell_classes=result.cell_classes)

@@ -1,7 +1,6 @@
 """Tests for ``dnn-life bench``: the leveling gate and the engine oracles."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from repro.bench import (
     verify_leveling_against_explicit,
 )
 from repro.cli import main
+from repro.core.simulation import AgingResult
 from repro.memory.geometry import MemoryGeometry
 
 #: The leveled-run entries the CI gate requires.
@@ -238,7 +238,9 @@ class _DivergentExplicitSimulator(aging_bench.ExplicitAgingSimulator):
         result = super().run()
         duty = result.duty_cycles.copy()
         duty.flat[0] = np.nextafter(duty.flat[0], np.inf)
-        return replace(result, duty_cycles=duty)
+        return AgingResult(result.policy_name, result.policy_description, duty,
+                           result.num_inferences, result.num_blocks,
+                           result.snm_model, result.years)
 
 
 class TestOracles:

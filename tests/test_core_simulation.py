@@ -336,22 +336,20 @@ class TestCellClassTables:
                                    lambda: _deterministic_policy(name, word_bits), 3)
         for result in (fast, explicit):
             classes = result.cell_classes
-            assert classes.counts is not None
             assert classes.values.size < result.num_cells
             assert np.array_equal(classes.values[classes.key], result.duty_cycles)
         assert np.array_equal(fast.cell_classes.values, explicit.cell_classes.values)
         assert np.array_equal(fast.cell_classes.counts, explicit.cell_classes.counts)
         assert np.array_equal(fast.cell_classes.key, explicit.cell_classes.key)
 
-    def test_result_and_wear_map_share_one_gathered_degradation(self, tiny_scheduler):
+    def test_result_and_wear_map_share_one_class_table(self, tiny_scheduler):
         from repro.memory.wear_map import wear_map_from_result
 
         result = AgingSimulator(tiny_scheduler, DnnLifePolicy(8, seed=0),
                                 num_inferences=6, seed=0).run()
         wear = wear_map_from_result(result)
         assert wear.cell_classes is result.cell_classes
-        assert np.shares_memory(wear.degradation, result.snm_degradation())
-        assert not result.snm_degradation().flags.writeable
+        assert np.array_equal(wear.degradation.reshape(-1), result.snm_degradation())
         # a later years change re-evaluates instead of serving the stale cache
         first = result.summary()["mean_snm_degradation_percent"]
         result.years = 3.0

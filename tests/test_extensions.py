@@ -93,7 +93,7 @@ class TestWearMap:
         assert wear.summary()["worst_region"] == 3
 
     def test_summary_matches_public_aggregations(self):
-        """summary() reduces one degradation matrix into the same values
+        """summary() reduces one class table into the same values
         per_bit_column()/per_region() report, bit for bit."""
         duty = np.random.default_rng(3).random((64, 8))
         duty[40:44] = np.nan  # a never-written stretch inside region 2
@@ -110,9 +110,18 @@ class TestWearMap:
         assert summary["worst_region_mean_percent"] == np.nanmax(per_region)
         assert summary["region_imbalance_pp"] == (np.nanmax(per_region)
                                                   - np.nanmin(per_region))
+        # the mean is count-weighted over the defined duty classes, within
+        # summation round-off of the per-cell mean
+        classes = wear.cell_classes
+        per_class = classes.degradation(wear.snm_model, wear.years)
+        finite = np.isfinite(per_class)
+        assert summary["mean_degradation_percent"] == (
+            np.sum(classes.counts[finite] * per_class[finite])
+            / np.sum(classes.counts[finite]))
         degradation = wear.degradation
         defined = degradation[np.isfinite(degradation)]
-        assert summary["mean_degradation_percent"] == defined.mean()
+        assert summary["mean_degradation_percent"] == pytest.approx(
+            defined.mean(), rel=0, abs=8 * np.finfo(float).eps * defined.max())
         assert summary["max_degradation_percent"] == defined.max()
 
     def test_worst_cells(self):

@@ -256,6 +256,37 @@ class TestSingleDeviceEquivalence:
         assert len(runs) == len(result.cohorts) == 4
         assert len(runs) * 100 < spec.num_devices
 
+    @pytest.mark.parametrize("leveler_name", [None, "wear_swap"])
+    def test_runs_build_no_cell_class_table(self, factory, geometry, monkeypatch,
+                                            leveler_name):
+        """Fleet and scenario runs never build a class table or gather cells.
+
+        Per-cell tables stay lazy: only report consumers build them, so the
+        hundreds of phase results of a fleet run cost none.
+        """
+        from repro.aging.snm import CellClasses
+
+        built = []
+        original_init = CellClasses.__init__
+
+        def recording_init(table, *args, **kwargs):
+            built.append(table)
+            original_init(table, *args, **kwargs)
+
+        monkeypatch.setattr(CellClasses, "__init__", recording_init)
+        leveler = (None if leveler_name is None else
+                   make_leveler(leveler_name, geometry, 4, interval=2, swap_fraction=0.25))
+        spec = FleetSpec(num_devices=8,
+                         scenarios=(SINGLE_SPEC, "lenet5:int8:dnn_life:3@85C"),
+                         seed_groups=2, seed=1)
+        FleetSimulator(spec, stream_factory=factory, leveler=leveler).run()
+        scenario = ScenarioAgingSimulator(
+            LifetimeScenario.from_spec("lenet5:int8:dnn_life:3@85C," + SINGLE_SPEC),
+            stream_factory=factory, seed=0, leveler=leveler).run()
+        assert built == []
+        for result in (scenario.effective, *scenario.phase_results):
+            assert result is None or result._cell_classes is None
+
     def test_recording_engine_keeps_held_values_not_reports(self, factory):
         """Cohort runs record each idle's held values and skip its report."""
         idle = "idle:2@45C@0.7V:0.2GHz"

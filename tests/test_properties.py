@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,12 +297,22 @@ def counts_strategy(draw):
     return ones.astype(np.float64), writes.astype(np.float64)
 
 
-class TestCellClassEquivalence:
-    """A count-built result's class table changes no statistic and no payload byte.
+def _same_table(left, right):
+    """Two cell-class tables are the same bits: values, counts, key, populations."""
+    assert left.values.tobytes() == right.values.tobytes()
+    assert left.counts.dtype == right.counts.dtype == np.int64
+    assert np.array_equal(left.counts, right.counts)
+    assert left.key.dtype == right.key.dtype
+    assert np.array_equal(left.key, right.key)
+    assert np.array_equal(left.column_counts(), right.column_counts())
 
-    The payload round trip rebuilds the result without counts, i.e. on the
-    one-class-per-cell table, so equal outputs pin the class evaluation to
-    the per-cell one.
+
+class TestCellClassEquivalence:
+    """There is one canonical cell-class table per duty matrix.
+
+    ``from_counts`` and ``per_cell`` build it bit for bit alike, so a
+    count-built result and its payload round trip (which rebuilds the table
+    from the duty matrix) report the same statistics and payload bytes.
     """
 
     @staticmethod
@@ -333,55 +345,109 @@ class TestCellClassEquivalence:
             ones, writes, policy_name="none", policy_description={"policy": "none"},
             num_inferences=3, num_blocks=2, snm_model=model, years=years)
         classes = result.cell_classes
-        assert np.array_equal(classes.values[classes.key], result.duty_cycles)
-        span = int(np.sum(np.unique(writes) + 1))
-        if span <= result.num_cells:
-            cell_counts = np.stack([ones.reshape(-1),
-                                    np.repeat(writes, ones.shape[1])])
-            assert classes.values.size == np.unique(cell_counts, axis=1).shape[1]
-            assert int(np.sum(classes.counts)) == result.num_cells
-        else:
-            assert classes.counts is None
-            assert np.array_equal(classes.key.reshape(-1), np.arange(result.num_cells))
+        duty = _duty_from_counts(ones, writes)
+        assert np.array_equal(classes.values[classes.key], duty)
+        assert np.array_equal(classes.values, np.unique(duty))
+        assert int(np.sum(classes.counts)) == result.num_cells
 
         rebuilt = AgingResult.from_payload(result.to_payload())
-        per_cell = AgingResult("none", {"policy": "none"},
-                               _duty_from_counts(ones, writes), 3, 2,
+        per_cell = AgingResult("none", {"policy": "none"}, duty, 3, 2,
                                snm_model=model, years=years)
-        assert rebuilt.cell_classes.counts is None
+        _same_table(rebuilt.cell_classes, classes)
         assert canonical_json(result.to_payload()) == canonical_json(per_cell.to_payload())
         edges = np.linspace(0.0, 40.0, 6)
         assert (canonical_json(self._outputs(result, edges))
                 == canonical_json(self._outputs(rebuilt, edges)))
         assert np.array_equal(result.snm_degradation(), rebuilt.snm_degradation())
 
-    def test_wide_key_span_falls_back_to_one_class_per_cell(self):
+    @given(counts=counts_strategy())
+    @settings(max_examples=80, deadline=None)
+    def test_from_counts_and_per_cell_build_the_same_table(self, counts):
+        from repro.aging.snm import CellClasses
+
+        ones, writes = counts
+        table = CellClasses.from_counts(ones, writes)
+        span = int(np.sum(np.unique(writes) + 1))
+        assert (table is None) == (writes.max() >= ones.size
+                                   or span * ones.shape[1] > max(ones.size, 1 << 16))
+        if table is not None:
+            _same_table(table, CellClasses.per_cell(table.values[table.key]))
+
+    @given(counts=counts_strategy(), model=snm_model_strategy(),
+           unwritten=st.integers(0, 3), regions=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=80, deadline=None)
+    def test_class_statistics_match_per_cell_formulas(self, counts, model,
+                                                      unwritten, regions):
+        """Class-weighted sums agree with numpy's per-cell reductions.
+
+        Both sum the same cells in a different order, so they may differ
+        by summation round-off: at most 8 eps of the statistic's scale
+        (1 for duty statistics, the largest degradation for SNM means).
+        """
+        from repro.core.simulation import AgingResult, _duty_from_counts
+        from repro.memory.wear_map import WearMap
+
+        ones, writes = counts
+        eps = np.finfo(np.float64).eps
+        duty = _duty_from_counts(ones, writes)
+        result = AgingResult("none", {}, duty, 1, 1, snm_model=model)
+        stats = result.duty_cycle_statistics()
+        np.testing.assert_allclose(
+            [stats["mean"], stats["std"], stats["mean_abs_deviation_from_half"]],
+            [duty.mean(), duty.std(), np.abs(duty - 0.5).mean()], rtol=0, atol=8 * eps)
+        degradation = model.degradation_percent(duty)
+        scale = 8 * eps * degradation.max()
+        assert abs(result.summary()["mean_snm_degradation_percent"]
+                   - degradation.mean()) <= scale
+
+        rows = duty.shape[0] // regions * regions
+        if not rows:
+            return
+        duty = duty[:rows].copy()
+        duty[:min(unwritten, rows - 1)] = np.nan  # never-written rows
+        wear = WearMap(duty_cycles=duty, num_regions=regions, snm_model=model)
+        degradation = model.degradation_percent(duty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            columns = np.nanmean(degradation, axis=0)
+            bands = np.nanmean(degradation.reshape(regions, -1), axis=1)
+        np.testing.assert_allclose(wear.per_bit_column(), columns, rtol=0, atol=scale)
+        np.testing.assert_allclose(wear.per_region(), bands, rtol=0, atol=scale)
+        assert abs(wear.summary()["mean_degradation_percent"]
+                   - np.nanmean(degradation)) <= scale
+
+    def test_wide_key_span_is_keyed_from_the_duty_matrix(self):
+        from repro.aging.snm import CellClasses
         from repro.core.simulation import AgingResult
 
-        ones = np.array([[0.0, 1.0, 2.0, 500.0]])
-        result = AgingResult.from_counts(ones, np.array([1000.0]), policy_name="none",
+        ones, writes = np.array([[0.0, 1.0, 2.0, 500.0]]), np.array([100000.0])
+        assert CellClasses.from_counts(ones, writes) is None
+        result = AgingResult.from_counts(ones, writes, policy_name="none",
                                          policy_description={}, num_inferences=1,
                                          num_blocks=1)
         classes = result.cell_classes
-        assert classes.counts is None
-        assert np.array_equal(classes.key, [[0, 1, 2, 3]])
         assert np.array_equal(classes.values, result.duty_cycles.reshape(-1))
+        assert np.array_equal(classes.counts, [1, 1, 1, 1])
+        assert np.array_equal(classes.key, [[0, 1, 2, 3]])
 
-    def test_non_integral_counts_fall_back_to_one_class_per_cell(self):
+    def test_non_integral_counts_are_keyed_from_the_duty_matrix(self):
+        from repro.aging.snm import CellClasses
         from repro.core.simulation import AgingResult
 
         ones = np.array([[0.5, 1.5, 2.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
-        result = AgingResult.from_counts(ones, np.array([4.0, 4.0]), policy_name="none",
+        writes = np.array([4.0, 4.0])
+        assert CellClasses.from_counts(ones, writes) is None
+        result = AgingResult.from_counts(ones, writes, policy_name="none",
                                          policy_description={}, num_inferences=1,
                                          num_blocks=1)
-        assert result.cell_classes.counts is None
         assert np.array_equal(result.duty_cycles, [[0.125, 0.375, 0.5, 0.25],
                                                    [0.0, 0.25, 0.5, 0.75]])
+        assert np.array_equal(result.cell_classes.counts, [1, 1, 2, 1, 2, 1])
 
     def test_table_is_compact_with_narrow_keys(self):
         from repro.core.simulation import AgingResult
 
-        # one class per occupied (ones, writes) pair, grouped by write count
+        # equal duty-cycles of different write counts share one class
         writes = np.array([4.0, 4.0, 2.0, 0.0])
         ones = np.array([[0.0, 4.0, 4.0, 0.0], [2.0, 2.0, 2.0, 2.0],
                          [1.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
@@ -389,11 +455,15 @@ class TestCellClassEquivalence:
                                          policy_description={}, num_inferences=1,
                                          num_blocks=1)
         classes = result.cell_classes
+        assert result._duty is None  # no per-cell float matrix is kept
         assert classes.key.dtype == np.uint8
-        assert np.array_equal(classes.values, [0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
-        assert np.array_equal(classes.counts, [4, 2, 2, 2, 4, 2])
-        assert np.array_equal(classes.key, [[3, 5, 5, 3], [4, 4, 4, 4],
+        assert np.array_equal(classes.values, [0.0, 0.5, 1.0])
+        assert np.array_equal(classes.counts, [6, 6, 4])
+        assert np.array_equal(classes.key, [[0, 2, 2, 0], [1, 1, 1, 1],
                                             [1, 2, 1, 2], [0, 0, 0, 0]])
+        assert np.array_equal(classes.column_counts(), [[2, 2, 0], [1, 1, 2],
+                                                        [1, 2, 1], [2, 1, 1]])
+        assert np.array_equal(classes.row_band_counts(2), [[2, 4, 2], [4, 2, 2]])
 
     @pytest.mark.parametrize("ones", [5.0, -1.0])
     def test_out_of_range_counts_still_raise(self, ones):
@@ -409,23 +479,14 @@ class TestCellClassEquivalence:
         ([[1.0, 0.0], [3.0, 0.0]], [2.0, 0.0], [[0.5, 0.0], [0.0, 0.0]]),
     ])
     def test_counts_off_the_integer_grid_keep_the_per_cell_duty(self, ones, writes, duty):
+        from repro.aging.snm import CellClasses
         from repro.core.simulation import AgingResult
 
+        assert CellClasses.from_counts(np.array(ones), np.array(writes)) is None
         result = AgingResult.from_counts(np.array(ones), np.array(writes),
                                          policy_name="none", policy_description={},
                                          num_inferences=1, num_blocks=1)
-        assert result.cell_classes.counts is None
         assert np.array_equal(result.duty_cycles, duty)
-
-    @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 9)),
-                             elements=st.floats(0.0, 100.0)))
-    @settings(max_examples=40, deadline=None)
-    def test_nan_free_mean_is_the_nan_aware_mean(self, values):
-        from repro.memory.wear_map import _nanmean
-
-        for axis in (None, 0):
-            assert np.array_equal(_nanmean(values, axis=axis),
-                                  np.nanmean(values, axis=axis))
 
 
 def _float_ratio_swap(perm, row_ones, row_hold, pair_count):
