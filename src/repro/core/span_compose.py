@@ -102,14 +102,13 @@ def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
     """``out3[g, j] += weight * base3[g, (j - offset) % R]`` via two slices."""
     region_rows = base3.shape[1]
     offset = int(offset) % region_rows
+    if weight != 1.0:
+        base3 = weight * base3
     if offset == 0:
-        if weight == 1.0:
-            out3 += base3
-        else:
-            out3 += weight * base3
+        out3 += base3
         return
-    out3[:, offset:] += weight * base3[:, :region_rows - offset]
-    out3[:, :offset] += weight * base3[:, region_rows - offset:]
+    out3[:, offset:] += base3[:, :region_rows - offset]
+    out3[:, :offset] += base3[:, region_rows - offset:]
 
 
 def _window_axpy(out3: np.ndarray, base3: np.ndarray, weight: float,
@@ -123,13 +122,15 @@ def _window_axpy(out3: np.ndarray, base3: np.ndarray, weight: float,
     regions, region_rows, width = base3.shape
     if count <= 0:
         return
-    extended = (np.concatenate([base3, base3[:, :count - 1]], axis=1)
-                if count > 1 else base3)
-    prefix = np.concatenate(
-        [np.zeros((regions, 1, width), dtype=np.float64),
-         np.cumsum(extended, axis=1, dtype=np.float64)], axis=1)
-    window = prefix[:, count:] - prefix[:, :-count]
-    _roll_axpy(out3, window, (first + count - 1) % region_rows, weight)
+    prefix = np.empty((regions, region_rows + count, width), dtype=np.float64)
+    prefix[:, 0] = 0.0
+    np.cumsum(base3, axis=1, dtype=np.float64, out=prefix[:, 1:region_rows + 1])
+    # the wrapped rows continue the sum: total + prefix of the first rows
+    prefix[:, region_rows + 1:] = prefix[:, region_rows:region_rows + 1] + prefix[:, 1:count]
+    window = np.subtract(prefix[:, count:], prefix[:, :-count])
+    if weight != 1.0:
+        window *= weight
+    _roll_axpy(out3, window, (first + count - 1) % region_rows, 1.0)
 
 
 def _circular_run(support: np.ndarray, region_rows: int
