@@ -189,17 +189,13 @@ class CellClasses:
     every cell, so ``values[key]`` is the duty matrix.  Statistics are
     count-weighted sums over the classes and the integer populations of bit
     columns and row bands; only cell-level consumers gather through ``key``.
-    ``cells`` is the key, or each cell's index into the ``class_of`` map that
-    the key is gathered through on first use.
     """
 
-    def __init__(self, values: np.ndarray, counts: np.ndarray, cells: np.ndarray,
-                 class_of: Optional[np.ndarray] = None,
+    def __init__(self, values: np.ndarray, counts: np.ndarray, key: np.ndarray,
                  column_counts: Optional[np.ndarray] = None):
         self.values = values
         self.counts = counts
-        self._cells = cells
-        self._class_of = class_of
+        self.key = key
         self._column_counts = column_counts
         self._degradation: Optional[Tuple[object, np.ndarray]] = None
 
@@ -221,8 +217,9 @@ class CellClasses:
         owns the ``w + 1`` indices ``offset(w) + i`` of the cells holding
         ``i`` ones, repeated per bit column, so one narrow-dtype bincount
         gives every column's populations without a float sort.  Equal
-        duty-cycles (0/20, 0/40 and unwritten rows) merge into one class of
-        the ``class_of`` map.  Returns ``None`` when a count is not an
+        duty-cycles (0/20, 0/40 and unwritten rows) merge into one class, and
+        the key is gathered from the indices through that merge.  Returns
+        ``None`` when a count is not an
         integer with ``0 <= ones <= writes`` of its row, or when the
         (column, index) table would exceed both the cell count and ``2**16``
         entries (:meth:`per_cell` is cheaper then).
@@ -276,25 +273,22 @@ class CellClasses:
         np.add.at(column_counts, merged, population[:, occupied].T)
         class_of = np.zeros(span, dtype=_index_dtype(values.size))
         class_of[occupied] = merged
-        return cls(values, column_counts.sum(axis=1), index, np.tile(class_of, columns),
+        class_of = np.tile(class_of, columns)
+        key = np.empty(index.shape, dtype=class_of.dtype)
+        for part in parts:
+            key.reshape(-1)[part] = np.take(class_of, flat[part])
+        return cls(values, column_counts.sum(axis=1), key,
                    np.ascontiguousarray(column_counts.T))
-
-    @property
-    def key(self) -> np.ndarray:
-        """The class of every cell."""
-        if self._class_of is not None:
-            self._cells, self._class_of = np.take(self._class_of, self._cells), None
-        return self._cells
 
     @property
     def shape(self) -> Tuple[int, ...]:
         """Shape of the duty matrix."""
-        return self._cells.shape
+        return self.key.shape
 
     @property
     def num_cells(self) -> int:
         """Number of cells the table covers."""
-        return int(self._cells.size)
+        return int(self.key.size)
 
     def fraction(self, selected: np.ndarray) -> float:
         """Fraction of all cells in the classes a boolean class mask selects."""
@@ -319,16 +313,11 @@ class CellClasses:
 
     def row_band_counts(self, bands: int) -> np.ndarray:
         """``(bands, classes)`` cell populations of ``bands`` equal row bands."""
-        size = self.values.size if self._class_of is None else self._class_of.size
-        counts = np.stack([
+        size = self.values.size
+        return np.stack([
             sum((np.bincount(band[part], minlength=size) for part in _chunks(band.size)),
                 np.zeros(size, dtype=np.int64))
-            for band in self._cells.reshape(bands, -1)])
-        if self._class_of is None:
-            return counts
-        merged = np.zeros((bands, self.values.size), dtype=np.int64)
-        np.add.at(merged.T, self._class_of, counts.T)
-        return merged
+            for band in self.key.reshape(bands, -1)])
 
     def degradation(self, model: SnmDegradationModel, years: float) -> np.ndarray:
         """Per-class SNM degradation (percent) after ``years``; ``[key]`` gathers cells."""

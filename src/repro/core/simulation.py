@@ -118,7 +118,9 @@ class PackedSpanKernel:
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
         if self._row_bases is None:
-            self._row_bases = [basis.sum(axis=1) for basis in self._bases]
+            # einsum: exact on integer entries, and several times faster
+            # than ``sum(axis=1)`` over a few columns
+            self._row_bases = [np.einsum("ij->i", basis) for basis in self._bases]
         return BatchedCounts(self._bases, self._coefficients(starts, lengths),
                              self._writes, self._row_bases)
 
@@ -970,7 +972,7 @@ class TrbgReduction:
         """
         packed = self.packed
         if self._row_ones is None:
-            self._row_ones = self.ones.sum(axis=1)
+            self._row_ones = np.einsum("ij->i", self.ones)
         totals = self._row_ones * n
         # |sum| <= num_blocks * n * word_bits: int32 is exact below 2**31.
         exact = (np.int32 if packed.num_blocks * n * packed.word_bits < 2 ** 31

@@ -75,6 +75,9 @@ _DIRECT_ROLLS = 6
 _FOLD_MAPPINGS = 64
 _FOLD_BYTES = 32 << 20
 
+#: Physical rows per block of :func:`_weighted_perm_gather`.
+_GATHER_ROWS = 8192
+
 
 @dataclass
 class BatchedCounts:
@@ -191,20 +194,27 @@ def _weighted_perm_gather(out: np.ndarray, base: np.ndarray,
     in the narrowest integer dtype that holds it, the spans sharing a weight
     are summed in the narrowest dtype that holds their total, and each such
     group is scaled into ``out`` once: bitwise equal to any float64
-    summation order, at a fraction of its memory traffic.
+    summation order, at a fraction of its memory traffic.  The physical
+    rows go a block at a time, so every temporary stays cache-sized instead
+    of page-faulting in whole-matrix ones.
     """
     low, high = int(base.min(initial=0.0)), int(base.max(initial=0.0))
     compact = base.astype(np.result_type(np.min_scalar_type(low),
                                          np.min_scalar_type(high)))
+    groups = []
     for weight in np.unique(weights[weights != 0.0]):
         members = np.flatnonzero(weights == weight)
         bound = members.size * max(-low, high)
-        total = np.zeros(base.shape, dtype=np.result_type(
+        groups.append((weight, members, np.result_type(
             compact.dtype, np.min_scalar_type(bound),
-            np.min_scalar_type(-bound if low < 0 else 0)))
-        for k in members:
-            total += np.take(compact, inverses[k], axis=0)
-        out += weight * total
+            np.min_scalar_type(-bound if low < 0 else 0))))
+    for start in range(0, out.shape[0], _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        for weight, members, dtype in groups:
+            total = np.take(compact, inverses[members[0]][rows], axis=0).astype(dtype)
+            for k in members[1:]:
+                total += np.take(compact, inverses[k][rows], axis=0)
+            out[rows] += weight * total
 
 
 class SpanComposer:
@@ -229,6 +239,9 @@ class SpanComposer:
         self._bases: Optional[List[np.ndarray]] = None
         self._writes_base: Optional[np.ndarray] = None
         self._row_bases: Optional[List[np.ndarray]] = None
+        #: The per-inference write count every row shares, if they all do.
+        self._uniform_writes: Optional[float] = None
+        self._gathered: Optional[np.ndarray] = None
         #: Offset-form contributions: (offsets, coeffs, lengths) per table.
         self._offset_records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         #: Permutation-form contributions, one entry per span.
@@ -255,8 +268,12 @@ class SpanComposer:
     def _bind(self, batched: BatchedCounts) -> None:
         if self._bases is None:
             self._bases = batched.bases
-            self._writes_base = batched.writes
+            self._writes_base = writes = batched.writes
             self._row_bases = batched.row_bases
+            self._uniform_writes = (float(writes[0]) if writes.size and bool(
+                (writes == writes[0]).all()) else None)
+            if self._track:
+                self._gathered = np.empty(self.rows, dtype=np.float64)
         elif batched.bases is not self._bases and any(
                 a is not b for a, b in zip(batched.bases, self._bases)):
             raise ValueError("SpanComposer requires a single kernel: basis "
@@ -288,17 +305,16 @@ class SpanComposer:
             self._perm_coeffs.append(coeffs)
             self._perm_lengths.append(length)
             if self._track:
-                gathered = np.take(self._row_bases[0], inverse)
-                if coeffs[0] != 1.0:
-                    gathered *= coeffs[0]
-                for channel in range(1, len(self._row_bases)):
-                    if coeffs[channel] != 0.0:
-                        gathered += (coeffs[channel]
-                                     * np.take(self._row_bases[channel],
-                                               inverse))
-                self._row_ones += gathered
-                self._row_writes += length * np.take(self._writes_base,
-                                                     inverse)
+                # One preallocated gather buffer: a fresh row-length array
+                # per chunk would page-fault in new memory every time.
+                gathered = self._gathered
+                for coeff, row_base in zip(coeffs, self._row_bases):
+                    if coeff != 0.0:
+                        np.take(row_base, inverse, out=gathered, mode="clip")
+                        if coeff != 1.0:
+                            gathered *= coeff
+                        self._row_ones += gathered
+                self._row_writes += self._mapped_writes(inverse, length)
 
     def add_draws(self, table: "SpanTable", kernel: "TrbgSpanKernel",
                   origin: int) -> None:
@@ -314,6 +330,8 @@ class SpanComposer:
         """
         self._check_trackable(table)
         reduction = self._reduction = kernel.reduction
+        self._writes_base = reduction.writes
+        self._uniform_writes = reduction.uniform_writes
         for index, (start, length) in enumerate(table.iter_spans()):
             enables = kernel.draw(start - origin, length)
             if table.offsets is None:
@@ -342,14 +360,13 @@ class SpanComposer:
 
     def _mapped_writes(self, mapping: Union[int, np.ndarray],
                        length: int) -> Union[float, np.ndarray]:
-        """Physical writes of a ``length``-inference TRBG span under
+        """Physical writes of a ``length``-inference span under
         ``mapping``: a scalar when every row is written equally often
         (any mapping moves equal counts onto equal counts), else the
         per-row counts gathered through the span's inverse."""
-        uniform = self._reduction.uniform_writes
-        if uniform is not None:
-            return length * uniform
-        return length * np.take(self._reduction.writes, mapping)
+        if self._uniform_writes is not None:
+            return length * self._uniform_writes
+        return length * np.take(self._writes_base, mapping)
 
     def _numerator_dtype(self, length: int) -> np.dtype:
         """Narrowest exact dtype of a ``length``-inference span's counts.
@@ -418,7 +435,7 @@ class SpanComposer:
         if not self._track:
             for mapping, length in zip(self._draw_maps, self._draw_lengths):
                 if (isinstance(mapping, np.ndarray)
-                        or reduction.uniform_writes is not None):
+                        or self._uniform_writes is not None):
                     writes += self._mapped_writes(mapping, length)
                 else:
                     _roll_axpy(writes.reshape(-1, region_rows, 1),
@@ -439,8 +456,10 @@ class SpanComposer:
         """Materialise the composed physical ``(ones, writes)`` counts.
 
         With feedback tracking the writes are the running row totals, which
-        already cover every span (exact integers: any order is the same).
+        already cover every span (exact integers: any order is the same);
+        the composer hands them over, so call this once, last.
         """
+        self._gathered = None
         self._fold_draws()
         if self._dense is not None:
             ones, writes = self._dense
@@ -448,7 +467,7 @@ class SpanComposer:
             ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
             writes = np.zeros(self.rows, dtype=np.float64)
         if self._track:
-            writes = self._row_writes.copy()
+            writes = self._row_writes
         if self._bases is None:  # no batched spans
             return ones, writes
         num_channels = len(self._bases)
@@ -478,7 +497,7 @@ class SpanComposer:
             if not self._track:
                 for inverse, length in zip(self._perm_inverses,
                                            self._perm_lengths):
-                    writes += length * np.take(self._writes_base, inverse)
+                    writes += self._mapped_writes(inverse, length)
         return ones, writes
 
 

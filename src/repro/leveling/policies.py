@@ -26,11 +26,11 @@ CLI resolve the ``leveling`` parameter through.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.leveling.remap import (SpanTable, WearLeveler,
+from repro.leveling.remap import (SpanTable, WearLeveler, invert_permutation,
                                   mean_duty_from_row_counts)
 from repro.memory.geometry import MemoryGeometry
 from repro.utils.validation import check_positive_int
@@ -135,9 +135,10 @@ class WearSwapLeveler(WearLeveler):
     every written row holds the same total, the ratio is monotone in the
     ones count, and never-written rows report 0 ones, so a stable sort of
     the ones counts orders the rows exactly as a stable sort of the ratio.
-    The leveler also keeps the inverse of its permutation (each physical
-    row's logical occupant, held in int32) and hands it to the composer with
-    every chunk.
+    The leveler's state is the inverse of its permutation (each physical
+    row's logical occupant, held in int32), which it hands to the composer
+    with every chunk; the permutation itself is derived only when
+    :meth:`permutation` is asked for it.
     """
 
     name = "wear_swap"
@@ -155,21 +156,28 @@ class WearSwapLeveler(WearLeveler):
         self.reset()
 
     def reset(self) -> None:
-        self._perm = self._identity.copy()
         self._inverse = self._identity.astype(np.int32)
-        self._counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._perm: Optional[np.ndarray] = self._identity
+        self._keys: Optional[np.ndarray] = None
         self._next_swap = self.interval
         self.num_swaps_applied = 0
 
     def observe(self, epoch: int, row_ones: np.ndarray,
                 row_hold: np.ndarray) -> None:
-        self._counts = (np.array(row_ones, dtype=np.float64).reshape(-1),
-                        np.array(row_hold, dtype=np.float64).reshape(-1))
+        self._keys = self._ranking_keys(
+            np.asarray(row_ones, dtype=np.float64).reshape(-1),
+            np.asarray(row_hold, dtype=np.float64).reshape(-1))
 
-    def permutation(self, epoch: int) -> np.ndarray:
-        if epoch >= self._next_swap and self._counts is not None:
+    def _advance(self, epoch: int) -> None:
+        """Apply the swap due by ``epoch``, if feedback has arrived."""
+        if epoch >= self._next_swap and self._keys is not None:
             self._apply_swaps()
             self._next_swap = (int(epoch) // self.interval + 1) * self.interval
+
+    def permutation(self, epoch: int) -> np.ndarray:
+        self._advance(epoch)
+        if self._perm is None:
+            self._perm = invert_permutation(self._inverse)
         return self._perm
 
     def change_epochs(self, num_inferences: int) -> np.ndarray:
@@ -183,26 +191,26 @@ class WearSwapLeveler(WearLeveler):
         i.e. after the driver has composed the previous chunk and fed the
         accumulated counts through :meth:`observe` — so the chunked walk
         makes exactly the same swap decisions as an epoch-by-epoch walk.
-        The chunk carries the permutation's inverse too.
+        The chunk carries the leveler's inverse map.
         """
         starts, lengths = self._span_bounds(num_inferences, start, stop)
         for span_start, length in zip(starts, lengths):
-            permutation = self.permutation(int(span_start))
+            self._advance(int(span_start))
             yield SpanTable(self, starts=np.asarray([span_start]),
                             lengths=np.asarray([length]),
-                            permutations=permutation[None, :],
                             inverses=self._inverse[None, :])
 
-    def _ranking_keys(self) -> np.ndarray:
+    def _ranking_keys(self, row_ones: np.ndarray,
+                      row_hold: np.ndarray) -> np.ndarray:
         """Per-row keys whose stable order is the mean-duty order.
 
         Where the hold total takes one value over the written rows, the
         ratio is monotone in the ones count, so the uint16 ones counts rank
         the rows exactly as the ratio does (numpy's stable sort of 16-bit
         keys is a radix sort).  Wider counts and non-uniform holds rank on
-        the float ratio itself.
+        the float ratio itself.  The keys are a fresh array, so the
+        observed counts need not be kept.
         """
-        row_ones, row_hold = self._counts
         top = row_hold.max(initial=0.0)
         lowest_written = row_hold.min(where=row_hold > 0.0, initial=top)
         if lowest_written >= top and row_ones.max(initial=0.0) < 2 ** 16:
@@ -216,23 +224,23 @@ class WearSwapLeveler(WearLeveler):
         # Stable sort: the keys are exact integers or ratios of exact integer
         # counts, so tie-breaking by physical row index keeps the packed and
         # explicit engines' swap decisions bit-identical.
-        keys = self._ranking_keys()
+        keys = self._keys
         order = np.argsort(keys, kind="stable")
         cold = order[:self._pair_count]
-        hot = order[-self._pair_count:][::-1]
-        improves = keys[hot] > keys[cold]
-        if not improves.any():
+        hot = order[:-self._pair_count - 1:-1]
+        # Hot keys fall and cold keys rise along the pairs, so the pairs
+        # that improve are a prefix.
+        pairs = np.count_nonzero(keys[hot] > keys[cold])
+        if not pairs:
             return
-        hot, cold = hot[improves], cold[improves]
-        # ``swap`` exchanges each hot physical row with its cold partner; the
-        # new map is ``swap`` after the old one, and the new inverse the old
-        # one after ``swap`` (an involution).  Both are fresh arrays: the
-        # span tables of earlier chunks keep the old ones.
-        swap = self._identity.copy()
-        swap[hot] = cold
-        swap[cold] = hot
-        self._perm = np.take(swap, self._perm)
-        self._inverse = np.take(self._inverse, swap)
+        hot, cold = hot[:pairs], cold[:pairs]
+        # Each hot physical row trades its logical occupant with its cold
+        # partner.  The inverse is a fresh array: the span tables of earlier
+        # chunks keep the old one.
+        inverse = self._inverse.copy()
+        inverse[hot] = self._inverse[cold]
+        inverse[cold] = self._inverse[hot]
+        self._inverse, self._perm = inverse, None
         self.num_swaps_applied += 1
 
     def describe(self) -> Dict[str, object]:

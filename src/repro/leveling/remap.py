@@ -37,7 +37,7 @@ from repro.memory.geometry import MemoryGeometry
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SpanTable", "WearLeveler", "check_leveler", "check_permutation",
-           "mean_duty_from_row_counts"]
+           "invert_permutation", "mean_duty_from_row_counts"]
 
 
 def _check_span_tiling(starts: np.ndarray, lengths: np.ndarray,
@@ -74,6 +74,13 @@ def check_permutation(permutation: np.ndarray, rows: int) -> np.ndarray:
     if np.unique(permutation).size != rows:
         raise ValueError("permutation must be a bijection (duplicate targets)")
     return permutation
+
+
+def invert_permutation(permutation: np.ndarray) -> np.ndarray:
+    """The inverse of a row map, as int64: ``inverse[permutation[i]] == i``."""
+    inverse = np.empty(permutation.size, dtype=np.int64)
+    inverse[permutation] = np.arange(permutation.size)
+    return inverse
 
 
 def check_leveler(leveler: Optional["WearLeveler"],
@@ -121,29 +128,26 @@ class SpanTable:
       whose permutations are pure region rolls (the closed-form schedule
       family: identity, rotation, start-gap).  Offset form is what enables the
       fused roll/window composition in the packed engine.
-    * an explicit ``(num_spans, rows)`` permutation matrix, for table-driven
-      levelers (wear-swap chunks), with the matching ``inverses`` matrix
-      (each physical row's logical occupant) the leveler keeps, so the
-      composer never rebuilds an inverse.
+    * an explicit ``(num_spans, rows)`` matrix of ``inverses``, for
+      table-driven levelers (wear-swap chunks): each physical row's logical
+      occupant, the map the leveler keeps and the composer gathers through.
+      :meth:`permutation` derives a span's logical→physical map from it on
+      demand, so a chunk holds one row map, not two.
     """
 
     def __init__(self, leveler: "WearLeveler", starts: np.ndarray,
                  lengths: np.ndarray, offsets: Optional[np.ndarray] = None,
-                 permutations: Optional[np.ndarray] = None,
                  inverses: Optional[np.ndarray] = None):
         self.leveler = leveler
         self.starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         self.lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
         if self.starts.shape != self.lengths.shape:
             raise ValueError("starts and lengths must have matching shapes")
-        if (offsets is None) == (permutations is None):
-            raise ValueError("exactly one of offsets/permutations is required")
-        if (permutations is None) != (inverses is None):
-            raise ValueError("permutations and inverses come together")
+        if (offsets is None) == (inverses is None):
+            raise ValueError("exactly one of offsets/inverses is required")
         self.offsets = (None if offsets is None
                         else np.asarray(offsets, dtype=np.int64).reshape(-1)
                         % leveler.region_rows)
-        self._permutations = permutations
         self._inverses = inverses
 
     @property
@@ -157,8 +161,8 @@ class SpanTable:
 
     def permutation(self, index: int) -> np.ndarray:
         """The logical→physical row map of span ``index``."""
-        if self._permutations is not None:
-            return self._permutations[index]
+        if self._inverses is not None:
+            return invert_permutation(self._inverses[index])
         return self.leveler._region_rotation(int(self.offsets[index]))
 
     def inverse(self, index: int) -> np.ndarray:

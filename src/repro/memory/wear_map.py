@@ -14,7 +14,6 @@ those classes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -39,34 +38,41 @@ def _defined_means(populations: np.ndarray, per_class: np.ndarray) -> np.ndarray
                 / populations.sum(axis=-1))
 
 
-@dataclass
 class WearMap:
     """Spatial aging summary of a weight memory.
 
     The map holds the :class:`~repro.aging.snm.CellClasses` table of a
     ``(rows, word_bits)`` duty matrix: the one passed as ``cell_classes``,
     or the table of ``duty_cycles``.  Every aggregation is a count-weighted
-    sum over the table's classes; only :attr:`degradation` and
-    :meth:`worst_cells` gather per-cell values.
+    sum over the table's classes; only :attr:`duty_cycles`,
+    :attr:`degradation` and :meth:`worst_cells` gather per-cell values.
     """
 
-    duty_cycles: InitVar[Optional[np.ndarray]] = None
-    num_regions: int = 1
-    snm_model: Optional[SnmDegradationModel] = None
-    years: float = 7.0
-    cell_classes: Optional[CellClasses] = None
-
-    def __post_init__(self, duty_cycles: Optional[np.ndarray]) -> None:
-        if self.cell_classes is None:
+    def __init__(self, duty_cycles: Optional[np.ndarray] = None,
+                 num_regions: int = 1,
+                 snm_model: Optional[SnmDegradationModel] = None,
+                 years: float = 7.0,
+                 cell_classes: Optional[CellClasses] = None):
+        if cell_classes is None:
+            if duty_cycles is None:
+                raise ValueError("a wear map needs duty_cycles or cell_classes")
             duty = np.asarray(duty_cycles, dtype=np.float64)
             if duty.ndim != 2:
                 raise ValueError("duty_cycles must be a (rows, word_bits) matrix")
-            self.cell_classes = CellClasses.per_cell(duty)
-        check_positive_int(self.num_regions, "num_regions")
-        if self.cell_classes.shape[0] % self.num_regions != 0:
+            cell_classes = CellClasses.per_cell(duty)
+        elif duty_cycles is not None and np.shape(duty_cycles) != cell_classes.shape:
+            raise ValueError("cell_classes does not match the duty_cycles shape")
+        self.num_regions = check_positive_int(num_regions, "num_regions")
+        if cell_classes.shape[0] % self.num_regions != 0:
             raise ValueError("rows must divide evenly into num_regions")
-        if self.snm_model is None:
-            self.snm_model = default_snm_model()
+        self.cell_classes = cell_classes
+        self.snm_model = snm_model if snm_model is not None else default_snm_model()
+        self.years = years
+
+    @property
+    def duty_cycles(self) -> np.ndarray:
+        """The per-cell duty matrix, gathered from the class table."""
+        return self.cell_classes.values[self.cell_classes.key]
 
     # ------------------------------------------------------------------ #
     # Aggregations

@@ -81,8 +81,8 @@ def ranking_paths(monkeypatch):
     paths = []
     original = WearSwapLeveler._ranking_keys
 
-    def recording(self):
-        keys = original(self)
+    def recording(self, row_ones, row_hold):
+        keys = original(self, row_ones, row_hold)
         paths.append("int" if keys.dtype == np.uint16 else "ratio")
         return keys
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.accelerator.config import baseline_config
 from repro.accelerator.tiling_optimizer import TilingOptimizer
+from repro.aging.snm import CellClasses
 from repro.analysis.report import WorkloadReport, generate_report
 from repro.core.framework import DnnLife
 from repro.core.policies import DnnLifePolicy, NoMitigationPolicy
@@ -141,6 +142,23 @@ class TestWearMap:
             WearMap(duty_cycles=np.zeros(10))
         with pytest.raises(ValueError):
             WearMap(duty_cycles=np.zeros((10, 8)), num_regions=3)
+        with pytest.raises(ValueError, match="duty_cycles or cell_classes"):
+            WearMap()
+
+    def test_table_and_duty_matrix_must_agree_in_shape(self):
+        duty = np.random.default_rng(1).random((16, 8))
+        classes = CellClasses.per_cell(duty)
+        with pytest.raises(ValueError, match="does not match the duty_cycles shape"):
+            WearMap(duty_cycles=duty[:8], cell_classes=classes)
+        wear = WearMap(duty_cycles=duty, cell_classes=classes)
+        assert wear.cell_classes is classes
+
+    def test_duty_cycles_gather_from_the_table(self):
+        duty = np.random.default_rng(2).random((16, 8))
+        duty[4] = np.nan
+        from_table = WearMap(cell_classes=CellClasses.per_cell(duty))
+        np.testing.assert_array_equal(from_table.duty_cycles, duty)
+        np.testing.assert_array_equal(WearMap(duty_cycles=duty).duty_cycles, duty)
 
     def test_nan_duty_does_not_poison_aggregations(self):
         """A duty matrix may carry NaN for never-written cells."""

@@ -420,15 +420,22 @@ class TestCellClassEquivalence:
         from repro.aging.snm import CellClasses
         from repro.core.simulation import AgingResult
 
-        ones, writes = np.array([[0.0, 1.0, 2.0, 500.0]]), np.array([100000.0])
+        # 256 rows x 2 columns written 256..511 times: every count is below
+        # the cell count, but the (column, index) table would need
+        # 2 * sum(w + 1) = 196,864 entries, more than max(cells, 2**16)
+        writes = np.arange(256, 512, dtype=np.float64)
+        ones = np.stack([np.zeros_like(writes), writes // 3], axis=1)
+        assert writes.max() < ones.size
         assert CellClasses.from_counts(ones, writes) is None
         result = AgingResult.from_counts(ones, writes, policy_name="none",
                                          policy_description={}, num_inferences=1,
                                          num_blocks=1)
-        classes = result.cell_classes
-        assert np.array_equal(classes.values, result.duty_cycles.reshape(-1))
-        assert np.array_equal(classes.counts, [1, 1, 1, 1])
-        assert np.array_equal(classes.key, [[0, 1, 2, 3]])
+        duty = result.duty_cycles
+        np.testing.assert_array_equal(duty, ones / writes[:, None])
+        _same_table(result.cell_classes, CellClasses.per_cell(duty))
+        # one write count keeps the table small: keyed from the counts
+        uniform = np.full_like(writes, 511.0)
+        assert CellClasses.from_counts(ones, uniform) is not None
 
     def test_non_integral_counts_are_keyed_from_the_duty_matrix(self):
         from repro.aging.snm import CellClasses
@@ -556,7 +563,7 @@ class TestWearSwapRankingProperties:
         perm = np.arange(rows)
         for epoch, (row_ones, row_hold) in enumerate(rounds, start=1):
             leveler.observe(epoch, row_ones, row_hold)
-            keys = leveler._ranking_keys()
+            keys = leveler._keys
             assert keys.dtype == (np.uint16 if kind == "uniform" else np.float64)
             order, perm = _float_ratio_swap(perm, row_ones, row_hold,
                                             leveler._pair_count)

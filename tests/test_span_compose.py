@@ -188,8 +188,9 @@ class TestSpanTableProperties:
         permutation = table.permutation(0)
         np.testing.assert_array_equal(table.inverse(0)[permutation],
                                       np.arange(permutation.size))
-        with pytest.raises(ValueError, match="permutations and inverses"):
-            SpanTable(leveler, [0], [3], permutations=permutation[None, :])
+        for mappings in ({}, {"offsets": [0], "inverses": table.inverse(0)[None, :]}):
+            with pytest.raises(ValueError, match="exactly one of offsets/inverses"):
+                SpanTable(leveler, [0], [3], **mappings)
 
     def test_feedback_driven_tables_chunk_at_observe_boundaries(self):
         leveler = _build_leveler(("wear_swap", {"interval": 3}))
