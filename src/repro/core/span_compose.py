@@ -24,8 +24,8 @@ of structure:
   via a circular cumulative sum plus a sparse residual (long runs such as
   start-gap's drift), both O(rows * word_bits).
 
-Feedback-driven levelers (wear-swap) contribute explicit permutation chunks
-instead, each with the inverse map the leveler keeps; those compose by
+Feedback-driven levelers (wear-swap) contribute permutation chunks instead,
+each given by the inverse map the leveler keeps; those compose by
 gathering each basis through every span's inverse in the narrowest integer
 dtype that holds it, summing the spans that share a coefficient as integers
 (:func:`_weighted_perm_gather`), while the per-chunk feedback signal is
@@ -211,7 +211,8 @@ def _weighted_perm_gather(out: np.ndarray, base: np.ndarray,
     for start in range(0, out.shape[0], _GATHER_ROWS):
         rows = slice(start, start + _GATHER_ROWS)
         for weight, members, dtype in groups:
-            total = np.take(compact, inverses[members[0]][rows], axis=0).astype(dtype)
+            total = np.take(compact, inverses[members[0]][rows], axis=0).astype(
+                dtype, copy=False)
             for k in members[1:]:
                 total += np.take(compact, inverses[k][rows], axis=0)
             out[rows] += weight * total
