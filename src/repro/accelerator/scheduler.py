@@ -22,7 +22,7 @@ makes naive aging mitigation ineffective for DNN workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -360,6 +360,7 @@ class PackedBitTensor:
         self._rows_ones: Optional[np.ndarray] = None
         self._rows_writes: Optional[np.ndarray] = None
         self._word_popcounts: Optional[np.ndarray] = None
+        self._derived: Dict[Hashable, Any] = {}
 
     # -- construction ---------------------------------------------------- #
     @classmethod
@@ -544,3 +545,15 @@ class PackedBitTensor:
                 counts = self.bits.sum(axis=-1, dtype=np.uint8)
             self._word_popcounts = _freeze(counts)
         return self._word_popcounts
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed on the first call for ``key`` and kept for
+        as long as the stream lives.
+
+        For values that depend only on the stream and ``key`` (the
+        simulators' deterministic policy kernels), so every consumer of the
+        stream shares one.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]

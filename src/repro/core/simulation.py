@@ -37,6 +37,7 @@ replays each phase through the same :func:`replay_epochs` walk.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -62,7 +63,7 @@ from repro.core.policies import (
     NoMitigationPolicy,
     PeriodicInversionPolicy,
 )
-from repro.core.span_compose import BatchedCounts, compose_leveled
+from repro.core.span_compose import BatchedCounts, compact_dtype, compose_leveled
 from repro.leveling.remap import WearLeveler, check_leveler
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
@@ -88,27 +89,34 @@ class PackedSpanKernel:
     :class:`~repro.core.span_compose.SpanComposer`); calling the kernel as
     ``counts(start, n)`` evaluates the single-span batch, which is how the
     unleveled runs, the scenario driver and the cross-check tests consume
-    it.  Every basis entry and coefficient is an exact integer in float64,
-    so both evaluations produce the same bits as any other summation order.
+    it.  Every basis entry and coefficient is an exact integer, so both
+    evaluations produce the same float64 bits as any other summation order.
+
+    The bases are held read-only, in the narrowest exact integer dtype
+    (``uint8`` on every shipped stream), except the no-mitigation basis,
+    which is the stream's own float64 ``rows_ones()``; ``writes`` is the
+    stream's ``rows_writes()``.  A kernel depends only on its stream and
+    policy parameters, so :meth:`AgingSimulator._packed_kernel` builds it
+    once per stream and keeps it as long as the stream lives.
     """
 
     def __init__(self, bases: List[np.ndarray], writes: np.ndarray,
                  coefficients: SpanCoefficients):
-        self._bases = [np.ascontiguousarray(basis, dtype=np.float64)
-                       for basis in bases]
-        self._writes = np.ascontiguousarray(writes, dtype=np.float64)
+        for basis in bases:
+            basis.flags.writeable = False
+        self._bases = list(bases)
+        self._writes = writes
         self._coefficients = coefficients
-        self._row_bases: Optional[List[np.ndarray]] = None
 
     def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-logical-cell ones and per-row writes over ``[start, start + n)``."""
         coeffs = self._coefficients(np.asarray([start], dtype=np.int64),
                                     np.asarray([n], dtype=np.int64))[:, 0]
-        ones = coeffs[0] * self._bases[0]
+        ones = np.multiply(coeffs[0], self._bases[0], dtype=np.float64)
         scaled = None
         for coeff, basis in zip(coeffs[1:], self._bases[1:]):
             if coeff:
-                scaled = np.multiply(coeff, basis, out=scaled)
+                scaled = np.multiply(coeff, basis, out=scaled, dtype=np.float64)
                 ones += scaled
         return ones, self._writes * n
 
@@ -117,12 +125,8 @@ class PackedSpanKernel:
         """Per-span counts decomposition over a whole span table."""
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        if self._row_bases is None:
-            # einsum: exact on integer entries, and several times faster
-            # than ``sum(axis=1)`` over a few columns
-            self._row_bases = [np.einsum("ij->i", basis) for basis in self._bases]
         return BatchedCounts(self._bases, self._coefficients(starts, lengths),
-                             self._writes, self._row_bases)
+                             self._writes)
 
 
 def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -511,8 +515,7 @@ class AgingSimulator:
             snm_model=self.snm_model,
         )
 
-    def counts_kernel(self, shared: Union[PackedSpanKernel, "TrbgSpanKernel",
-                                          None] = None
+    def counts_kernel(self, shared: Optional["TrbgSpanKernel"] = None
                       ) -> Union[PackedSpanKernel, "TrbgSpanKernel"]:
         """The policy's closed-form kernel (public driver entry point).
 
@@ -525,16 +528,14 @@ class AgingSimulator:
         its phases: the heavy tensor reductions run once here, and every
         phase/leveling span afterwards is a cheap combination.
 
-        ``shared`` is a kernel an earlier call built for the same stream and
-        policy parameters.  A deterministic kernel depends on nothing else
-        and is returned as it is; a DNN-Life kernel lends its reduce stage,
-        and the returned kernel draws from this simulator's RNG.
+        A deterministic kernel is the one the stream keeps for these policy
+        parameters.  ``shared`` is a DNN-Life kernel an earlier call built
+        for the same stream and policy parameters: it lends its reduce
+        stage, and the returned kernel draws from this simulator's RNG.
         """
-        if shared is None:
-            return self._packed_kernel(self.policy)
-        if isinstance(shared, TrbgSpanKernel):
+        if shared is not None and isinstance(self.policy, DnnLifePolicy):
             return self._packed_dnn_life_kernel(self.policy, shared.reduction)
-        return shared
+        return self._packed_kernel(self.policy)
 
     def last_bits_kernel(self) -> Tuple[LastBitsKernel, np.ndarray]:
         """Closed-form "value left behind" factory.
@@ -653,23 +654,34 @@ class AgingSimulator:
         and per-row write denominator accumulated over inferences ``[start,
         start + n)``.  Deterministic policies return a
         :class:`PackedSpanKernel` (one basis decomposition, batched over
-        whole span tables by :meth:`PackedSpanKernel.counts_batch`);
-        DNN-Life returns the draw/reduce stages of a :class:`TrbgSpanKernel`.
+        whole span tables by :meth:`PackedSpanKernel.counts_batch`), built
+        once per stream and policy parameters and kept by the stream
+        (:meth:`~repro.accelerator.scheduler.PackedBitTensor.derived`), so
+        every simulator on the stream shares it; DNN-Life returns the
+        draw/reduce stages of a :class:`TrbgSpanKernel`, fresh per call.
         The heavy tensor reductions happen once in the factory; each call is
         a cheap combination, which is what lets the leveling driver evaluate
         many constant-mapping spans without re-reducing the packed tensor.
         """
-        if isinstance(policy, NoMitigationPolicy):
-            return self._packed_no_mitigation_kernel()
-        if isinstance(policy, PeriodicInversionPolicy):
-            return self._packed_periodic_inversion_kernel(policy)
-        if isinstance(policy, BarrelShifterPolicy):
-            return self._packed_barrel_shifter_kernel(policy)
         if isinstance(policy, DnnLifePolicy):
             return self._packed_dnn_life_kernel(policy)
-        raise NotImplementedError(
-            f"no fast path for policy type {type(policy).__name__}; "
-            "use ExplicitAgingSimulator instead")
+        if isinstance(policy, NoMitigationPolicy):
+            key: Tuple[object, ...] = (NoMitigationPolicy,)
+            build: Callable[[], PackedSpanKernel] = (
+                self._packed_no_mitigation_kernel)
+        elif isinstance(policy, PeriodicInversionPolicy):
+            key = (PeriodicInversionPolicy, policy.granularity)
+            build = functools.partial(self._packed_periodic_inversion_kernel,
+                                      policy)
+        elif isinstance(policy, BarrelShifterPolicy):
+            key = (BarrelShifterPolicy,)
+            build = functools.partial(self._packed_barrel_shifter_kernel,
+                                      policy)
+        else:
+            raise NotImplementedError(
+                f"no fast path for policy type {type(policy).__name__}; "
+                "use ExplicitAgingSimulator instead")
+        return self._packed().derived(key, build)
 
     # ------------------------------------------------------------------ #
     # Packed engine: whole-tensor kernels over the PackedBitTensor
@@ -724,13 +736,30 @@ class AgingSimulator:
                 block_class[blocks] = np.arange(blocks.size) % 2
             alternates_within_block = False
 
+        ones = packed.rows_ones()
+        writes = packed.rows_writes()
+        if policy.granularity == "write":
+            drift = packed.total_words % 2
+            drift_per_row = None if drift == 0 else np.ones(rows, dtype=np.int64)
+        else:
+            drift_per_row = writes.astype(np.int64) % 2
+            if not drift_per_row.any():
+                drift_per_row = None
+        # Word w of a class-c block has parity (c + w) % 2 under the "write"
+        # granularity, so odd-parity writes come from class 1 on a region's
+        # even word offsets and from class 0 on its odd ones; per location,
+        # class 1 is the odd class on every row.
+        odd_classes = ([(slice(0, None, 2), 1), (slice(1, None, 2), 0)]
+                       if alternates_within_block else [(slice(None), 1)])
+        # Stored counts lie in [0, writes]; the drift channel in
+        # [-writes, writes].  Rows no block writes stay zero.
+        high = int(writes.max(initial=0))
+        base = np.zeros((rows, word_bits), dtype=compact_dtype(0, high))
+        drifted = (None if drift_per_row is None else
+                   np.zeros((rows, word_bits), dtype=compact_dtype(-high, high)))
         # One class sum per region is derived by subtraction from the cached
         # whole-region sums, so the policy costs a single pass over the
         # minority class — zero extra passes when a region is single-class.
-        ones = packed.rows_ones()
-        writes = packed.rows_writes()
-        ones_by_class = np.zeros((2, rows, word_bits), dtype=np.float64)
-        writes_by_class = np.zeros((2, rows), dtype=np.float64)
         for row_slice, indexer in packed.region_indexers():
             blocks = np.arange(packed.num_blocks)[indexer]
             if not blocks.size:
@@ -739,46 +768,38 @@ class AgingSimulator:
             minority = 0 if np.count_nonzero(classes) * 2 >= blocks.size else 1
             selected = as_stride_indexer(blocks[classes == minority])
             view = packed.bits[selected]
+            region_ones, region_writes = ones[row_slice], writes[row_slice]
             if view.shape[0]:
-                ones_by_class[minority][row_slice] = block_axis_sum(view, max_value=1)
-                writes_by_class[minority][row_slice] = block_axis_sum(valid[selected])
-            majority = 1 - minority
-            ones_by_class[majority][row_slice] = (
-                ones[row_slice] - ones_by_class[minority][row_slice])
-            writes_by_class[majority][row_slice] = (
-                writes[row_slice] - writes_by_class[minority][row_slice])
-        if alternates_within_block:
-            # Word w of a class-c block has parity (c + w) % 2: odd-parity
-            # writes come from the *other* class on even word offsets.
-            word_parity = (np.arange(packed.words_per_block, dtype=np.int64) % 2)
-            word_parity = np.tile(word_parity, packed.fifo_depth_tiles)
-            odd_is_class = np.where(word_parity == 0, 1, 0)
-        else:
-            odd_is_class = np.ones(rows, dtype=np.int64)
-        take = np.arange(rows)
-        ones_odd = ones_by_class[odd_is_class, take]
-        writes_odd = writes_by_class[odd_is_class, take]
-        # Stored value: plain when the parity is even, inverted when odd:
-        # base = (ones - ones_odd) + (writes_odd - ones_odd).
-        base = ones - 2.0 * ones_odd
-        base += writes_odd[:, None]
-
-        if policy.granularity == "write":
-            drift = packed.total_words % 2
-            drift_per_row = None if drift == 0 else np.ones(rows, dtype=np.int64)
-        else:
-            drift_per_row = writes.astype(np.int64) % 2
-            if not drift_per_row.any():
-                drift_per_row = None
-        if drift_per_row is None:
+                minority_ones = block_axis_sum(view, max_value=1)
+                minority_writes = block_axis_sum(valid[selected])
+            else:
+                minority_ones = np.zeros_like(region_ones)
+                minority_writes = np.zeros_like(region_writes)
+            for parity_rows, odd_class in odd_classes:
+                ones_odd = minority_ones[parity_rows]
+                writes_odd = minority_writes[parity_rows]
+                if odd_class != minority:
+                    ones_odd = region_ones[parity_rows] - ones_odd
+                    writes_odd = region_writes[parity_rows] - writes_odd
+                # Stored value: plain when the parity is even, inverted when
+                # odd: (ones - ones_odd) + (writes_odd - ones_odd).
+                stored = region_ones[parity_rows] - 2.0 * ones_odd
+                stored += writes_odd[:, None]
+                base[row_slice][parity_rows] = stored
+                if drifted is not None:
+                    # Inference t adds a parity offset of (t * d_r) mod 2,
+                    # so a row with drift stores the flipped pattern
+                    # ``writes - base`` on the span's odd inferences.
+                    stored *= -2.0
+                    stored += region_writes[parity_rows][:, None]
+                    stored *= drift_per_row[row_slice][parity_rows][:, None]
+                    drifted[row_slice][parity_rows] = stored
+        if drifted is None:
             return PackedSpanKernel([base], writes, _span_lengths)
-        # Inference t adds a parity offset of (t * d_r) mod 2, so a row with
-        # drift stores the flipped pattern ``writes - base`` on the span's odd
-        # inferences.  The span counts
+        # The span counts
         #   base * (n - d_r * odd) + (writes - base) * (d_r * odd)
         #     = n * base + odd * [(writes - 2 * base) * d_r]
         # are two fixed channels with per-span scalar coefficients (n, odd).
-        drifted = (writes[:, None] - 2.0 * base) * drift_per_row[:, None]
 
         def coefficients(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             odd = (starts + lengths) // 2 - starts // 2
@@ -790,7 +811,6 @@ class AgingSimulator:
             self, policy: BarrelShifterPolicy) -> PackedSpanKernel:
         packed = self._packed()
         word_bits = packed.word_bits
-        words = packed.words_per_block
         # The write counter rotates every word by its cumulative index mod n;
         # one inference advances it by the total word count, so inference t
         # adds an extra rotation of (t * drift) mod n.
@@ -799,10 +819,11 @@ class AgingSimulator:
         # Blocks sharing (region, start-offset mod n) see identical per-word
         # rotations, so they are reduced together; a padded stream whose block
         # size is a multiple of the word width has exactly one such class.
-        aligned = np.zeros((packed.geometry.rows, word_bits), dtype=np.float64)
+        # The aligned counts lie in [0, writes] (rows no block writes stay 0).
+        writes = packed.rows_writes()
+        compact = compact_dtype(0, int(writes.max(initial=0)))
+        aligned = np.zeros((packed.geometry.rows, word_bits), dtype=compact)
         offset_class = (packed.word_offsets % word_bits).astype(np.int64)
-        word_index = np.arange(words, dtype=np.int64)
-        column = np.arange(word_bits, dtype=np.int64)
         region_ones = packed.rows_ones()
         for row_slice, indexer in packed.region_indexers():
             blocks = np.arange(packed.num_blocks)[indexer]
@@ -829,10 +850,16 @@ class AgingSimulator:
                     class_sums[int(offset)] = class_sum
                     remainder -= class_sum
                 class_sums[int(largest)] = remainder
+            target = aligned[row_slice]
             for offset, class_sum in class_sums.items():
-                index = (column[None, :] + offset + word_index[:, None]) % word_bits
-                aligned[row_slice] += np.take_along_axis(class_sum, index, axis=1)
-        writes = packed.rows_writes()
+                # Word w of the class is rotated left by (offset + w) % n:
+                # the rows w = r (mod n) share one rotation.
+                class_sum = class_sum.astype(compact)
+                for first in range(min(word_bits, target.shape[0])):
+                    shift = (offset + first) % word_bits
+                    rows = slice(first, None, word_bits)
+                    target[rows, :word_bits - shift] += class_sum[rows, shift:]
+                    target[rows, word_bits - shift:] += class_sum[rows, :shift]
         if drift == 0:
             # Every inference repeats the same rotations.
             return PackedSpanKernel([aligned], writes, _span_lengths)
@@ -974,9 +1001,11 @@ class TrbgReduction:
         if self._row_ones is None:
             self._row_ones = np.einsum("ij->i", self.ones)
         totals = self._row_ones * n
-        # |sum| <= num_blocks * n * word_bits: int32 is exact below 2**31.
-        exact = (np.int32 if packed.num_blocks * n * packed.word_bits < 2 ** 31
-                 else np.int64)
+        # |sum| <= num_blocks * n * word_bits: int16 is exact below 2**15,
+        # int32 below 2**31.
+        bound = packed.num_blocks * n * packed.word_bits
+        exact = (np.int16 if bound < 2 ** 15 else
+                 np.int32 if bound < 2 ** 31 else np.int64)
         for (row_slice, indexer), weights in zip(packed.region_indexers(),
                                                  self._weights_by_region(exact)):
             if not weights.shape[0]:
@@ -1120,7 +1149,9 @@ def _unbiased_binomial(rng: np.random.Generator, trials: int,
 
     For p = 1/2 a binomial sample is exactly the popcount of ``trials``
     uniform random bits, which numpy >= 2.0 computes ~40% faster than its
-    binomial sampler; older numpy falls back to the scalar-n binomial.
+    binomial sampler; older numpy falls back to the scalar-n binomial.  A
+    sample that fits one 64-bit word comes back as that word's ``uint8``
+    popcount, with no sum over the word axis.
     """
     if hasattr(np, "bitwise_count") and 0 < trials <= 512:
         full_words, tail_bits = divmod(trials, 64)
@@ -1129,6 +1160,8 @@ def _unbiased_binomial(rng: np.random.Generator, trials: int,
                              dtype=np.uint64, endpoint=True)
         if tail_bits:
             words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+        if draws == 1:
+            return np.bitwise_count(words)[..., 0]
         return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
     return rng.binomial(trials, 0.5, size=size)
 

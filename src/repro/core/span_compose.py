@@ -44,11 +44,12 @@ Both forms meet in :func:`compose_leveled`, the one leveled walk of the
 packed single-run and scenario engines.
 
 Exactness: every basis entry, coefficient, and weight is an exact integer
-held in float64 (far below 2**53), so products and partial sums are exact and
-*any* regrouping of the summation — by channel, by offset, through a
-cumulative-sum window, or via integer gathers — produces bit-identical
-float64 results to the iterative span loop.  The golden-SHA and
-packed-vs-explicit batteries in the test suite pin this down.
+(a basis is held in a compact integer dtype, or in float64 far below 2**53),
+so products and partial sums are exact and *any* regrouping of the summation
+— by channel, by offset, through a cumulative-sum window, or via integer
+gathers — produces bit-identical float64 results to the iterative span loop.
+The golden-SHA and packed-vs-explicit batteries in the test suite pin this
+down.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulation import PackedSpanKernel, TrbgSpanKernel
     from repro.leveling.remap import SpanTable, WearLeveler
 
-__all__ = ["BatchedCounts", "SpanComposer", "compose_leveled"]
+__all__ = ["BatchedCounts", "SpanComposer", "compact_dtype", "compose_leveled"]
 
 #: Offset supports up to this size are composed as direct slice-roll adds;
 #: larger supports go through the cumulative-sum window decomposition.
@@ -87,17 +88,25 @@ class BatchedCounts:
     lengths[k] * writes`` are span ``k``'s counts; every entry is an exact
     integer, so any regrouping yields the same float64 bits.  ``bases`` must
     be identical objects across every ``counts_batch`` call of one kernel —
-    the composer folds coefficients across chunks under that identity.
+    the composer folds coefficients across chunks under that identity.  A
+    deterministic kernel lives as long as its stream, so every composition
+    on the stream reads the same bases; they are read-only.
     """
 
-    #: ``C`` fixed basis matrices, each ``(rows, word_bits)`` float64.
+    #: ``C`` fixed read-only basis matrices, each ``(rows, word_bits)``: an
+    #: integer dtype, or float64 holding exact integers.
     bases: List[np.ndarray]
     #: ``(C, num_spans)`` float64 per-span basis coefficients.
     coeffs: np.ndarray
     #: ``(rows,)`` float64 per-inference write counts.
     writes: np.ndarray
-    #: ``C`` cached ``bases[c].sum(axis=1)`` row reductions (feedback signal).
-    row_bases: List[np.ndarray]
+
+
+def compact_dtype(low: int, high: int) -> np.dtype:
+    """The narrowest integer dtype holding every value in ``[low, high]``."""
+    if low >= 0:
+        return np.min_scalar_type(high)
+    return np.result_type(np.min_scalar_type(low), np.min_scalar_type(-high - 1))
 
 
 def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
@@ -191,23 +200,23 @@ def _weighted_perm_gather(out: np.ndarray, base: np.ndarray,
 
     ``inverses[k]`` is span k's physical→logical row map.  Every entry of
     ``base`` and every weight is an exact integer, so the base is gathered
-    in the narrowest integer dtype that holds it, the spans sharing a weight
+    in the narrowest integer dtype that holds it (an integer base as it
+    is, a float64 one compacted first), the spans sharing a weight
     are summed in the narrowest dtype that holds their total, and each such
     group is scaled into ``out`` once: bitwise equal to any float64
     summation order, at a fraction of its memory traffic.  The physical
     rows go a block at a time, so every temporary stays cache-sized instead
     of page-faulting in whole-matrix ones.
     """
-    low, high = int(base.min(initial=0.0)), int(base.max(initial=0.0))
-    compact = base.astype(np.result_type(np.min_scalar_type(low),
-                                         np.min_scalar_type(high)))
+    low, high = int(base.min(initial=0)), int(base.max(initial=0))
+    compact = (base if base.dtype.kind in "iu"
+               else base.astype(compact_dtype(low, high)))
     groups = []
     for weight in np.unique(weights[weights != 0.0]):
         members = np.flatnonzero(weights == weight)
         bound = members.size * max(-low, high)
         groups.append((weight, members, np.result_type(
-            compact.dtype, np.min_scalar_type(bound),
-            np.min_scalar_type(-bound if low < 0 else 0))))
+            compact.dtype, compact_dtype(-bound if low < 0 else 0, bound))))
     for start in range(0, out.shape[0], _GATHER_ROWS):
         rows = slice(start, start + _GATHER_ROWS)
         for weight, members, dtype in groups:
@@ -270,10 +279,13 @@ class SpanComposer:
         if self._bases is None:
             self._bases = batched.bases
             self._writes_base = writes = batched.writes
-            self._row_bases = batched.row_bases
             self._uniform_writes = (float(writes[0]) if writes.size and bool(
                 (writes == writes[0]).all()) else None)
             if self._track:
+                # Formed once per composition (exact in float64); einsum is
+                # several times faster than ``sum(axis=1)`` over a few columns.
+                self._row_bases = [np.einsum("ij->i", basis, dtype=np.float64)
+                                   for basis in self._bases]
                 self._gathered = np.empty(self.rows, dtype=np.float64)
         elif batched.bases is not self._bases and any(
                 a is not b for a, b in zip(batched.bases, self._bases)):

@@ -96,9 +96,11 @@ __all__ = [
 StreamFactory = Callable[[Phase], object]
 
 #: Run-scoped memo of :class:`ScenarioAgingSimulator`: per (stream, policy
-#: name, policy options), the stream, the phase counts kernel (a DNN-Life
-#: kernel lends only its reduce stage), the last-bits kernel and, for a
-#: deterministic policy, its read-only duty per phase duration.
+#: name, policy options), the stream, a DNN-Life counts kernel (it lends
+#: only its reduce stage), the last-bits kernel and, for a deterministic
+#: policy, its read-only duty per phase duration.  Deterministic counts
+#: kernels are not memoised here: the stream keeps them for as long as it
+#: lives (:meth:`~repro.core.simulation.AgingSimulator.counts_kernel`).
 KernelMemo = Dict[Tuple[int, str, str], Dict[str, object]]
 
 
@@ -564,12 +566,13 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
     leveler permutations are addressed by the global active-epoch cursor
     (remap state persists).
 
-    Phases on the same stream under the same policy share one kernel per
-    run: the kernel's stream-only parts, the last-bits tables and the
-    deterministic duties are built on the pair's first phase, while DNN-Life
-    still draws each phase from its own RNG.  ``kernel_memo`` extends that
+    Phases on the same stream under the same policy share one kernel: a
+    deterministic kernel is the stream's own, built once per stream; the
+    DNN-Life reduce stage, the last-bits tables and the deterministic duties
+    are built on the pair's first phase of a run, while DNN-Life still draws
+    each phase from its own RNG.  ``kernel_memo`` extends that per-run
     sharing across the runs of one caller (a fleet's cohorts); without it
-    nothing outlives :meth:`run`.
+    none of it outlives :meth:`run`.
     """
 
     engine_name = "packed"
@@ -600,13 +603,16 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
         simulator = AgingSimulator(stream, policy,
                                    num_inferences=phase.duration,
                                    seed=rng, snm_model=self.snm_model)
-        # The kernel parts that depend only on the stream and the policy
-        # parameters are built once per (stream, policy) pair and run; the
-        # entry holds the stream, so its id cannot be reused meanwhile.
+        # The DNN-Life reduction, the last-bits kernel and the deterministic
+        # duties are built once per (stream, policy) pair and run (the
+        # stream itself keeps the deterministic kernels); the entry holds
+        # the stream, so its id cannot be reused meanwhile.
         shared = self._kernels.setdefault(
             (id(stream), phase.policy, repr(phase.policy_options)),
             {"stream": stream})
-        kernel = shared["counts"] = simulator.counts_kernel(shared.get("counts"))
+        kernel = simulator.counts_kernel(shared.get("counts"))
+        if isinstance(kernel, TrbgSpanKernel):
+            shared["counts"] = kernel
         return kernel, simulator, shared
 
     def _held_kernel(self, simulator: AgingSimulator,

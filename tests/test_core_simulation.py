@@ -6,6 +6,9 @@ engine for the deterministic policies, and statistically equivalent results
 for the stochastic DNN-Life policy.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,12 @@ from repro.core.simulation import (
     AgingSimulator,
     ExplicitAgingSimulator,
     _duty_from_counts,
+    _unbiased_binomial,
+    replay_epochs,
 )
+from repro.core.span_compose import compose_leveled
+from repro.leveling import make_leveler
+from repro.memory.geometry import MemoryGeometry
 
 DETERMINISTIC_POLICY_FACTORIES = {
     "none": lambda word_bits: NoMitigationPolicy(),
@@ -354,3 +362,166 @@ class TestCellClassTables:
         first = result.summary()["mean_snm_degradation_percent"]
         result.years = 3.0
         assert result.summary()["mean_snm_degradation_percent"] < first
+
+
+def _drifting_stream(seed=0):
+    """A 2-tile stream of 7 blocks whose short final block leaves 101 words
+    an inference: odd, and not a multiple of the word width, so inversion
+    and barrel shifting both drift between inferences."""
+    rng = np.random.default_rng(seed)
+    valid = np.array([16] * 6 + [5])
+    bits = rng.integers(0, 2, (7, 16, 8)).astype(np.uint8)
+    bits[-1, 5:] = 0
+    return PackedBitTensor(bits, np.arange(7) % 2, valid,
+                           MemoryGeometry(capacity_bytes=32, word_bits=8),
+                           fifo_depth_tiles=2)
+
+
+def _explicit_ones(stream, policy, n):
+    """The write-by-write float64 ones counts of inferences ``[0, n)``."""
+    return replay_epochs(stream, policy, 0, n)[0]
+
+
+class TestStreamKernelCache:
+    """Deterministic kernels are built once per stream and policy parameters,
+    live as long as their stream, and hold compact read-only integer bases."""
+
+    BUILDERS = ("_packed_no_mitigation_kernel",
+                "_packed_periodic_inversion_kernel",
+                "_packed_barrel_shifter_kernel")
+
+    def _count_builds(self, monkeypatch):
+        builds = []
+        for name in self.BUILDERS:
+            original = getattr(AgingSimulator, name)
+
+            def build(simulator, *args, _name=name, _original=original):
+                builds.append((_name, id(simulator._packed())) + tuple(
+                    getattr(arg, "granularity", None) for arg in args))
+                return _original(simulator, *args)
+            monkeypatch.setattr(AgingSimulator, name, build)
+        return builds
+
+    def test_policy_leveler_sweep_builds_each_kernel_once(
+            self, tiny_fifo_scheduler, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        streams = [PackedBitTensor.from_stream(tiny_fifo_scheduler),
+                   _drifting_stream()]
+        policies = [lambda bits: NoMitigationPolicy(),
+                    lambda bits: PeriodicInversionPolicy(bits, "write"),
+                    lambda bits: PeriodicInversionPolicy(bits, "location"),
+                    lambda bits: BarrelShifterPolicy(bits),
+                    lambda bits: DnnLifePolicy(bits, seed=1)]
+        for stream in streams:
+            tiles = stream.fifo_depth_tiles
+            for make_policy in policies:
+                for leveler in (None, "rotation", "start_gap", "wear_swap"):
+                    AgingSimulator(
+                        stream, make_policy(stream.word_bits), num_inferences=5,
+                        seed=1,
+                        leveler=None if leveler is None else make_leveler(
+                            leveler, stream.geometry, tiles)).run()
+        expected = sorted(
+            (name, id(stream)) + granularity for stream in streams
+            for name, granularity in [(self.BUILDERS[0], ()),
+                                      (self.BUILDERS[1], ("write",)),
+                                      (self.BUILDERS[1], ("location",)),
+                                      (self.BUILDERS[2], (None,))])
+        assert sorted(builds) == expected
+
+    def test_cache_dies_with_its_stream(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        stream = _drifting_stream()
+        kernel = AgingSimulator(stream, BarrelShifterPolicy(8)).counts_kernel()
+        assert AgingSimulator(stream, BarrelShifterPolicy(8)).counts_kernel() is kernel
+        stream_ref, kernel_ref = weakref.ref(stream), weakref.ref(kernel)
+        del stream, kernel
+        gc.collect()
+        assert stream_ref() is None and kernel_ref() is None
+        # Equal content, new stream: built again.
+        AgingSimulator(_drifting_stream(), BarrelShifterPolicy(8)).counts_kernel()
+        assert [name for name, *_ in builds] == [self.BUILDERS[2]] * 2
+
+    @pytest.mark.parametrize("drifting", [False, True])
+    def test_cached_bases_are_compact_and_exact(self, tiny_fifo_scheduler,
+                                                drifting):
+        stream = (_drifting_stream() if drifting
+                  else PackedBitTensor.from_stream(tiny_fifo_scheduler))
+        word_bits = stream.word_bits
+        none = AgingSimulator(stream, NoMitigationPolicy()).counts_kernel()
+        assert none._bases == [stream.rows_ones()]
+        assert none._bases[0] is stream.rows_ones()
+        for granularity in ("write", "location"):
+            policy = PeriodicInversionPolicy(word_bits, granularity)
+            bases = AgingSimulator(stream, policy).counts_kernel()._bases
+            # counts(0, 1) = base and counts(0, 2) = 2 * base + drifted.
+            one = _explicit_ones(stream, policy, 1)
+            reference = [one, _explicit_ones(stream, policy, 2) - 2.0 * one]
+            assert len(bases) == (2 if drifting else 1)
+            self._assert_compact_equal(bases, reference[:len(bases)])
+        policy = BarrelShifterPolicy(word_bits)
+        bases = AgingSimulator(stream, policy).counts_kernel()._bases
+        # One channel per extra rotation j the inferences reach (j = 0 is
+        # the first inference's own counts).
+        drift = stream.total_words % word_bits
+        rotations = sorted({t * drift % word_bits for t in range(word_bits)})
+        one = _explicit_ones(stream, policy, 1)
+        self._assert_compact_equal(
+            bases, [np.roll(one, -j, axis=1) for j in rotations])
+        assert len(bases) == (8 if drifting else 1)
+
+    @staticmethod
+    def _assert_compact_equal(bases, reference):
+        assert len(bases) == len(reference)
+        for basis, expected in zip(bases, reference):
+            assert basis.dtype.kind in "iu" and basis.dtype.itemsize == 1
+            assert not basis.flags.writeable
+            assert basis.astype(np.float64).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("leveler", ["start_gap", "wear_swap"])
+    @pytest.mark.parametrize("policy", [
+        lambda: PeriodicInversionPolicy(8, "location"),
+        lambda: BarrelShifterPolicy(8)])
+    def test_compositions_sharing_a_cached_kernel(self, leveler, policy):
+        stream = _drifting_stream(seed=3)
+        simulator = AgingSimulator(stream, policy())
+        cached = simulator.counts_kernel()
+        fresh = (simulator._packed_barrel_shifter_kernel
+                 if isinstance(simulator.policy, BarrelShifterPolicy)
+                 else simulator._packed_periodic_inversion_kernel)
+
+        def compose(kernel):
+            leveled = make_leveler(leveler, stream.geometry, 2, interval=1)
+            return compose_leveled(kernel, leveled, 9)[:2]
+
+        shared = [compose(cached), compose(cached)]
+        separate = [compose(fresh(simulator.policy)) for _ in range(2)]
+        for (ones, writes), (fresh_ones, fresh_writes) in zip(shared, separate):
+            assert ones.tobytes() == fresh_ones.tobytes()
+            assert writes.tobytes() == fresh_writes.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(np, "bitwise_count"),
+                    reason="the popcount path needs numpy >= 2.0")
+class TestUnbiasedBinomial:
+    """Binomial(trials, 1/2) draws are popcounts of uniform 64-bit words."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 20, 63, 64, 65, 128, 512])
+    def test_popcount_of_the_same_words(self, trials):
+        size = (84, 9)
+        rng, reference_rng = (np.random.default_rng(trials),
+                              np.random.default_rng(trials))
+        drawn = _unbiased_binomial(rng, trials, size)
+        full_words, tail_bits = divmod(trials, 64)
+        words = reference_rng.integers(
+            0, np.iinfo(np.uint64).max,
+            size=size + (full_words + (1 if tail_bits else 0),),
+            dtype=np.uint64, endpoint=True)
+        if tail_bits:
+            words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+        expected = np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+        assert np.array_equal(drawn, expected)
+        # One word: its uint8 popcount, no sum over the word axis.
+        assert drawn.dtype == (np.uint8 if trials <= 64 else np.int64)
+        # The RNG stream continues where the reference's does.
+        assert rng.integers(1 << 62) == reference_rng.integers(1 << 62)

@@ -38,6 +38,7 @@ from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.aging.nbti import ReactionDiffusionSnmModel
 from repro.core.simulation import AgingSimulator
+from repro.experiments.aging_runner import clear_stream_cache
 from repro.experiments.common import ExperimentScale
 from repro.fleet import (
     DEFAULT_QUANTILES,
@@ -306,11 +307,12 @@ class TestSingleDeviceEquivalence:
 
     def test_fleet_run_builds_each_phase_kernel_once(self, factory,
                                                      monkeypatch):
-        """Cohorts share one kernel per (stream, policy) pair, for one run.
+        """Cohorts share one kernel per (stream, policy) pair.
 
         Every active phase precedes an idle one, so each pair also needs its
-        last-bits kernel.  A second run builds everything again: nothing is
-        kept across runs.
+        last-bits kernel.  A second run builds the DNN-Life reduction and
+        the last-bits kernels again (the run-scoped memo is gone), but not
+        the deterministic counts kernel: the stream keeps that one.
         """
         builds = []
 
@@ -327,7 +329,7 @@ class TestSingleDeviceEquivalence:
                 builds.append(("TrbgReduction", "DnnLifePolicy"))
                 super().__init__(*args, **kwargs)
 
-        for name in ("_packed_kernel", "last_bits_kernel"):
+        for name in ("_packed_periodic_inversion_kernel", "last_bits_kernel"):
             monkeypatch.setattr(AgingSimulator, name, counting(name))
         monkeypatch.setattr(simulation, "TrbgReduction", CountingReduction)
         idle = "idle:1@45C@0.7V:0.2GHz"
@@ -338,17 +340,18 @@ class TestSingleDeviceEquivalence:
         spec = FleetSpec(num_devices=24, scenarios=scenarios,
                          scenario_weights=weights, usage_sigma=0.3,
                          thermal_sigma_c=5.0, seed_groups=2, seed=3)
-        once = sorted([("_packed_kernel", "PeriodicInversionPolicy"),
-                       ("_packed_kernel", "DnnLifePolicy"),
-                       ("TrbgReduction", "DnnLifePolicy"),
-                       ("last_bits_kernel", "PeriodicInversionPolicy"),
-                       ("last_bits_kernel", "DnnLifePolicy")])
+        per_run = sorted([("TrbgReduction", "DnnLifePolicy"),
+                          ("last_bits_kernel", "PeriodicInversionPolicy"),
+                          ("last_bits_kernel", "DnnLifePolicy")])
+        per_stream = [("_packed_periodic_inversion_kernel",
+                       "PeriodicInversionPolicy")]
+        clear_stream_cache()  # fresh streams: no kernel of earlier tests
         first = FleetSimulator(spec, stream_factory=factory).run()
         # 4 cohorts of 2 active phases each share the 2 pairs' kernels.
         assert len(first.cohorts) == 4
-        assert sorted(builds) == once
+        assert sorted(builds) == sorted(per_run + per_stream)
         again = FleetSimulator(spec, stream_factory=factory).run()
-        assert sorted(builds) == sorted(once * 2)
+        assert sorted(builds) == sorted(per_run * 2 + per_stream)
         assert again.to_payload() == first.to_payload()
 
 

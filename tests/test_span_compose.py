@@ -595,3 +595,24 @@ class TestTrbgReduction:
         assert np.array_equal(writes, packed.rows_writes() * n)
         assert np.array_equal(reduction.row_totals(enables, n),
                               numerator.sum(axis=1))
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("fill", ["random", "full"])
+    def test_row_totals_across_the_int16_bound(self, tiny_network,
+                                               tiny_fifo_scheduler, above,
+                                               fill):
+        """Row totals contract in int16 while ``num_blocks * n * word_bits``
+        stays below 2**15 and in int32 from there on; both are exact."""
+        packed = _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler)
+        reduction = TrbgReduction(packed, 3)
+        scale = packed.num_blocks * packed.word_bits
+        n = (2 ** 15 - 1) // scale + above
+        assert (n * scale < 2 ** 15) is not above
+        shape = (packed.num_blocks, reduction.num_groups)
+        enables = (np.full(shape, n) if fill == "full" else
+                   np.random.default_rng(n).integers(0, n + 1, shape)
+                   ).astype(np.min_scalar_type(n))
+        reference = self._literal_numerator(packed, enables, 3, n).sum(axis=1)
+        assert np.array_equal(reduction.row_totals(enables, n), reference)
+        assert list(reduction._region_weights) == [np.int32 if above
+                                                    else np.int16]
