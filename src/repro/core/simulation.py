@@ -970,6 +970,8 @@ class TrbgReduction:
         self.uniform_writes: Optional[float] = (
             float(self.writes[0]) if self.writes.size
             and bool((self.writes == self.writes[0]).all()) else None)
+        #: The most writes any row takes per inference.
+        self.max_writes = int(self.writes.max(initial=0))
         self._row_ones: Optional[np.ndarray] = None
         #: Per-region ``(count, num_groups, group)`` word weights of
         #: :meth:`row_totals`, keyed by the contraction dtype.
@@ -1061,7 +1063,9 @@ class TrbgReduction:
         marking its padding words (``-E[k, b, g]``: padding stores nothing).
         The bits are only widened, never transformed, and the product runs
         in float32 when every partial sum provably stays below 2**24, in
-        float64 otherwise.
+        float64 otherwise.  The ``(groups, K, R)`` left operand is filled
+        through a transposed view, so the enables are cast in their own
+        memory order (groups innermost) instead of in runs of ``R``.
         """
         packed = self.packed
         group, word_bits = self.group, packed.word_bits
@@ -1090,7 +1094,7 @@ class TrbgReduction:
                 last = min(first + step, num_groups)
                 start, stop = first * group, min(last * group, words)
                 size, used = last - first, stop - start
-                chunk_enables = region_enables[:, :, first:last].transpose(2, 0, 1)
+                chunk_enables = region_enables[:, :, first:last]
                 cells = np.empty((terms, size * group, word_bits), dtype=dtype)
                 cells[:count, :used] = region_bits[:, start:stop]
                 cells[count, :used] = 1
@@ -1098,13 +1102,14 @@ class TrbgReduction:
                 cells[count + 2:, :used] = 0
                 cells[:, used:] = 0  # a short last group: dropped, kept finite
                 left = np.empty((size, num_sets, terms), dtype=dtype)
-                np.multiply(chunk_enables, dtype(-2), out=left[:, :, :count])
-                left[:, :, count] = enables_total[:, first:last].T
+                np.multiply(chunk_enables, dtype(-2),
+                            out=left[:, :, :count].transpose(1, 2, 0))
+                left[:, :, count].T[...] = enables_total[:, first:last]
                 left[:, :, count + 1] = lengths
                 for term, block in enumerate(short, start=count + 2):
                     cells[term, max(region_valid[block] - start, 0):used] = 1
-                    np.multiply(chunk_enables[:, :, block], dtype(-1),
-                                out=left[:, :, term])
+                    np.multiply(chunk_enables[:, block], dtype(-1),
+                                out=left[:, :, term].T)
                 sums = np.empty((num_sets, size, width), dtype=dtype)
                 np.matmul(left, cells.reshape(terms, size, width)
                           .transpose(1, 0, 2), out=sums.transpose(1, 0, 2))
@@ -1187,8 +1192,12 @@ def _duty_from_counts(ones: np.ndarray, writes: np.ndarray) -> np.ndarray:
     writes_matrix = np.asarray(writes, dtype=np.float64)
     if writes_matrix.ndim == np.ndim(ones) - 1:
         writes_matrix = writes_matrix[..., None]
-    duty = np.zeros(np.broadcast_shapes(np.shape(ones), writes_matrix.shape))
-    np.divide(ones, writes_matrix, out=duty, where=writes_matrix > 0)
+    written = writes_matrix > 0
+    if written.all():  # every padded stream: no row to mask
+        duty = np.divide(ones, writes_matrix, dtype=np.float64)
+    else:
+        duty = np.zeros(np.broadcast_shapes(np.shape(ones), writes_matrix.shape))
+        np.divide(ones, writes_matrix, out=duty, where=written)
     if duty.size:
         low, high = float(duty.min()), float(duty.max())
         if 0.0 <= low and high <= 1.0:

@@ -20,16 +20,19 @@ of structure:
 * **Offset grouping** — schedule-driven levelers (rotation, start-gap) remap
   by per-region row rolls, so spans sharing a roll offset collapse into one
   weighted roll.  The weighted roll-sum itself is evaluated either as a few
-  direct slice-adds (small offset support) or as a uniform sliding-window
-  via a circular cumulative sum plus a sparse residual (long runs such as
-  start-gap's drift), both O(rows * word_bits).
+  direct shifted adds (small offset support) or as a uniform sliding window
+  plus a sparse residual (long runs such as start-gap's drift), both
+  O(rows * word_bits).
 
 Feedback-driven levelers (wear-swap) contribute permutation chunks instead,
 each given by the inverse map the leveler keeps; those compose by
-gathering each basis through every span's inverse in the narrowest integer
-dtype that holds it, summing the spans that share a coefficient as integers
-(:func:`_weighted_perm_gather`), while the per-chunk feedback signal is
-maintained as ``(rows,)`` running row totals — never a full-matrix reduction.
+gathering each basis through every span's inverse, while the per-chunk
+feedback signal is maintained as ``(rows,)`` running row totals — never a
+full-matrix reduction.  Shifted adds and gathers share one blocked pass
+(:func:`_weighted_gather`): the basis is read in the narrowest integer
+dtype that holds it, the mappings sharing a coefficient are summed as
+integers a block of rows at a time, and each block is scaled into the
+float64 counts once.
 
 DNN-Life's kernel has no fixed basis — its TRBG draws fresh randomness per
 span, in call order — but it splits into a *draw* stage (the per-span
@@ -39,15 +42,16 @@ those counts (:class:`~repro.core.simulation.TrbgReduction`).
 enables of spans sharing a mapping (a roll offset), keeps the feedback row
 totals from a cheap popcount-weighted ``(blocks, words)`` pass, and
 :meth:`SpanComposer.finalize` reduces all mappings in one fused pass over the
-packed tensor, rolling or scattering each chunk into the physical counts.
+packed tensor and folds their whole logical counts into the physical counts
+through the same blocked integer pass.
 Both forms meet in :func:`compose_leveled`, the one leveled walk of the
 packed single-run and scenario engines.
 
 Exactness: every basis entry, coefficient, and weight is an exact integer
 (a basis is held in a compact integer dtype, or in float64 far below 2**53),
 so products and partial sums are exact and *any* regrouping of the summation
-— by channel, by offset, through a cumulative-sum window, or via integer
-gathers — produces bit-identical float64 results to the iterative span loop.
+— by channel, by offset, through a sliding window, or via integer gathers —
+produces bit-identical float64 results to the iterative span loop.
 The golden-SHA and packed-vs-explicit batteries in the test suite pin this
 down.
 """
@@ -55,7 +59,7 @@ down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,18 +69,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchedCounts", "SpanComposer", "compact_dtype", "compose_leveled"]
 
-#: Offset supports up to this size are composed as direct slice-roll adds;
-#: larger supports go through the cumulative-sum window decomposition.
-_DIRECT_ROLLS = 6
+#: Offset supports up to this size are composed as direct shifted adds;
+#: larger supports go through the sliding-window decomposition.
+_DIRECT_ROLLS = 24
 
 #: Pending TRBG mappings are reduced (one fused pass) once this many have
-#: accumulated, or once their summed enables and the fold's permutation-form
-#: counts hold this many bytes: bounds the composer's memory and the
-#: per-chunk work on long feedback runs.
+#: accumulated, or once their summed enables and whole logical counts hold
+#: this many bytes: bounds the composer's memory and the per-chunk work on
+#: long feedback runs.
 _FOLD_MAPPINGS = 64
 _FOLD_BYTES = 32 << 20
 
-#: Physical rows per block of :func:`_weighted_perm_gather`.
+#: Physical rows per block of the blocked row passes (:func:`_mapped_sum`,
+#: :func:`_window_axpy`): every temporary stays cache-sized instead of
+#: page-faulting in whole-matrix ones.
 _GATHER_ROWS = 8192
 
 
@@ -109,40 +115,132 @@ def compact_dtype(low: int, high: int) -> np.dtype:
     return np.result_type(np.min_scalar_type(low), np.min_scalar_type(-high - 1))
 
 
-def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
-               weight: float) -> None:
-    """``out3[g, j] += weight * base3[g, (j - offset) % R]`` via two slices."""
-    region_rows = base3.shape[1]
-    offset = int(offset) % region_rows
-    if weight != 1.0:
-        base3 = weight * base3
-    if offset == 0:
-        out3 += base3
-        return
-    out3[:, offset:] += base3[:, :region_rows - offset]
-    out3[:, :offset] += base3[:, region_rows - offset:]
+#: A row mapping of one span: a per-region roll offset, or the span's
+#: physical→logical inverse permutation.
+RowMapping = Union[int, np.ndarray]
 
 
-def _window_axpy(out3: np.ndarray, base3: np.ndarray, weight: float,
-                 first: int, count: int) -> None:
-    """Add ``weight * sum_{o in [first, first+count)} roll_o(base3)``.
+def _add_mapped(total: np.ndarray, source: np.ndarray, mapping: RowMapping,
+                start: int, region_start: int, region_rows: int,
+                ufunc: np.ufunc = np.add) -> None:
+    """``total = ufunc(total, source[mapping(p)])`` over one block of rows.
 
-    The circular sliding-window sum is a cumulative sum over the region axis
-    extended by ``count - 1`` wrapped rows; partial sums stay exact integers,
-    so the window difference is bitwise equal to summing the rolls directly.
+    The block covers physical rows ``[start, start + len(total))`` inside
+    the region that begins at ``region_start``.  A roll offset maps row
+    ``p`` to ``region_start + (p - region_start - offset) % region_rows``
+    (at most two slice operations); an inverse permutation is gathered.
     """
-    regions, region_rows, width = base3.shape
-    if count <= 0:
+    count = total.shape[0]
+    if isinstance(mapping, np.ndarray):
+        ufunc(total, np.take(source, mapping[start:start + count], axis=0),
+              out=total)
         return
-    prefix = np.empty((regions, region_rows + count, width), dtype=np.float64)
-    prefix[:, 0] = 0.0
-    np.cumsum(base3, axis=1, dtype=np.float64, out=prefix[:, 1:region_rows + 1])
-    # the wrapped rows continue the sum: total + prefix of the first rows
-    prefix[:, region_rows + 1:] = prefix[:, region_rows:region_rows + 1] + prefix[:, 1:count]
-    window = np.subtract(prefix[:, count:], prefix[:, :-count])
-    if weight != 1.0:
-        window *= weight
-    _roll_axpy(out3, window, (first + count - 1) % region_rows, 1.0)
+    first = region_start + (start - region_start - mapping) % region_rows
+    head = min(count, region_start + region_rows - first)
+    ufunc(total[:head], source[first:first + head], out=total[:head])
+    if head < count:
+        ufunc(total[head:], source[region_start:region_start + count - head],
+              out=total[head:])
+
+
+def _mapped_sum(out: np.ndarray, terms: Sequence[Tuple[np.ndarray, RowMapping]],
+                dtype: np.dtype, region_rows: int, weight: float = 1.0) -> None:
+    """``out[p] += weight * sum_t source_t[mapping_t(p)]`` a block at a time.
+
+    Each block of physical rows sums its terms exactly in ``dtype`` (a
+    narrow integer for integer sources) and is scaled into ``out`` with one
+    float64 add, so no temporary outgrows a block.
+    """
+    step = min(_GATHER_ROWS, region_rows)
+    total = np.empty((step,) + out.shape[1:], dtype=dtype)
+    for region_start in range(0, out.shape[0], region_rows):
+        region_stop = region_start + region_rows
+        for start in range(region_start, region_stop, step):
+            block = total[:min(step, region_stop - start)]
+            block[...] = 0
+            for source, mapping in terms:
+                _add_mapped(block, source, mapping, start, region_start,
+                            region_rows)
+            rows = slice(start, start + block.shape[0])
+            if weight == 1.0:
+                out[rows] += block
+            else:
+                out[rows] += weight * block
+
+
+def _compact(base: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``base`` in an integer dtype (a float64 one compacted to the
+    narrowest that holds it) and the largest magnitude it holds."""
+    low, high = int(base.min(initial=0)), int(base.max(initial=0))
+    if base.dtype.kind not in "iu":
+        base = base.astype(compact_dtype(low, high))
+    return base, max(-low, high)
+
+
+def _weighted_gather(out: np.ndarray, base: np.ndarray,
+                     mappings: Sequence[RowMapping], weights: np.ndarray,
+                     region_rows: int) -> None:
+    """``out[p] += sum_k weights[k] * base[mappings[k](p)]`` in exact integers.
+
+    Every entry of ``base`` and every weight is an exact integer, so the
+    base is read in the narrowest integer dtype that holds it
+    (:func:`_compact`), the mappings sharing a weight are summed in the
+    narrowest dtype that holds their total, and each such group is scaled
+    into ``out`` once per block of rows (:func:`_mapped_sum`): bitwise
+    equal to any float64 summation order, at a fraction of its memory
+    traffic.  ``mappings`` may be roll offsets (``range(region_rows)`` for
+    one weight per offset) or inverse permutations.
+    """
+    base, magnitude = _compact(base)
+    signed = base.dtype.kind == "i"
+    for weight in np.unique(weights[weights != 0.0]):
+        members = np.flatnonzero(weights == weight)
+        bound = members.size * magnitude
+        dtype = np.result_type(base.dtype,
+                               compact_dtype(-bound if signed else 0, bound))
+        _mapped_sum(out, [(base, mappings[k]) for k in members], dtype,
+                    region_rows, float(weight))
+
+
+def _window_axpy(out: np.ndarray, base: np.ndarray, weight: float,
+                 first: int, count: int, region_rows: int,
+                 magnitude: int) -> None:
+    """Add ``weight * sum_{o in [first, first+count)} roll_o(base)``.
+
+    Window ``m`` of a region sums its base rows ``m .. m + count - 1``
+    (circularly) and lands on row ``m + first + count - 1``.  Consecutive
+    windows differ by one row in and one row out, so a block of windows is
+    the cumulative sum of those differences, carried over from the block
+    before: O(rows) however wide the window, with every partial sum an
+    exact integer below ``2 * count * magnitude`` (``magnitude`` bounds
+    ``|base|``), held in the narrowest dtype for that bound.
+    """
+    bound = 2 * count * magnitude
+    dtype = np.result_type(base.dtype, compact_dtype(-bound, bound))
+    shift = (first + count - 1) % region_rows
+    step = min(_GATHER_ROWS, region_rows)
+    window = np.empty((step,) + base.shape[1:], dtype=dtype)
+    for region_start in range(0, out.shape[0], region_rows):
+        region = base[region_start:region_start + region_rows]
+        # The window before the first: rows R - 1, 0, ..., count - 2.
+        carry = region[-1] + region[:count - 1].sum(axis=0, dtype=dtype)
+        for start in range(0, region_rows, step):
+            block = window[:min(step, region_rows - start)]
+            block[...] = 0
+            _add_mapped(block, region, 1 - count, start, 0, region_rows)
+            _add_mapped(block, region, 1, start, 0, region_rows,
+                        ufunc=np.subtract)
+            np.cumsum(block, axis=0, dtype=dtype, out=block)
+            block += carry
+            carry = block[-1].copy()
+            if weight != 1.0:
+                block = weight * block
+            # Window ``m`` lands on row ``m + shift``: at most two slices.
+            size = block.shape[0]
+            land = region_start + (start + shift) % region_rows
+            head = min(size, region_start + region_rows - land)
+            out[land:land + head] += block[:head]
+            out[region_start:region_start + size - head] += block[head:]
 
 
 def _circular_run(support: np.ndarray, region_rows: int
@@ -163,68 +261,30 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
                           weights: np.ndarray, region_rows: int) -> None:
     """``out += sum_o weights[o] * region_roll_o(base)`` in O(1) passes.
 
-    ``out``/``base`` are ``(rows, width)`` with regions contiguous along the
+    ``out``/``base`` are ``(rows, ...)`` with regions contiguous along the
     row axis; ``weights`` is the ``(region_rows,)`` exact-integer weight per
-    roll offset.  Small supports use direct rolls; contiguous runs split into
-    a uniform window (cumulative sum) plus a small residual of rolls; anything
-    else falls back to one roll per occupied offset — always exact, the path
-    choice only affects speed.
+    roll offset.  Small supports are direct shifted adds; a contiguous run
+    splits into a uniform sliding window plus a small residual of shifted
+    adds; anything else is one shifted add per occupied offset.  Every sum
+    runs a block of rows at a time in exact integers — the path choice
+    only affects speed.
     """
     support = np.flatnonzero(weights)
     if not support.size:
         return
-    regions = out.shape[0] // region_rows
-    out3 = out.reshape(regions, region_rows, -1)
-    base3 = base.reshape(regions, region_rows, -1)
+    base, magnitude = _compact(base)
     if support.size > _DIRECT_ROLLS:
         run = _circular_run(support, region_rows)
         if run is not None:
             uniform = float(weights[support].min())
             residual = weights.copy()
             residual[support] -= uniform
-            residual_support = np.flatnonzero(residual)
-            if residual_support.size <= max(_DIRECT_ROLLS, support.size // 4):
-                _window_axpy(out3, base3, uniform, run[0], run[1])
-                for offset in residual_support:
-                    _roll_axpy(out3, base3, int(offset),
-                               float(residual[offset]))
-                return
-    for offset in support:
-        _roll_axpy(out3, base3, int(offset), float(weights[offset]))
-
-
-def _weighted_perm_gather(out: np.ndarray, base: np.ndarray,
-                          inverses: List[np.ndarray],
-                          weights: np.ndarray) -> None:
-    """``out[p] += sum_k weights[k] * base[inverses[k][p]]`` by integer gathers.
-
-    ``inverses[k]`` is span k's physical→logical row map.  Every entry of
-    ``base`` and every weight is an exact integer, so the base is gathered
-    in the narrowest integer dtype that holds it (an integer base as it
-    is, a float64 one compacted first), the spans sharing a weight
-    are summed in the narrowest dtype that holds their total, and each such
-    group is scaled into ``out`` once: bitwise equal to any float64
-    summation order, at a fraction of its memory traffic.  The physical
-    rows go a block at a time, so every temporary stays cache-sized instead
-    of page-faulting in whole-matrix ones.
-    """
-    low, high = int(base.min(initial=0)), int(base.max(initial=0))
-    compact = (base if base.dtype.kind in "iu"
-               else base.astype(compact_dtype(low, high)))
-    groups = []
-    for weight in np.unique(weights[weights != 0.0]):
-        members = np.flatnonzero(weights == weight)
-        bound = members.size * max(-low, high)
-        groups.append((weight, members, np.result_type(
-            compact.dtype, compact_dtype(-bound if low < 0 else 0, bound))))
-    for start in range(0, out.shape[0], _GATHER_ROWS):
-        rows = slice(start, start + _GATHER_ROWS)
-        for weight, members, dtype in groups:
-            total = np.take(compact, inverses[members[0]][rows], axis=0).astype(
-                dtype, copy=False)
-            for k in members[1:]:
-                total += np.take(compact, inverses[k][rows], axis=0)
-            out[rows] += weight * total
+            if (np.count_nonzero(residual)
+                    <= max(_DIRECT_ROLLS, support.size // 4)):
+                _window_axpy(out, base, uniform, run[0], run[1], region_rows,
+                             magnitude)
+                weights = residual
+    _weighted_gather(out, base, range(region_rows), weights, region_rows)
 
 
 class SpanComposer:
@@ -269,7 +329,7 @@ class SpanComposer:
         #: and summed span length.
         self._reduction = None
         self._draw_slots: Dict[int, int] = {}
-        self._draw_maps: List[Union[int, np.ndarray]] = []
+        self._draw_maps: List[RowMapping] = []
         self._draw_enables: List[np.ndarray] = []
         self._draw_lengths: List[int] = []
         #: Dense ``(ones, writes)`` accumulators of the folded TRBG mappings.
@@ -327,7 +387,7 @@ class SpanComposer:
                         if coeff != 1.0:
                             gathered *= coeff
                         self._row_ones += gathered
-                self._row_writes += self._mapped_writes(inverse, length)
+                self._add_writes(self._row_writes, [inverse], [length])
 
     def add_draws(self, table: "SpanTable", kernel: "TrbgSpanKernel",
                   origin: int) -> None:
@@ -366,20 +426,10 @@ class SpanComposer:
             if self._track:
                 self._row_ones += np.take(
                     reduction.row_totals(enables, length), mapping)
-                self._row_writes += self._mapped_writes(mapping, length)
+                self._add_writes(self._row_writes, [mapping], [length])
             if (len(self._draw_maps) >= _FOLD_MAPPINGS
                     or self._pending_bytes() >= _FOLD_BYTES):
                 self._fold_draws()
-
-    def _mapped_writes(self, mapping: Union[int, np.ndarray],
-                       length: int) -> Union[float, np.ndarray]:
-        """Physical writes of a ``length``-inference span under
-        ``mapping``: a scalar when every row is written equally often
-        (any mapping moves equal counts onto equal counts), else the
-        per-row counts gathered through the span's inverse."""
-        if self._uniform_writes is not None:
-            return length * self._uniform_writes
-        return length * np.take(self._writes_base, mapping)
 
     def _numerator_dtype(self, length: int) -> np.dtype:
         """Narrowest exact dtype of a ``length``-inference span's counts.
@@ -387,31 +437,42 @@ class SpanComposer:
         A cell stores at most one '1' per write, so its count is at most
         ``length`` times its row's per-inference writes.
         """
-        return np.min_scalar_type(int(length) * int(self._reduction.writes.max()))
+        return np.min_scalar_type(int(length) * self._reduction.max_writes)
 
     def _pending_bytes(self) -> int:
         """Bytes the pending TRBG mappings hold, or will hold at the fold."""
-        total = sum(e.nbytes for e in self._draw_enables)
-        lengths = [length for mapping, length in zip(self._draw_maps,
-                                                     self._draw_lengths)
-                   if isinstance(mapping, np.ndarray)]
-        if lengths:
-            total += (len(lengths) * self.rows * self.word_bits
-                      * self._numerator_dtype(max(lengths)).itemsize)
-        return total
+        if not self._draw_maps:
+            return 0
+        return (sum(e.nbytes for e in self._draw_enables)
+                + len(self._draw_maps) * self.rows * self.word_bits
+                * self._numerator_dtype(max(self._draw_lengths)).itemsize)
+
+    def _add_writes(self, writes: np.ndarray, mappings: Sequence[RowMapping],
+                    lengths: Sequence[float]) -> None:
+        """Add the physical writes of spans of ``lengths`` inferences under
+        ``mappings``: one scalar when every row is written equally often
+        (any mapping moves equal counts onto equal counts), else the
+        per-row counts gathered through each mapping."""
+        if self._uniform_writes is not None:
+            writes += float(sum(lengths)) * self._uniform_writes
+        else:
+            _weighted_gather(writes, self._writes_base, mappings,
+                             np.asarray(lengths, dtype=np.float64),
+                             self.region_rows)
 
     def _fold_draws(self) -> None:
         """Reduce every pending TRBG mapping in one fused pass.
 
         One :meth:`~repro.core.simulation.TrbgReduction.numerator_chunks`
         pass over the packed tensor yields every mapping's logical counts a
-        chunk of rows at a time.  Offset-form chunks are rolled into the
-        dense physical accumulators as they come.  Permutation-form counts
-        are kept whole, in the narrowest exact dtype, and then gathered
-        through each mapping's inverse: one sequential pass per mapping
-        instead of a random scatter per chunk.  With feedback tracking the
-        running row totals already hold every span's physical writes, so
-        the fold leaves the writes to them.
+        chunk of rows at a time; they are kept whole, in the narrowest
+        exact dtype of the longest mapping's counts.  The fold then adds
+        them into the dense physical counts a block of rows at a time —
+        roll offsets by slice adds, inverse permutations by gathers — summed
+        in the narrowest integer dtype of all pending counts, with one
+        float64 add per block (:func:`_mapped_sum`).  With feedback tracking
+        the running row totals already hold every span's physical writes,
+        so the fold leaves the writes to them.
         """
         if not self._draw_maps:
             return
@@ -419,41 +480,17 @@ class SpanComposer:
             self._dense = (np.zeros((self.rows, self.word_bits), dtype=np.float64),
                            np.zeros(self.rows, dtype=np.float64))
         ones, writes = self._dense
-        reduction = self._reduction
-        region_rows = self.region_rows
-        permuted = [k for k, mapping in enumerate(self._draw_maps)
-                    if isinstance(mapping, np.ndarray)]
-        rolled = [(mapping, k) for k, mapping in enumerate(self._draw_maps)
-                  if not isinstance(mapping, np.ndarray)]
-        if permuted:
-            # Zeros: regions no block writes are never yielded.
-            logical = np.zeros(
-                (len(permuted), self.rows, self.word_bits),
-                dtype=self._numerator_dtype(
-                    max(self._draw_lengths[k] for k in permuted)))
-        for rows, numerators in reduction.numerator_chunks(
-                np.stack(self._draw_enables), np.asarray(self._draw_lengths)):
-            if permuted:
-                logical[:, rows] = (numerators if not rolled
-                                    else numerators[permuted])
-            count = rows.stop - rows.start
-            base = rows.start - rows.start % region_rows
-            for offset, k in rolled:
-                first = (rows.start - base + offset) % region_rows
-                head = min(count, region_rows - first)
-                ones[base + first:base + first + head] += numerators[k, :head]
-                ones[base:base + count - head] += numerators[k, head:]
-        for slot, k in enumerate(permuted):
-            ones += np.take(logical[slot], self._draw_maps[k], axis=0)
+        mappings, lengths = self._draw_maps, self._draw_lengths
+        # Zeros: regions no block writes are never yielded.
+        logical = np.zeros((len(mappings), self.rows, self.word_bits),
+                           dtype=self._numerator_dtype(max(lengths)))
+        for rows, numerators in self._reduction.numerator_chunks(
+                np.stack(self._draw_enables), np.asarray(lengths)):
+            logical[:, rows] = numerators
+        _mapped_sum(ones, list(zip(logical, mappings)),
+                    self._numerator_dtype(sum(lengths)), self.region_rows)
         if not self._track:
-            for mapping, length in zip(self._draw_maps, self._draw_lengths):
-                if (isinstance(mapping, np.ndarray)
-                        or self._uniform_writes is not None):
-                    writes += self._mapped_writes(mapping, length)
-                else:
-                    _roll_axpy(writes.reshape(-1, region_rows, 1),
-                               reduction.writes.reshape(-1, region_rows, 1),
-                               mapping, float(length))
+            self._add_writes(writes, mappings, lengths)
         self._draw_slots.clear()
         self._draw_maps.clear()
         self._draw_enables.clear()
@@ -499,18 +536,17 @@ class SpanComposer:
             for channel in range(num_channels):
                 _apply_offset_weights(ones, self._bases[channel],
                                       gamma[channel], region_rows)
-            _apply_offset_weights(writes.reshape(-1, 1),
-                                  self._writes_base.reshape(-1, 1),
-                                  gamma_writes, region_rows)
+            _apply_offset_weights(writes, self._writes_base, gamma_writes,
+                                  region_rows)
         if self._perm_inverses:
             coeffs = np.stack(self._perm_coeffs, axis=1)
             for channel in range(num_channels):
-                _weighted_perm_gather(ones, self._bases[channel],
-                                      self._perm_inverses, coeffs[channel])
+                _weighted_gather(ones, self._bases[channel],
+                                 self._perm_inverses, coeffs[channel],
+                                 self.region_rows)
             if not self._track:
-                for inverse, length in zip(self._perm_inverses,
-                                           self._perm_lengths):
-                    writes += self._mapped_writes(inverse, length)
+                self._add_writes(writes, self._perm_inverses,
+                                 self._perm_lengths)
         return ones, writes
 
 

@@ -322,6 +322,23 @@ class TestDutyFromCountsGuard:
         with pytest.raises(FloatingPointError, match="numerator"):
             _duty_from_counts(ones, np.array([[4], [4]]))
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_plain_and_masked_divides_agree(self, batch):
+        """Every row written takes the plain divide; one unwritten row more
+        takes the masked one.  The written rows agree bit for bit, -0.0
+        included, and the unwritten row holds 0."""
+        rng = np.random.default_rng(11)
+        writes = rng.integers(1, 9, batch + (40,)).astype(np.float64)
+        ones = np.floor(rng.random(batch + (40, 8)) * (writes[..., None] + 1))
+        ones[..., 0, 0] = -0.0
+        plain = _duty_from_counts(ones, writes)
+        masked = _duty_from_counts(
+            np.concatenate([ones, np.ones(batch + (1, 8))], axis=-2),
+            np.concatenate([writes, np.zeros(batch + (1,))], axis=-1))
+        assert np.signbit(plain[..., 0, 0]).all()
+        assert plain.tobytes() == np.ascontiguousarray(masked[..., :40, :]).tobytes()
+        assert not masked[..., 40, :].any()
+
     @pytest.mark.parametrize("round_off", [0.0, 1e-12])
     def test_negative_zero_is_kept(self, round_off):
         # Whether or not some other value needs the clip, -0.0 stays -0.0

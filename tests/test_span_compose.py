@@ -27,8 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.simulation as simulation
 import repro.core.span_compose as span_compose
-from repro.bench.aging_bench import BenchCase, _policy_for
+from repro.bench.aging_bench import (BenchCase, _policy_for,
+                                     synthetic_weight_stream)
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
 from repro.accelerator.scheduler import PackedBitTensor, WeightStreamScheduler
@@ -465,8 +467,47 @@ class TestBatchedMatchesLoop:
             for inverse, weight in zip(inverses, weights):
                 expected += weight * base[inverse]
             got = np.zeros((rows, 8))
-            span_compose._weighted_perm_gather(got, base, inverses, weights)
+            span_compose._weighted_gather(got, base, inverses, weights, rows)
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("gather_rows", [8192, 5])
+    @pytest.mark.parametrize("support", ["direct", "window", "full", "wrapped",
+                                         "scattered"])
+    def test_offset_weights_match_float_loop(self, monkeypatch, support,
+                                             gather_rows):
+        """Blocked integer shifted adds and sliding windows equal the float64
+        sum of per-region rolls: unsigned, signed and float bases, a 1-D
+        (writes) base, and blocks that split a region (``gather_rows`` 5)."""
+        monkeypatch.setattr(span_compose, "_GATHER_ROWS", gather_rows)
+        generator = np.random.default_rng(4)
+        regions, region_rows = 3, 37
+        weights = np.zeros(region_rows)
+        if support == "direct":
+            weights[[0, 5, 36]] = [3.0, 1.0, 3.0]
+        elif support == "window":  # a uniform run plus a residual
+            weights[4:34] = 2.0
+            weights[[7, 20]] = [5.0, -1.0]
+        elif support == "full":
+            weights[:] = 2.0
+            weights[3] = 5.0
+        elif support == "wrapped":
+            weights[list(range(30, 37)) + list(range(0, 25))] = 1.0
+        else:  # two runs: one shifted add per offset
+            weights[np.r_[0:14, 16:30]] = generator.integers(1, 4, 28)
+        rows = regions * region_rows
+        bases = [generator.integers(0, 22, (rows, 8)).astype(np.uint8),
+                 generator.integers(-4, 5, (rows, 8)).astype(np.int8),
+                 generator.integers(0, 300, (rows, 2)).astype(np.float64),
+                 generator.integers(0, 9, rows).astype(np.float64)]
+        for base in bases:
+            rolled = base.reshape((regions, region_rows) + base.shape[1:])
+            rolled = rolled.astype(np.float64)
+            expected = np.zeros_like(rolled)
+            for offset in np.flatnonzero(weights):
+                expected += weights[offset] * np.roll(rolled, offset, axis=1)
+            got = np.zeros(base.shape)
+            span_compose._apply_offset_weights(got, base, weights, region_rows)
+            assert np.array_equal(got, expected.reshape(base.shape))
 
 
 #: TRBG configurations of the fused dnn_life battery: an unbiased TRBG, and a
@@ -544,21 +585,100 @@ class TestFusedTrbgMatchesWalk:
             leveler_name, options, case.fifo_depth_tiles, 30, start=7,
             stop=26, prior_rows=prior_rows, seed=4)
 
-    @pytest.mark.parametrize("fold_mappings", [3, None])
+    @pytest.mark.parametrize("fold_mappings,fold_bytes",
+                             [(None, None), (3, None), (None, 1)])
     @pytest.mark.parametrize("leveler_name,options", [
         ("start_gap", {"interval": 1}),
         ("wear_swap", {"interval": 1, "swap_fraction": 0.25}),
     ], ids=lambda v: str(v))
     def test_one_mapping_per_span(self, monkeypatch, leveler_name, options,
-                                  fold_mappings):
+                                  fold_mappings, fold_bytes):
         """Eleven mappings: one fused pass, or several when the pending
-        mappings exceed the fold limit."""
+        mappings exceed the fold's mapping or byte limit."""
         if fold_mappings is not None:
             monkeypatch.setattr(span_compose, "_FOLD_MAPPINGS", fold_mappings)
+        if fold_bytes is not None:
+            monkeypatch.setattr(span_compose, "_FOLD_BYTES", fold_bytes)
         case = _golden_8kb_case()
         _assert_fused_matches_walk(
             case.build_stream(seed=0), lambda: DnnLifePolicy(8, seed=6),
             leveler_name, options, case.fifo_depth_tiles, 11, seed=6)
+
+    @pytest.mark.parametrize("fill", ["random", "full"])
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("limit", [2 ** 8 - 1, 2 ** 16 - 1])
+    @pytest.mark.parametrize("leveler_name", ["start_gap", "wear_swap"])
+    def test_fold_across_a_dtype_bound(self, monkeypatch, leveler_name, limit,
+                                       above, fill):
+        """The fold sums every pending mapping in the narrowest dtype of
+        their total: a horizon whose full counts sit at ``limit`` keeps the
+        narrow dtype, one inference more widens it.  With ``full`` every
+        cell stores a '1' on every write (zero bits, always inverted), so
+        the counts reach the bound itself and a too-narrow sum would wrap."""
+        case = _golden_8kb_case()
+        if fill == "full":
+            geometry = MemoryGeometry(capacity_bytes=case.memory_kb * KB,
+                                      word_bits=case.word_bits)
+            stream = synthetic_weight_stream(
+                geometry, case.num_blocks,
+                fifo_depth_tiles=case.fifo_depth_tiles, probability_of_one=0.0)
+            trbg = {"trbg_bias": 1.0, "bias_balancing": False}
+        else:
+            stream = case.build_stream(seed=0)
+            trbg = TRBG_CONFIGS["biased_balanced"]
+        writes = int(stream.rows_writes().max())
+        assert limit % writes == 0  # the full counts hit the bound exactly
+        horizon = limit // writes + above
+        period = -(-horizon // 10)  # ten spans: one fold
+        options = ({"interval": period} if leveler_name == "start_gap"
+                   else {"interval": period, "swap_fraction": 0.25})
+        dtypes = []
+        original = span_compose._mapped_sum
+
+        def recording(out, terms, dtype, *args, **kwargs):
+            dtypes.append(np.dtype(dtype))
+            return original(out, terms, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(span_compose, "_mapped_sum", recording)
+        ones = _assert_fused_matches_walk(
+            stream, lambda: DnnLifePolicy(case.word_bits, seed=8, **trbg),
+            leveler_name, options, case.fifo_depth_tiles, horizon, seed=8)
+        if fill == "full":
+            assert (ones == horizon * writes).all()
+        # A padded stream writes every row alike: the only sum is the ones'.
+        assert dtypes == [np.min_scalar_type(limit + 1 if above else limit)]
+
+    @pytest.mark.parametrize("leveler_name,options", [
+        ("start_gap", {"interval": 2}),
+        ("wear_swap", {"interval": 2, "swap_fraction": 0.5}),
+    ], ids=lambda v: str(v))
+    def test_ten_mappings_reduce_in_one_pass(self, monkeypatch, leveler_name,
+                                             options):
+        """The warm sweep's shape (256 KB x 4 tiles, 21 blocks per region,
+        eight words per enable, 20 inferences in ten mappings): every
+        mapping's whole logical counts fit the fold's byte budget, so the
+        composition reduces them in a single pass."""
+        geometry = MemoryGeometry(capacity_bytes=256 * KB, word_bits=8)
+        words = geometry.rows // 4
+        bits = np.random.default_rng(1).integers(0, 2, (84, words, 8),
+                                                 dtype=np.uint8)
+        stream = PackedBitTensor(bits, np.arange(84) % 4, np.full(84, words),
+                                 geometry, fifo_depth_tiles=4)
+        assert geometry.rows == 262_144
+        passes = []
+        original = TrbgReduction.numerator_chunks
+
+        def counting(reduction, enables, lengths):
+            passes.append(int(enables.shape[0]))
+            return original(reduction, enables, lengths)
+
+        monkeypatch.setattr(TrbgReduction, "numerator_chunks", counting)
+        kernel = AgingSimulator(stream, DnnLifePolicy(8, seed=3,
+                                                      words_per_enable=8),
+                                num_inferences=20, seed=3).counts_kernel()
+        leveler = make_leveler(leveler_name, geometry, 4, **options)
+        compose_leveled(kernel, leveler, 20)
+        assert passes == [10]
 
 
 class TestTrbgReduction:
@@ -595,6 +715,37 @@ class TestTrbgReduction:
         assert np.array_equal(writes, packed.rows_writes() * n)
         assert np.array_equal(reduction.row_totals(enables, n),
                               numerator.sum(axis=1))
+
+    @pytest.mark.parametrize("one_group_per_chunk", [False, True])
+    @pytest.mark.parametrize("region_map", ["round_robin", "scattered"])
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_batched_numerators(self, monkeypatch, tiny_network,
+                                tiny_fifo_scheduler, group, region_map,
+                                one_group_per_chunk):
+        """``K = 3`` enable sets of different lengths in one pass equal the
+        literal numerator of each set.  The unpadded stream has short
+        blocks (padding terms); the scattered region map takes the fancy
+        indexer of ``region_indexers`` and leaves one region unwritten."""
+        packed = _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler)
+        if region_map == "scattered":
+            regions = np.arange(packed.num_blocks)[::-1] % 3
+            packed = PackedBitTensor(packed.bits, regions, packed.valid_words,
+                                     packed.geometry, packed.fifo_depth_tiles)
+            assert not isinstance(list(packed.region_indexers())[0][1], slice)
+        assert (packed.valid_words < packed.words_per_block).any()
+        if one_group_per_chunk:
+            monkeypatch.setattr(simulation, "_TRBG_CHUNK_BYTES", 1)
+        reduction = TrbgReduction(packed, group)
+        lengths = np.array([1, 9, 300])
+        generator = np.random.default_rng(group)
+        enables = np.stack([generator.integers(
+            0, n + 1, (packed.num_blocks, reduction.num_groups))
+            for n in lengths]).astype(np.uint16)
+        numerators = reduction.numerators(enables, lengths)
+        assert numerators.shape == (3,) + packed.rows_ones().shape
+        for k, n in enumerate(lengths):
+            assert np.array_equal(numerators[k], self._literal_numerator(
+                packed, enables[k], group, int(n)))
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("fill", ["random", "full"])
