@@ -331,8 +331,10 @@ def _cmd_sweep(args: argparse.Namespace, cache: Optional[ResultCache]) -> Any:
     print(table.render())
     if report.stream_store is not None:
         store = report.stream_store
+        failed = (f", {store['failed_puts']} failed to persist"
+                  if store.get("failed_puts") else "")
         print(f"stream store at {store['root']}: {store['hits']} hit(s), "
-              f"{store['puts']} cold build(s) persisted "
+              f"{store['puts']} cold build(s) persisted{failed} "
               f"[backend {report.backend}]")
     for result in report.results:
         if result.failed:

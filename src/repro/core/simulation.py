@@ -63,7 +63,8 @@ from repro.core.policies import (
     NoMitigationPolicy,
     PeriodicInversionPolicy,
 )
-from repro.core.span_compose import BatchedCounts, compact_dtype, compose_leveled
+from repro.core.span_compose import (BatchedCounts, compact_basis, compact_dtype,
+                                    compose_leveled)
 from repro.leveling.remap import WearLeveler, check_leveler
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
@@ -95,9 +96,12 @@ class PackedSpanKernel:
     The bases are held read-only, in the narrowest exact integer dtype
     (``uint8`` on every shipped stream), except the no-mitigation basis,
     which is the stream's own float64 ``rows_ones()``; ``writes`` is the
-    stream's ``rows_writes()``.  A kernel depends only on its stream and
-    policy parameters, so :meth:`AgingSimulator._packed_kernel` builds it
-    once per stream and keeps it as long as the stream lives.
+    stream's ``rows_writes()``.  :meth:`counts_batch` hands out every basis
+    in integer form with its magnitude, compacted on its first call.  A
+    kernel depends only on its stream and policy parameters, so
+    :meth:`AgingSimulator._packed_kernel` builds it once per stream and
+    keeps it as long as the stream lives: the compaction runs once per
+    stream, not once per leveled run.
     """
 
     def __init__(self, bases: List[np.ndarray], writes: np.ndarray,
@@ -107,6 +111,7 @@ class PackedSpanKernel:
         self._bases = list(bases)
         self._writes = writes
         self._coefficients = coefficients
+        self._compact: Optional[Tuple[List[np.ndarray], List[int]]] = None
 
     def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-logical-cell ones and per-row writes over ``[start, start + n)``."""
@@ -125,8 +130,15 @@ class PackedSpanKernel:
         """Per-span counts decomposition over a whole span table."""
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        return BatchedCounts(self._bases, self._coefficients(starts, lengths),
-                             self._writes)
+        if self._compact is None:
+            compacted = [compact_basis(basis) for basis in self._bases]
+            for basis, _ in compacted:
+                basis.flags.writeable = False
+            self._compact = ([basis for basis, _ in compacted],
+                             [magnitude for _, magnitude in compacted])
+        bases, magnitudes = self._compact
+        return BatchedCounts(bases, self._coefficients(starts, lengths),
+                             self._writes, magnitudes)
 
 
 def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -67,7 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulation import PackedSpanKernel, TrbgSpanKernel
     from repro.leveling.remap import SpanTable, WearLeveler
 
-__all__ = ["BatchedCounts", "SpanComposer", "compact_dtype", "compose_leveled"]
+__all__ = ["BatchedCounts", "SpanComposer", "compact_basis", "compact_dtype",
+           "compose_leveled"]
 
 #: Offset supports up to this size are composed as direct shifted adds;
 #: larger supports go through the sliding-window decomposition.
@@ -99,13 +100,15 @@ class BatchedCounts:
     on the stream reads the same bases; they are read-only.
     """
 
-    #: ``C`` fixed read-only basis matrices, each ``(rows, word_bits)``: an
-    #: integer dtype, or float64 holding exact integers.
+    #: ``C`` fixed read-only basis matrices, each ``(rows, word_bits)``, in
+    #: their narrowest integer dtype (:func:`compact_basis`).
     bases: List[np.ndarray]
     #: ``(C, num_spans)`` float64 per-span basis coefficients.
     coeffs: np.ndarray
     #: ``(rows,)`` float64 per-inference write counts.
     writes: np.ndarray
+    #: The largest magnitude each basis holds, so no pass re-scans it.
+    magnitudes: List[int]
 
 
 def compact_dtype(low: int, high: int) -> np.dtype:
@@ -168,7 +171,7 @@ def _mapped_sum(out: np.ndarray, terms: Sequence[Tuple[np.ndarray, RowMapping]],
                 out[rows] += weight * block
 
 
-def _compact(base: np.ndarray) -> Tuple[np.ndarray, int]:
+def compact_basis(base: np.ndarray) -> Tuple[np.ndarray, int]:
     """``base`` in an integer dtype (a float64 one compacted to the
     narrowest that holds it) and the largest magnitude it holds."""
     low, high = int(base.min(initial=0)), int(base.max(initial=0))
@@ -179,19 +182,22 @@ def _compact(base: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def _weighted_gather(out: np.ndarray, base: np.ndarray,
                      mappings: Sequence[RowMapping], weights: np.ndarray,
-                     region_rows: int) -> None:
+                     region_rows: int, magnitude: Optional[int] = None) -> None:
     """``out[p] += sum_k weights[k] * base[mappings[k](p)]`` in exact integers.
 
     Every entry of ``base`` and every weight is an exact integer, so the
     base is read in the narrowest integer dtype that holds it
-    (:func:`_compact`), the mappings sharing a weight are summed in the
-    narrowest dtype that holds their total, and each such group is scaled
-    into ``out`` once per block of rows (:func:`_mapped_sum`): bitwise
-    equal to any float64 summation order, at a fraction of its memory
-    traffic.  ``mappings`` may be roll offsets (``range(region_rows)`` for
-    one weight per offset) or inverse permutations.
+    (:func:`compact_basis`; an integer ``base`` given with its
+    ``magnitude`` is read as is), the mappings sharing a weight are summed
+    in the narrowest dtype that holds their total, and each such group is
+    scaled into ``out`` once per block of rows (:func:`_mapped_sum`):
+    bitwise equal to any float64 summation order, at a fraction of its
+    memory traffic.  ``mappings`` may be roll offsets
+    (``range(region_rows)`` for one weight per offset) or inverse
+    permutations.
     """
-    base, magnitude = _compact(base)
+    if magnitude is None:
+        base, magnitude = compact_basis(base)
     signed = base.dtype.kind == "i"
     for weight in np.unique(weights[weights != 0.0]):
         members = np.flatnonzero(weights == weight)
@@ -258,7 +264,8 @@ def _circular_run(support: np.ndarray, region_rows: int
 
 
 def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
-                          weights: np.ndarray, region_rows: int) -> None:
+                          weights: np.ndarray, region_rows: int,
+                          magnitude: Optional[int] = None) -> None:
     """``out += sum_o weights[o] * region_roll_o(base)`` in O(1) passes.
 
     ``out``/``base`` are ``(rows, ...)`` with regions contiguous along the
@@ -267,12 +274,13 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
     splits into a uniform sliding window plus a small residual of shifted
     adds; anything else is one shifted add per occupied offset.  Every sum
     runs a block of rows at a time in exact integers — the path choice
-    only affects speed.
+    only affects speed.  ``magnitude`` is as in :func:`_weighted_gather`.
     """
     support = np.flatnonzero(weights)
     if not support.size:
         return
-    base, magnitude = _compact(base)
+    if magnitude is None:
+        base, magnitude = compact_basis(base)
     if support.size > _DIRECT_ROLLS:
         run = _circular_run(support, region_rows)
         if run is not None:
@@ -284,7 +292,8 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
                 _window_axpy(out, base, uniform, run[0], run[1], region_rows,
                              magnitude)
                 weights = residual
-    _weighted_gather(out, base, range(region_rows), weights, region_rows)
+    _weighted_gather(out, base, range(region_rows), weights, region_rows,
+                     magnitude)
 
 
 class SpanComposer:
@@ -307,6 +316,7 @@ class SpanComposer:
         self.word_bits = int(word_bits)
         self.region_rows = int(region_rows)
         self._bases: Optional[List[np.ndarray]] = None
+        self._magnitudes: List[int] = []
         self._writes_base: Optional[np.ndarray] = None
         self._row_bases: Optional[List[np.ndarray]] = None
         #: The per-inference write count every row shares, if they all do.
@@ -337,7 +347,7 @@ class SpanComposer:
 
     def _bind(self, batched: BatchedCounts) -> None:
         if self._bases is None:
-            self._bases = batched.bases
+            self._bases, self._magnitudes = batched.bases, batched.magnitudes
             self._writes_base = writes = batched.writes
             self._uniform_writes = (float(writes[0]) if writes.size and bool(
                 (writes == writes[0]).all()) else None)
@@ -535,7 +545,8 @@ class SpanComposer:
                     minlength=region_rows)
             for channel in range(num_channels):
                 _apply_offset_weights(ones, self._bases[channel],
-                                      gamma[channel], region_rows)
+                                      gamma[channel], region_rows,
+                                      self._magnitudes[channel])
             _apply_offset_weights(writes, self._writes_base, gamma_writes,
                                   region_rows)
         if self._perm_inverses:
@@ -543,7 +554,7 @@ class SpanComposer:
             for channel in range(num_channels):
                 _weighted_gather(ones, self._bases[channel],
                                  self._perm_inverses, coeffs[channel],
-                                 self.region_rows)
+                                 self.region_rows, self._magnitudes[channel])
             if not self._track:
                 self._add_writes(writes, self._perm_inverses,
                                  self._perm_lengths)

@@ -35,12 +35,21 @@ contract came in; every custom MNIST, LeNet-5 and GoogLeNet layer keeps its
 single-generator draw.  A trimmed layer at or below the threshold
 (GoogLeNet's 1.024 M-weight ``fc`` under a 1 M cap) is still drawn in full,
 then trimmed.
+
+Each layer is one independent draw, or one per chunk, with its own
+generator, so :func:`attach_synthetic_weights` runs all of them on one
+thread pool (generator fills release the GIL) and the values never depend
+on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,27 +107,205 @@ PREFIX_STABLE_MIN_WEIGHTS = 2**20
 CHUNK_WEIGHTS = 2**18
 
 
-def _trained_like(rng: np.random.Generator, shape: Tuple[int, ...], sigma: float,
-                  config: WeightGenerationConfig, layer_index: int) -> np.ndarray:
-    """One trained-like float32 tensor of ``shape`` from one generator."""
-    values = rng.normal(0.0, sigma, size=shape)
+#: Uniforms and outlier normals are drawn this many at a time: the same
+#: generator stream as one whole-size draw, without whole-size temporaries.
+_DRAW_BLOCK = 1 << 16
 
-    # Heavy tails: replace a small fraction with wider-Gaussian draws.
+
+class _Scratch(NamedTuple):
+    """One worker's buffers, allocated by the calling thread.
+
+    A draw allocates nothing sizeable itself, so the synthesis holds these
+    buffers and the weights, whatever the number of draws.
+    """
+
+    #: float64, the size of the largest draw.
+    values: np.ndarray
+    #: bool, the size of the largest draw.
+    mask: np.ndarray
+    #: float64, one draw block.
+    block: np.ndarray
+
+    @classmethod
+    def allocate(cls, size: int) -> "_Scratch":
+        return cls(np.empty(size, dtype=np.float64), np.empty(size, dtype=np.bool_),
+                   np.empty(min(size, _DRAW_BLOCK), dtype=np.float64))
+
+
+def _normal_into(rng: np.random.Generator, values: np.ndarray, sigma: float) -> None:
+    """``values[:] = rng.normal(0.0, sigma, values.size)``, in place.
+
+    NumPy draws ``normal(0, s)`` as ``0.0 + s * z``; the ``+ 0.0`` turns a
+    ``-0.0`` into ``0.0``.
+    """
+    rng.standard_normal(out=values)
+    values *= sigma
+    values += 0.0
+
+
+def _trained_like(rng: np.random.Generator, scratch: _Scratch, size: int,
+                  sigma: float, config: WeightGenerationConfig,
+                  layer_index: int) -> np.ndarray:
+    """One trained-like float64 draw of ``size`` weights from one generator.
+
+    Fills and returns ``scratch.values[:size]``.  Every step runs in place,
+    a block at a time, with the arithmetic of the whole-array formula:
+    outliers replace values where a uniform falls below the outlier
+    fraction, positive values are stretched by ``1 + skew`` and the mean
+    shift is added last.
+    """
+    values, mask = scratch.values[:size], scratch.mask[:size]
+    _normal_into(rng, values, sigma)
+    blocks = [slice(start, min(start + _DRAW_BLOCK, size))
+              for start in range(0, size, _DRAW_BLOCK)]
+
+    # Heavy tails: replace a small fraction with wider-Gaussian draws.  All
+    # uniforms come before all outlier normals, as in whole-size draws.
     if config.outlier_fraction > 0:
-        outlier_mask = rng.random(shape) < config.outlier_fraction
-        outliers = rng.normal(0.0, sigma * config.outlier_scale, size=shape)
-        values = np.where(outlier_mask, outliers, values)
+        for block in blocks:
+            drawn = scratch.block[:block.stop - block.start]
+            rng.random(out=drawn)
+            np.less(drawn, config.outlier_fraction, out=mask[block])
+        for block in blocks:
+            drawn = scratch.block[:block.stop - block.start]
+            _normal_into(rng, drawn, sigma * config.outlier_scale)
+            np.copyto(values[block], drawn, where=mask[block])
 
-    # Asymmetric tails: stretch the positive side by (1 + skew).
+    # Asymmetric tails: stretch the positive side by (1 + skew).  The factor
+    # is 1 + skew or exactly 1.0, and x * 1.0 is x, so this equals
+    # where(x > 0, x * (1 + skew), x) without a masked multiply.
     if config.skew:
-        values = np.where(values > 0, values * (1.0 + config.skew), values)
+        for block in blocks:
+            part, positive = values[block], mask[block]
+            factor = scratch.block[:part.size]
+            np.greater(part, 0, out=positive)
+            np.multiply(positive, config.skew, out=factor)
+            factor += 1.0
+            part *= factor
 
     # Small per-layer mean shift with alternating sign.
     if config.mean_shift_fraction:
         shift_sign = 1.0 if layer_index % 2 == 0 else -1.0
-        values = values + shift_sign * config.mean_shift_fraction * sigma
+        values += shift_sign * config.mean_shift_fraction * sigma
+    return values
 
-    return values.astype(np.float32)
+
+def _bias_into(layer: Layer, rng: np.random.Generator, config: WeightGenerationConfig,
+               bias: np.ndarray, scratch: np.ndarray) -> None:
+    """Draw ``layer``'s float32 bias into ``bias`` through float64 ``scratch``."""
+    drawn = scratch[:bias.size]
+    _normal_into(rng, drawn, config.gain * np.sqrt(1.0 / max(layer.fan_in, 1)))
+    np.copyto(bias, drawn.reshape(bias.shape))
+
+
+#: One independent draw: ``(size, fill)``.  ``fill(scratch)`` draws
+#: through a worker's scratch, whose buffers hold at least ``size`` weights.
+_Draw = Tuple[int, Callable[[_Scratch], None]]
+
+
+class _LayerDraws:
+    """One layer's independent draws and the arrays they fill.
+
+    A layer at or below :data:`PREFIX_STABLE_MIN_WEIGHTS` is one draw: its
+    weights, then its bias, from the layer generator.  A larger layer is one
+    draw per chunk of whole filters, each from its own child generator, and
+    its bias comes from a fresh layer generator.  Every draw casts its
+    leading filters into :attr:`weights`; the calling thread allocates it
+    and the bias.
+    """
+
+    def __init__(self, layer: Layer, layer_seed: int, config: WeightGenerationConfig,
+                 layer_index: int, filters: Optional[int]):
+        shape = layer.weight_shape
+        if shape is None:
+            raise ValueError(f"layer '{layer.name}' has no weights")
+        self.layer, self.layer_seed = layer, layer_seed
+        self.config, self.layer_index = config, layer_index
+        self.filters = shape[0] if filters is None else filters
+        self.filter_size = int(np.prod(shape[1:]))
+        self.sigma = config.gain * np.sqrt(2.0 / max(layer.fan_in, 1))
+        self.weights = np.empty((self.filters, *shape[1:]), dtype=np.float32)
+        self.single = layer.weight_count <= PREFIX_STABLE_MIN_WEIGHTS
+        if self.single:
+            self.bias = (None if layer.bias_shape is None
+                         else np.empty(layer.bias_shape, dtype=np.float32))
+        else:
+            self.bias = synthesize_layer_bias(layer, as_rng(layer_seed), config)
+
+    def draws(self) -> List[_Draw]:
+        """The layer's independent draws (not kept: they refer back to it)."""
+        if self.single:
+            return [(self.layer.weight_count, self._whole)]
+        # Each chunk has its own child generator and is drawn whole, so the
+        # first ``filters`` rows never depend on how many follow.
+        chunk = max(CHUNK_WEIGHTS // self.filter_size, 1)
+        return [(chunk * self.filter_size,
+                 functools.partial(self._chunk, index, start, chunk))
+                for index, start in enumerate(range(0, self.filters, chunk))]
+
+    def _fill(self, rng: np.random.Generator, start: int, rows: int,
+              scratch: _Scratch) -> None:
+        """Draw ``rows`` whole filters and cast the leading ones from ``start``."""
+        values = _trained_like(rng, scratch, rows * self.filter_size, self.sigma,
+                               self.config, self.layer_index)
+        target = self.weights[start:start + rows]
+        np.copyto(target, values[:target.size].reshape(target.shape))
+
+    def _whole(self, scratch: _Scratch) -> None:
+        rng = as_rng(self.layer_seed)
+        self._fill(rng, 0, self.layer.weight_shape[0], scratch)
+        if self.bias is not None:
+            _bias_into(self.layer, rng, self.config, self.bias, scratch.values)
+
+    def _chunk(self, index: int, start: int, rows: int, scratch: _Scratch) -> None:
+        child = np.random.default_rng(
+            np.random.SeedSequence(self.layer_seed, spawn_key=(index,)))
+        self._fill(child, start, rows, scratch)
+
+    def result(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The ``(weights, bias)`` pair, bias trimmed to the drawn filters."""
+        return self.weights, None if self.bias is None else self.bias[:self.filters]
+
+
+def _host_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_draws(draws: Sequence[_Draw]) -> None:
+    """Run independent draws, largest first, on one pool per call.
+
+    Generator fills and the in-place ufuncs release the GIL, so the draws
+    scale with the host's cores.  Each worker owns one :class:`_Scratch`
+    sized to the largest draw, allocated here, so memory stays bounded
+    whatever the draw count.  Every draw has its own generator, so the
+    values never depend on the worker count.  The pool is joined before
+    returning: the sweep's process pool forks its workers.
+    """
+    if not draws:
+        return
+    draws = sorted(draws, key=lambda draw: -draw[0])
+    workers = min(_host_cpus(), len(draws))
+    free: "queue.SimpleQueue[_Scratch]" = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_Scratch.allocate(draws[0][0]))
+
+    def run(fill: Callable[[_Scratch], None]) -> None:
+        scratch = free.get()
+        try:
+            fill(scratch)
+        finally:
+            free.put(scratch)
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for future in [pool.submit(run, fill) for _, fill in draws]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def synthesize_layer_weights(layer: Layer, layer_seed: int,
@@ -145,29 +332,9 @@ def synthesize_layer_weights(layer: Layer, layer_seed: int,
     Returns the ``(weights, bias)`` pair; ``bias`` is ``None`` for bias-free
     layers.
     """
-    shape = layer.weight_shape
-    if shape is None:
-        raise ValueError(f"layer '{layer.name}' has no weights")
-    filters = shape[0] if filters is None else filters
-    sigma = config.gain * np.sqrt(2.0 / max(layer.fan_in, 1))
-    rng = as_rng(layer_seed)
-    if layer.weight_count <= PREFIX_STABLE_MIN_WEIGHTS:
-        weights = _trained_like(rng, shape, sigma, config, layer_index)
-        if filters < shape[0]:
-            weights = weights[:filters].copy()
-    else:
-        # Each chunk has its own child generator and is drawn whole, so the
-        # first ``filters`` rows never depend on how many follow.
-        filter_shape = shape[1:]
-        chunk = max(CHUNK_WEIGHTS // int(np.prod(filter_shape)), 1)
-        weights = np.empty((filters, *filter_shape), dtype=np.float32)
-        for index, start in enumerate(range(0, filters, chunk)):
-            child = np.random.default_rng(
-                np.random.SeedSequence(layer_seed, spawn_key=(index,)))
-            drawn = _trained_like(child, (chunk, *filter_shape), sigma, config, layer_index)
-            weights[start:start + chunk] = drawn[:filters - start]
-    bias = synthesize_layer_bias(layer, rng, config)
-    return weights, None if bias is None else bias[:filters]
+    layer_draws = _LayerDraws(layer, layer_seed, config, layer_index, filters)
+    _run_draws(layer_draws.draws())
+    return layer_draws.result()
 
 
 def synthesize_layer_bias(layer: Layer, rng: np.random.Generator,
@@ -176,9 +343,9 @@ def synthesize_layer_bias(layer: Layer, rng: np.random.Generator,
     shape = layer.bias_shape
     if shape is None:
         return None
-    fan_in = max(layer.fan_in, 1)
-    sigma = config.gain * np.sqrt(1.0 / fan_in)
-    return rng.normal(0.0, sigma, size=shape).astype(np.float32)
+    bias = np.empty(shape, dtype=np.float32)
+    _bias_into(layer, rng, config, bias, np.empty(bias.size))
+    return bias
 
 
 def attach_synthetic_weights(network: Network, seed: Optional[int] = 0,
@@ -190,15 +357,18 @@ def attach_synthetic_weights(network: Network, seed: Optional[int] = 0,
     rebuilds the network object.  A network trimmed by ``reduce_network``
     draws under the name and layer sizes of the network it was trimmed from,
     so each trimmed layer holds exactly the leading filters of its full draw.
+    Every layer's draws run together on one pool (see :func:`_run_draws`).
     Returns the same network for chaining.
     """
     full = network.trimmed_from or network
-    pairs = zip(network.weight_layers(), full.weight_layers())
-    for index, (layer, full_layer) in enumerate(pairs):
-        layer_seed = deterministic_hash_seed(seed, full.name, layer.name)
-        layer.weights, layer.bias = synthesize_layer_weights(
-            full_layer, layer_seed, config, layer_index=index,
-            filters=layer.weight_shape[0])
+    layers = list(network.weight_layers())
+    planned = [
+        _LayerDraws(full_layer, deterministic_hash_seed(seed, full.name, layer.name),
+                    config, index, layer.weight_shape[0])
+        for index, (layer, full_layer) in enumerate(zip(layers, full.weight_layers()))]
+    _run_draws([draw for layer_draws in planned for draw in layer_draws.draws()])
+    for layer, layer_draws in zip(layers, planned):
+        layer.weights, layer.bias = layer_draws.result()
     network.validate_weights()
     return network
 

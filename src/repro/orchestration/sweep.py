@@ -357,9 +357,11 @@ def _merge_store_stats(total: Optional[Dict[str, Any]],
         return total
     if total is None:
         return dict(delta)
+    from repro.streamstore import STORE_COUNTERS
+
     merged = dict(total)
     merged["root"] = delta["root"]
-    for counter in ("hits", "misses", "puts", "corrupt"):
+    for counter in STORE_COUNTERS:
         merged[counter] = int(merged.get(counter, 0)) + int(delta.get(counter, 0))
     return merged
 

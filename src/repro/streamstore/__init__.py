@@ -1,7 +1,7 @@
 """Content-addressed memory-mapped store for packed weight streams."""
 
-from repro.streamstore.store import (ORPHAN_AGE_GUARD_SECONDS, STORE_SCHEMA,
-                                     STREAM_STORE_ENV, StoredWeightStream,
+from repro.streamstore.store import (ORPHAN_AGE_GUARD_SECONDS, STORE_COUNTERS,
+                                     STORE_SCHEMA, STREAM_STORE_ENV, StoredWeightStream,
                                      StreamStore, active_stream_store,
                                      default_stream_store_dir,
                                      packed_content_sha256,
@@ -11,6 +11,7 @@ from repro.streamstore.store import (ORPHAN_AGE_GUARD_SECONDS, STORE_SCHEMA,
 
 __all__ = [
     "ORPHAN_AGE_GUARD_SECONDS",
+    "STORE_COUNTERS",
     "STORE_SCHEMA",
     "STREAM_STORE_ENV",
     "StoredWeightStream",

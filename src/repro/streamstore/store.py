@@ -43,6 +43,7 @@ import json
 import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -55,6 +56,7 @@ from repro.utils.serialization import canonical_json
 
 __all__ = [
     "ORPHAN_AGE_GUARD_SECONDS",
+    "STORE_COUNTERS",
     "STORE_SCHEMA",
     "STREAM_STORE_ENV",
     "StoredWeightStream",
@@ -77,6 +79,9 @@ STREAM_STORE_ENV = "DNN_LIFE_STREAM_STORE"
 #: Schema tag written into every manifest; bumped on layout changes so old
 #: entries read as misses instead of mis-parsing.
 STORE_SCHEMA = "dnn-life-streamstore/v1"
+
+#: The per-process counters of :func:`stream_store_stats` snapshots.
+STORE_COUNTERS = ("hits", "misses", "puts", "failed_puts", "corrupt")
 
 #: Values of :data:`STREAM_STORE_ENV` that disable the store.
 _DISABLED_VALUES = frozenset({"0", "off", "none", "disabled", "false"})
@@ -188,6 +193,17 @@ def _payload_layout(packed: PackedBitTensor
     return plan, offset
 
 
+def _payload_sha256(plan: List[Tuple[str, int, int, np.ndarray]]) -> str:
+    """SHA-256 of the payload bytes :func:`_payload_layout` plans."""
+    digest = hashlib.sha256()
+    for _name, pad, _offset, array in plan:
+        if pad:
+            digest.update(b"\x00" * pad)
+        for chunk in _array_chunks(array):
+            digest.update(memoryview(chunk))
+    return digest.hexdigest()
+
+
 def packed_content_sha256(packed: PackedBitTensor) -> str:
     """SHA-256 of a packed tensor's payload bytes (exactly as stored on disk).
 
@@ -196,14 +212,7 @@ def packed_content_sha256(packed: PackedBitTensor) -> str:
     == packed_content_sha256(loaded)`` is the bit-identity invariant the
     golden tests pin.
     """
-    digest = hashlib.sha256()
-    plan, _total = _payload_layout(packed)
-    for _name, pad, _offset, array in plan:
-        if pad:
-            digest.update(b"\x00" * pad)
-        for chunk in _array_chunks(array):
-            digest.update(memoryview(chunk))
-    return digest.hexdigest()
+    return _payload_sha256(_payload_layout(packed)[0])
 
 
 class StoredWeightStream(PackedBitTensor):
@@ -223,8 +232,8 @@ class StreamStore:
     """Content-addressed store of :class:`PackedBitTensor` payloads.
 
     Writes are atomic and idempotent; loads are read-only memmaps.  The
-    per-process ``hits``/``misses``/``puts``/``corrupt`` counters back the
-    sweep report's stream-store accounting.
+    per-process ``hits``/``misses``/``puts``/``failed_puts``/``corrupt``
+    counters back the sweep report's stream-store accounting.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -232,6 +241,7 @@ class StreamStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        self.failed_puts = 0
         self.corrupt = 0
         self.orphan_files_reclaimed = 0
         self.orphan_bytes_reclaimed = 0
@@ -276,20 +286,20 @@ class StreamStore:
         self._write_store_manifest()
 
         plan, total_bytes = _payload_layout(packed)
-        digest = hashlib.sha256()
         handle = tempfile.NamedTemporaryFile(
             "wb", dir=manifest_path.parent, suffix=".bin.tmp", delete=False)
         try:
-            with handle:
+            # hashlib and file writes both release the GIL on large buffers,
+            # so a helper thread hashes the payload while this one writes it;
+            # leaving the block joins the helper.
+            with handle, ThreadPoolExecutor(max_workers=1) as hasher:
+                digest = hasher.submit(_payload_sha256, plan)
                 for _name, pad, _offset, array in plan:
                     if pad:
-                        padding = b"\x00" * pad
-                        handle.write(padding)
-                        digest.update(padding)
+                        handle.write(b"\x00" * pad)
                     for chunk in _array_chunks(array):
-                        view = memoryview(chunk)
-                        handle.write(view)
-                        digest.update(view)
+                        handle.write(memoryview(chunk))
+                payload_sha256 = digest.result()
             os.replace(handle.name, self.payload_path(key))
         except BaseException:
             try:
@@ -302,7 +312,7 @@ class StreamStore:
             "schema": STORE_SCHEMA,
             "key": key,
             "nbytes": total_bytes,
-            "payload_sha256": digest.hexdigest(),
+            "payload_sha256": payload_sha256,
             "segments": {
                 name: {"offset": offset, "shape": list(array.shape),
                        "dtype": str(array.dtype)}
@@ -325,11 +335,16 @@ class StreamStore:
 
     def offer(self, key: str, packed: PackedBitTensor,
               describe: Optional[Dict[str, Any]] = None) -> bool:
-        """Best-effort :meth:`put` — I/O failures degrade to "not stored"."""
+        """Best-effort :meth:`put` — I/O failures degrade to "not stored".
+
+        A failed put (a full disk, say) leaves no temp file behind and is
+        counted in :attr:`failed_puts`.
+        """
         try:
             self.put(key, packed, describe=describe)
             return True
         except OSError:
+            self.failed_puts += 1
             return False
 
     # -- loading ------------------------------------------------------------- #
@@ -495,6 +510,7 @@ class StreamStore:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
+            "failed_puts": self.failed_puts,
             "corrupt": self.corrupt,
         }
 
@@ -612,7 +628,7 @@ def stream_store_stats(store: Optional[StreamStore] = None
         return None
     return {"root": str(store.root), "hits": store.hits,
             "misses": store.misses, "puts": store.puts,
-            "corrupt": store.corrupt}
+            "failed_puts": store.failed_puts, "corrupt": store.corrupt}
 
 
 def stream_store_stats_delta(before: Optional[Dict[str, Any]],
@@ -631,5 +647,5 @@ def stream_store_stats_delta(before: Optional[Dict[str, Any]],
     return {
         "root": after["root"],
         **{counter: int(after[counter]) - int(baseline.get(counter, 0))
-           for counter in ("hits", "misses", "puts", "corrupt")},
+           for counter in STORE_COUNTERS},
     }

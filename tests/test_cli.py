@@ -301,6 +301,19 @@ class TestStreamStoreCli:
         assert "0 cold build(s) persisted" in out
         assert "2 hit(s)" in out
 
+    def test_sweep_reports_failed_puts(self, tmp_path, capsys, monkeypatch):
+        from repro.streamstore import StreamStore
+
+        def disk_full(self, key, packed, describe=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
+        monkeypatch.setattr(StreamStore, "put", disk_full)
+        argv = ["--stream-store", str(tmp_path / "streams"), "--no-cache"]
+        assert main(argv + self.SWEEP) == 0
+        out = capsys.readouterr().out
+        assert "0 cold build(s) persisted, 2 failed to persist" in out
+
     def test_cache_streams_lists_entries(self, tmp_path, capsys):
         argv = ["--stream-store", str(tmp_path / "streams"),
                 "--cache-dir", str(tmp_path / "cache")]

@@ -487,6 +487,32 @@ class TestStreamKernelCache:
             bases, [np.roll(one, -j, axis=1) for j in rotations])
         assert len(bases) == (8 if drifting else 1)
 
+    def test_none_basis_is_compacted_once_per_stream(self, tiny_fifo_scheduler,
+                                                     monkeypatch):
+        from repro.core import simulation, span_compose
+
+        stream = PackedBitTensor.from_stream(tiny_fifo_scheduler)
+        scans = []
+        for module in (simulation, span_compose):
+            real = module.compact_basis
+            monkeypatch.setattr(module, "compact_basis",
+                                lambda base, real=real: scans.append(base.ndim)
+                                or real(base))
+        for leveler in ("rotation", "start_gap", "wear_swap", "rotation"):
+            AgingSimulator(stream, NoMitigationPolicy(), num_inferences=5,
+                           leveler=make_leveler(leveler, stream.geometry,
+                                                stream.fifo_depth_tiles)).run()
+        # The (rows, word_bits) basis is scanned once; the other scans are
+        # of the (rows,) writes.
+        assert scans.count(2) == 1
+        batched = AgingSimulator(stream, NoMitigationPolicy()).counts_kernel() \
+            .counts_batch(np.zeros(1), np.ones(1))
+        ones = stream.rows_ones()
+        assert batched.bases[0].dtype == np.uint8
+        assert not batched.bases[0].flags.writeable
+        assert batched.bases[0].astype(np.float64).tobytes() == ones.tobytes()
+        assert batched.magnitudes == [int(ones.max())]
+
     @staticmethod
     def _assert_compact_equal(bases, reference):
         assert len(bases) == len(reference)

@@ -1,6 +1,8 @@
 """Tests for repro.nn.models, repro.nn.weights and repro.nn.functional."""
 
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.nn.models import (
     build_model,
     custom_mnist_cnn,
 )
+from repro.nn import weights as weights_module
 from repro.nn.network import Network
 from repro.nn.weights import (
     PREFIX_STABLE_MIN_WEIGHTS,
@@ -24,9 +27,11 @@ from repro.nn.weights import (
     attach_synthetic_weights,
     load_weights_npz,
     save_weights_npz,
+    synthesize_layer_bias,
     synthesize_layer_weights,
     weight_statistics,
 )
+from repro.utils.rng import as_rng
 
 
 class TestModelZoo:
@@ -227,6 +232,148 @@ class TestPrefixStableWeights:
             tracemalloc.stop()
         assert reduced.has_weights_attached
         assert peak < full_fc6_bytes / 3
+
+
+def _whole_array_draw(rng, shape, sigma, config, layer_index):
+    """The whole-array trained-like formula the in-place draws must equal."""
+    values = rng.normal(0.0, sigma, size=shape)
+    if config.outlier_fraction > 0:
+        outlier_mask = rng.random(shape) < config.outlier_fraction
+        outliers = rng.normal(0.0, sigma * config.outlier_scale, size=shape)
+        values = np.where(outlier_mask, outliers, values)
+    if config.skew:
+        values = np.where(values > 0, values * (1.0 + config.skew), values)
+    if config.mean_shift_fraction:
+        shift_sign = 1.0 if layer_index % 2 == 0 else -1.0
+        values = values + shift_sign * config.mean_shift_fraction * sigma
+    return values.astype(np.float32)
+
+
+def _oracle_layer(layer, seed, config, layer_index):
+    """``(weights, bias)`` of ``layer`` through :func:`_whole_array_draw`."""
+    sigma = config.gain * np.sqrt(2.0 / layer.fan_in)
+    shape = layer.weight_shape
+    rng = as_rng(seed)
+    if layer.weight_count <= PREFIX_STABLE_MIN_WEIGHTS:
+        weights = _whole_array_draw(rng, shape, sigma, config, layer_index)
+    else:
+        chunk = weights_module.CHUNK_WEIGHTS // shape[1]
+        weights = np.concatenate([
+            _whole_array_draw(
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,))),
+                (chunk, shape[1]), sigma, config, layer_index)
+            for index in range(-(-shape[0] // chunk))])[:shape[0]]
+    return weights, synthesize_layer_bias(layer, rng, config)
+
+
+def _pin_cpus(monkeypatch, count):
+    """Make the draws see ``count`` CPUs, and record each pool's worker count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    pools = []
+
+    class RecordingPool(weights_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(weights_module, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+class TestThreadedDraws:
+    """Draws on every core give the bytes of a one-worker run."""
+
+    #: Single-generator (3 draw blocks, the last one short) and prefix-stable.
+    LAYERS = [Linear(name="fc", out_features=300, in_features=500), LARGE_LINEAR]
+
+    @pytest.mark.parametrize("name", ["alexnet", "googlenet", "custom_mnist", "lenet5"])
+    def test_network_draws_equal_one_worker(self, monkeypatch, name):
+        cap = ExperimentScale.quick().max_weights_per_layer
+        shas = []
+        for cpus in (4, 1):
+            pools = _pin_cpus(monkeypatch, cpus)
+            network = attach_synthetic_weights(reduce_network(build_model(name), cap), seed=9)
+            shas.append(_weights_sha(network))
+            assert pools[0] > 1 if cpus > 1 else pools == [1]
+        assert shas[0] == shas[1]
+
+    @pytest.mark.parametrize("filters", [None, 263])
+    def test_large_layer_draws_equal_one_worker(self, monkeypatch, filters):
+        draws = []
+        for cpus in (3, 1):
+            pools = _pin_cpus(monkeypatch, cpus)
+            draws.append(synthesize_layer_weights(LARGE_LINEAR, 5, filters=filters))
+            assert pools == [min(cpus, 2 if filters == 263 else 5)]
+        for threaded, single in zip(*draws):
+            assert threaded.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("layer_index", [0, 1])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.02])
+    @pytest.mark.parametrize("skew", [0.0, 0.15])
+    @pytest.mark.parametrize("mean_shift_fraction", [0.0, 0.1])
+    def test_in_place_draws_equal_whole_array_formula(self, outlier_fraction, skew,
+                                                      mean_shift_fraction, layer_index):
+        # With no mean shift the ``+ 0.0`` of NumPy's normal() is what keeps
+        # -0.0 out; the bytes compare it too.
+        config = WeightGenerationConfig(outlier_fraction=outlier_fraction, skew=skew,
+                                        mean_shift_fraction=mean_shift_fraction)
+        for layer in self.LAYERS:
+            got = synthesize_layer_weights(layer, 17, config, layer_index=layer_index)
+            expected = _oracle_layer(layer, 17, config, layer_index)
+            for ours, theirs in zip(got, expected):
+                assert ours.dtype == np.float32
+                assert ours.tobytes() == theirs.tobytes(), layer.name
+
+    def test_negative_zero_normals_become_zero(self):
+        class NegativeZeros:
+            """A generator whose every standard normal is -0.0."""
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, -0.0)
+                out[...] = -0.0
+                return out
+
+        config = WeightGenerationConfig(outlier_fraction=0.0, skew=0.0,
+                                        mean_shift_fraction=0.0)
+        values = weights_module._trained_like(
+            NegativeZeros(), weights_module._Scratch.allocate(5), 5, 0.1, config, 0)
+        assert values.size == 5 and not np.signbit(values).any()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        _pin_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        attach_synthetic_weights(build_model("lenet5"), seed=1)
+        assert threading.active_count() == before
+
+    def test_a_failing_draw_reaches_the_caller(self, monkeypatch):
+        _pin_cpus(monkeypatch, 4)
+        original = weights_module._trained_like
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("draw failed")
+            return original(*args)
+
+        monkeypatch.setattr(weights_module, "_trained_like", failing)
+        before = threading.active_count()
+        outcome = []
+
+        def attach():
+            try:
+                attach_synthetic_weights(build_model("custom_mnist"), seed=1)
+            except RuntimeError as error:
+                outcome.append(error)
+
+        caller = threading.Thread(target=attach, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the pool hung on a failed draw"
+        assert [str(error) for error in outcome] == ["draw failed"]
+        assert threading.active_count() == before
 
 
 class TestFunctionalForward:

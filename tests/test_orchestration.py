@@ -418,6 +418,7 @@ class TestSweepBackends:
         assert report.num_failed == 0 and report.num_jobs == 4
         assert report.stream_store is not None
         assert report.stream_store["puts"] == 1  # exactly one cold build
+        assert report.stream_store["failed_puts"] == 0
         assert report.stream_store["hits"] >= 1  # second batch loads it
 
     @pytest.mark.slow

@@ -7,9 +7,12 @@ or truncated entries degrade to a rebuild instead of an error, and two
 processes racing on the same key settle on one valid entry.
 """
 
+import errno
 import json
 import multiprocessing
 import os
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -201,6 +204,76 @@ class TestRoundTrip:
     def test_missing_key_is_a_plain_miss(self, store):
         assert store.get("0" * 64) is None
         assert store.misses == 1 and store.corrupt == 0
+
+
+def _failing_payload_writes(monkeypatch, error, good_writes):
+    """Make the payload temp file raise ``error`` after ``good_writes`` writes."""
+    from repro.streamstore import store as store_module
+
+    real = tempfile.NamedTemporaryFile
+
+    def factory(*args, **kwargs):
+        handle = real(*args, **kwargs)
+        if kwargs.get("suffix") == ".bin.tmp":
+            write, calls = handle.write, []
+
+            def failing(data):
+                calls.append(len(data))
+                if len(calls) > good_writes:
+                    raise error
+                return write(data)
+
+            handle.write = failing
+        return handle
+
+    monkeypatch.setattr(store_module.tempfile, "NamedTemporaryFile", factory)
+
+
+class TestPayloadWrite:
+    """The payload is hashed on a helper thread beside its write."""
+
+    def test_multi_chunk_payload_hashes_as_written(self, store, monkeypatch):
+        from repro.streamstore import store as store_module
+
+        monkeypatch.setattr(store_module, "_CHUNK_BYTES", 1000)
+        packed = synthetic_stream(memory_kb=2, num_blocks=5).packed_bits()
+        assert packed.bits.nbytes > 50 * store_module._CHUNK_BYTES
+        key = stream_store_key("synthetic", {"case": "chunks"})
+        manifest = json.loads(store.put(key, packed).read_text())
+        built_sha = packed_content_sha256(packed)
+        assert manifest["payload_sha256"] == built_sha
+        assert packed_content_sha256(store.get(key)) == built_sha
+        monkeypatch.undo()
+        assert packed_content_sha256(packed) == built_sha
+
+    def test_exception_mid_write_leaves_no_temp_file(self, store, monkeypatch):
+        from repro.streamstore import store as store_module
+
+        monkeypatch.setattr(store_module, "_CHUNK_BYTES", 1000)
+        _failing_payload_writes(monkeypatch, RuntimeError("mid-write"), good_writes=5)
+        key = stream_store_key("synthetic", {"case": "mid-write"})
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="mid-write"):
+            store.put(key, synthetic_stream().packed_bits())
+        assert threading.active_count() == before
+        assert key not in store
+        assert not list(store.root.glob("??/*.tmp"))
+        assert not store.payload_path(key).exists()
+
+    def test_offer_counts_a_failed_put(self, store, monkeypatch):
+        _failing_payload_writes(
+            monkeypatch, OSError(errno.ENOSPC, "No space left on device"), good_writes=0)
+        key = stream_store_key("synthetic", {"case": "disk-full"})
+        before_stats = stream_store_stats(store)
+        before = threading.active_count()
+        assert store.offer(key, synthetic_stream().packed_bits()) is False
+        assert threading.active_count() == before
+        assert not list(store.root.glob("??/*.tmp"))
+        assert key not in store
+        assert (store.puts, store.failed_puts) == (0, 1)
+        assert store.stats()["failed_puts"] == 1
+        delta = stream_store_stats_delta(before_stats, stream_store_stats(store))
+        assert (delta["puts"], delta["failed_puts"]) == (0, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -532,7 +605,7 @@ class TestResolution:
         assert store.get(key) is not None  # hit
         delta = stream_store_stats_delta(before, stream_store_stats(store))
         assert delta == {"root": str(store.root), "hits": 1, "misses": 1,
-                         "puts": 1, "corrupt": 0}
+                         "puts": 1, "failed_puts": 0, "corrupt": 0}
 
     def test_stats_delta_resets_on_root_change(self, tmp_path):
         before = stream_store_stats(StreamStore(tmp_path / "a"))
