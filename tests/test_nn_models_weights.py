@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -297,6 +298,23 @@ class TestThreadedDraws:
             shas.append(_weights_sha(network))
             assert pools[0] > 1 if cpus > 1 else pools == [1]
         assert shas[0] == shas[1]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Workers share the scratch pool; two draws on one buffer would mix
+        # their values.
+        cap = ExperimentScale.quick().max_weights_per_layer
+        expected = _weights_sha(attach_synthetic_weights(
+            reduce_network(build_model("googlenet"), cap), seed=2))
+        pools = _pin_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            network = attach_synthetic_weights(
+                reduce_network(build_model("googlenet"), cap), seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [8]
+        assert _weights_sha(network) == expected
 
     @pytest.mark.parametrize("filters", [None, 263])
     def test_large_layer_draws_equal_one_worker(self, monkeypatch, filters):
