@@ -63,13 +63,13 @@ class WorkloadReport:
     def wear_section(self) -> str:
         """Spatial wear analysis of the best and worst policies."""
         best_label = self.comparison.best_policy()
-        worst_label = max(self.comparison.results,
-                          key=lambda label: float(
-                              self.comparison.results[label].snm_degradation().mean()))
+        results = self.comparison.results
+        worst_label = max(results, key=lambda label:
+                          results[label].summary()["mean_snm_degradation_percent"])
         depth = getattr(self.framework.accelerator.config, "weight_fifo_depth_tiles", 1)
         sections = []
         for title, label in (("most aged policy", worst_label), ("best policy", best_label)):
-            wear = wear_map_from_result(self.comparison.results[label], num_regions=depth)
+            wear = wear_map_from_result(results[label], num_regions=depth)
             summary = wear.summary()
             sections.append(f"--- {title}: {label} ---")
             sections.append(

@@ -25,9 +25,9 @@ from the cache; disable with ``--no-cache`` or redirect with ``--cache-dir``.
 Packed weight streams are additionally persisted in the content-addressed
 *stream store* (``<cache dir>/streams`` or ``$DNN_LIFE_STREAM_STORE``) and
 memory-mapped back on later runs — ``--stream-store PATH`` redirects it,
-``--no-stream-store`` disables it, ``dnn-life cache --streams`` inspects it,
-and ``dnn-life sweep --backend serial|process`` picks the executor the
-batches fan out on.
+``--no-stream-store`` disables it and ``dnn-life cache --streams`` inspects
+it.  ``dnn-life sweep --workers 1`` runs every job in the calling process;
+more workers fan the batches out on a process pool.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.orchestration import (
     REGISTRY,
-    SWEEP_BACKENDS,
     ExperimentSpec,
     ResultCache,
     SweepRunner,
@@ -148,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workers", type=int, default=None,
                               help="worker processes (default: CPU-based, "
                                    "$DNN_LIFE_MAX_WORKERS overrides; 1 = serial)")
-    sweep_parser.add_argument("--backend", type=str, default=None,
-                              choices=SWEEP_BACKENDS,
-                              help="executor backend: 'process' (default, "
-                                   "single-host pool) or 'serial' (inline)")
     sweep_parser.add_argument("--base-seed", type=int, default=0,
                               help="base seed for deterministic per-job seeding")
     sweep_parser.add_argument("--full", action="store_true",
@@ -298,8 +293,7 @@ def _cmd_experiment(args: argparse.Namespace, cache: Optional[ResultCache]) -> A
 
 def _cmd_sweep(args: argparse.Namespace, cache: Optional[ResultCache]) -> Any:
     grid = _parse_grid(args)
-    runner = SweepRunner(cache=cache, max_workers=args.workers,
-                         backend=args.backend)
+    runner = SweepRunner(cache=cache, max_workers=args.workers)
     report = runner.run(args.experiment, grid, base_seed=args.base_seed, full=args.full)
 
     failed = f", {report.num_failed} failed" if report.num_failed else ""

@@ -22,7 +22,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union, cast
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class PolicyComparison:
         """Label of the policy with the lowest mean SNM degradation."""
         if not self.results:
             raise ValueError("no results recorded")
-        return min(self.results,
-                   key=lambda label: float(self.results[label].snm_degradation().mean()))
+        return min(self.results, key=lambda label: cast(
+            float, self.results[label].summary()["mean_snm_degradation_percent"]))
 
     def summary(self) -> Dict[str, object]:
         """Machine-readable summary of the whole comparison."""

@@ -45,7 +45,6 @@ on the worker count.
 from __future__ import annotations
 
 import functools
-import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.network import Network
+from repro.utils.host import host_cpus
 from repro.utils.rng import as_rng, deterministic_hash_seed
 from repro.utils.validation import check_probability
 
@@ -267,14 +267,6 @@ class _LayerDraws:
         return self.weights, None if self.bias is None else self.bias[:self.filters]
 
 
-def _host_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _run_draws(draws: Sequence[_Draw]) -> None:
     """Run independent draws, largest first, on one pool per call.
 
@@ -288,7 +280,7 @@ def _run_draws(draws: Sequence[_Draw]) -> None:
     if not draws:
         return
     draws = sorted(draws, key=lambda draw: -draw[0])
-    workers = min(_host_cpus(), len(draws))
+    workers = min(host_cpus(), len(draws))
     free: "queue.SimpleQueue[_Scratch]" = queue.SimpleQueue()
     for _ in range(workers):
         free.put(_Scratch.allocate(draws[0][0]))

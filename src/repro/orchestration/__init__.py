@@ -10,8 +10,8 @@ orchestration layer:
   keyed by (experiment, parameters, code version), so repeated invocations
   and sweeps reuse prior results instead of re-simulating.
 * :mod:`repro.orchestration.sweep` — grid expansion with deterministic
-  per-job seeding and a pluggable executor backend (process pool or
-  serial) over stream-affinity batches.
+  per-job seeding; stream-affinity batches run inline for one worker or
+  one batch, on a process pool otherwise.
 * :mod:`repro.orchestration.runner` — the shared cached execution path.
 
 Example
@@ -35,16 +35,11 @@ from repro.orchestration.registry import (
 )
 from repro.orchestration.runner import ExperimentRun, render_experiment, run_experiment
 from repro.orchestration.sweep import (
-    SWEEP_BACKENDS,
-    BatchOutcome,
-    ProcessPoolSweepExecutor,
-    SerialSweepExecutor,
     SweepJob,
     SweepJobResult,
     SweepReport,
     SweepRunner,
     expand_grid,
-    make_executor,
     split_grid_values,
 )
 
@@ -62,15 +57,10 @@ __all__ = [
     "ExperimentRun",
     "run_experiment",
     "render_experiment",
-    "SWEEP_BACKENDS",
-    "BatchOutcome",
-    "ProcessPoolSweepExecutor",
-    "SerialSweepExecutor",
     "SweepJob",
     "SweepJobResult",
     "SweepReport",
     "SweepRunner",
     "expand_grid",
-    "make_executor",
     "split_grid_values",
 ]

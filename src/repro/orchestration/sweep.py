@@ -1,29 +1,23 @@
-"""Parameter-grid sweeps with a pluggable executor backend.
+"""Parameter-grid sweeps, run inline or on a single-host process pool.
 
 :class:`SweepRunner` expands a parameter grid (e.g. network × quantization
 format × mitigation policy × memory geometry) into jobs, gives every job a
 deterministic seed derived through :func:`repro.utils.rng.deterministic_hash_seed`,
-serves previously-computed jobs from the result cache and hands the rest —
-grouped into stream-affinity batches — to a *sweep executor*.
+serves previously-computed jobs from the result cache and groups the rest
+into stream-affinity batches.  How the batches run follows from what the
+runner sees, not from a setting:
 
-The executor protocol is one method::
+* **inline** in the calling process when ``max_workers <= 1`` or only one
+  batch is pending (no process start-up to pay);
+* otherwise on a :class:`concurrent.futures.ProcessPoolExecutor`, one future
+  per batch, handled as they complete — a dead worker fails only its own
+  batch.
 
-    submit_batches(experiment, batches) -> Iterator[BatchOutcome]
-
-where each batch is ``[(job_index, params), ...]`` and outcomes may arrive
-in any order.  Two backends implement it:
-
-* :class:`ProcessPoolSweepExecutor` (default) — the original
-  :class:`concurrent.futures.ProcessPoolExecutor` single-host fan-out;
-* :class:`SerialSweepExecutor` — everything inline in the calling process
-  (debugging, coverage, deterministic smoke tests).
-
-Any other object with a ``submit_batches`` method can be handed to
-:class:`SweepRunner` as its backend.
-
-Because every job runs through :func:`repro.orchestration.runner.run_experiment`,
-a sweep job's payload is byte-identical to the payload of a single
-``dnn-life run`` with the same parameters — on every backend.
+:attr:`SweepReport.backend` records which of the two ran (``"serial"`` or
+``"process"``).  Because every job runs through
+:func:`repro.orchestration.runner.run_experiment`, a sweep job's payload is
+byte-identical to the payload of a single ``dnn-life run`` with the same
+parameters, whichever way it ran.
 """
 
 from __future__ import annotations
@@ -33,24 +27,19 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.orchestration.cache import ResultCache, cache_key
 from repro.orchestration.registry import ExperimentRegistry, load_all_experiments
+from repro.utils.host import host_cpus
 from repro.utils.rng import deterministic_hash_seed
 from repro.utils.serialization import canonical_json
 
-__all__ = ["expand_grid", "split_grid_values", "make_executor", "BatchOutcome",
-           "ProcessPoolSweepExecutor",
-           "SerialSweepExecutor", "SweepJob", "SweepJobResult", "SweepReport",
-           "SweepRunner", "SWEEP_BACKENDS"]
+__all__ = ["expand_grid", "split_grid_values", "SweepJob", "SweepJobResult",
+           "SweepReport", "SweepRunner"]
 
 #: Environment variable overriding the default worker count.
 MAX_WORKERS_ENV = "DNN_LIFE_MAX_WORKERS"
-
-#: The selectable sweep executor backends.
-SWEEP_BACKENDS = ("process", "serial")
 
 #: Characters a ``--grid`` value list may open with to declare an alternate
 #: axis separator (sed-style), so values containing commas — multi-phase
@@ -151,6 +140,7 @@ class SweepReport:
     grid: Dict[str, List[Any]]
     results: List[SweepJobResult] = field(default_factory=list)
     seconds: float = 0.0
+    #: How the batches ran: ``"serial"`` (inline) or ``"process"`` (pool).
     backend: str = "process"
     #: Stream-store counter totals aggregated across the parent process and
     #: every worker batch (``None`` when the store is disabled everywhere).
@@ -208,24 +198,33 @@ def _default_max_workers(num_jobs: int) -> int:
     override = os.environ.get(MAX_WORKERS_ENV)
     if override:
         return max(int(override), 1)
-    cpus = os.cpu_count() or 1
-    return max(1, min(num_jobs, max(cpus, 2), 8))
+    return max(1, min(num_jobs, max(host_cpus(), 2), 8))
 
 
-def _execute_job_batch(experiment: str,
-                       batch: List[Tuple[int, Dict[str, Any]]]
-                       ) -> List[Tuple[int, Any, float, int, Optional[str]]]:
+#: One batch of jobs: ``[(job index, resolved params), ...]``.
+JobBatch = List[Tuple[int, Dict[str, Any]]]
+
+#: Per-job outcome tuple: ``(index, payload, seconds, pid, error)``.
+JobOutcome = Tuple[int, Any, float, int, Optional[str]]
+
+
+def _execute_job_batch(experiment: str, batch: JobBatch
+                       ) -> Tuple[List[JobOutcome], Optional[Dict[str, Any]]]:
     """Worker entry point: run a batch of jobs sharing stream affinity.
 
     Jobs in one batch agree on the experiment's affinity parameters, so
     running them back-to-back in one process lets process-local caches (the
     aging experiments' weight-stream cache) serve every job after the first.
     Failures are isolated per job: each outcome carries either a payload or
-    an error string.
+    an error string.  The second item is the batch's stream-store counter
+    delta: in a fresh worker process the "before" snapshot is all zeros, and
+    inline it isolates this batch's traffic from earlier batches.
     """
     from repro.orchestration.runner import run_experiment
+    from repro.streamstore import stream_store_stats, stream_store_stats_delta
 
-    outcomes: List[Tuple[int, Any, float, int, Optional[str]]] = []
+    before = stream_store_stats()
+    outcomes: List[JobOutcome] = []
     for index, params in batch:
         try:
             run = run_experiment(experiment, params, cache=None)
@@ -233,120 +232,27 @@ def _execute_job_batch(experiment: str,
         except Exception as error:  # job failure must not kill its batch
             outcomes.append((index, None, 0.0, os.getpid(),
                              f"{type(error).__name__}: {error}"))
-    return outcomes
+    return outcomes, stream_store_stats_delta(before, stream_store_stats())
 
 
-#: One batch as handed to an executor: ``[(job index, resolved params), ...]``.
-JobBatch = List[Tuple[int, Dict[str, Any]]]
+def _pool_batches(experiment: str, batches: List[JobBatch], max_workers: int
+                  ) -> Iterator[Tuple[List[JobOutcome], Optional[Dict[str, Any]]]]:
+    """Run batches on a process pool, yielding each as it completes.
 
-#: Per-job outcome tuple: ``(index, payload, seconds, pid, error)``.
-JobOutcome = Tuple[int, Any, float, int, Optional[str]]
-
-
-@dataclass
-class BatchOutcome:
-    """Result of one dispatched batch, as yielded by an executor.
-
-    ``outcomes`` carries per-job results when the batch ran (individual jobs
-    may still have failed — their ``error`` slot is set); ``error`` is set
-    instead when the whole batch was lost (dead worker, serialization
-    failure).  ``stream_store`` is the batch's stream-store counter delta,
-    measured inside the process that ran it.
+    A batch whose worker died (or whose result failed to pickle) yields one
+    failed outcome per job; the other batches are unaffected.
     """
-
-    batch: JobBatch
-    outcomes: Optional[List[JobOutcome]] = None
-    error: Optional[str] = None
-    stream_store: Optional[Dict[str, Any]] = None
-
-
-def _execute_job_batch_tracked(experiment: str, batch: JobBatch
-                               ) -> Tuple[List[JobOutcome],
-                                          Optional[Dict[str, Any]]]:
-    """Run a batch and sample the stream-store counter delta around it.
-
-    In a fresh worker process the "before" snapshot is all zeros, so the
-    delta equals the worker's absolute counters; inline (serial backend) it
-    isolates this batch's traffic from earlier batches in the same process.
-    """
-    from repro.streamstore import stream_store_stats, stream_store_stats_delta
-
-    before = stream_store_stats()
-    outcomes = _execute_job_batch(experiment, batch)
-    delta = stream_store_stats_delta(before, stream_store_stats())
-    return outcomes, delta
-
-
-class SerialSweepExecutor:
-    """Run every batch inline in the calling process.
-
-    The debugging/coverage backend: no fork, no pickling, deterministic
-    ordering — and the same per-job isolation semantics as the process
-    backend, because it reuses the identical batch entry point.
-    """
-
-    name = "serial"
-
-    def submit_batches(self, experiment: str, batches: Iterable[JobBatch]
-                       ) -> Iterator[BatchOutcome]:
-        """Yield each batch's outcome, in submission order."""
-        for batch in batches:
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(max_workers, len(batches))) as pool:
+        futures = {pool.submit(_execute_job_batch, experiment, batch): batch
+                   for batch in batches}
+        for future in concurrent.futures.as_completed(futures):
             try:
-                outcomes, stats = _execute_job_batch_tracked(experiment, batch)
-            except Exception as error:  # pragma: no cover - defensive
-                yield BatchOutcome(batch=batch,
-                                   error=f"{type(error).__name__}: {error}")
-                continue
-            yield BatchOutcome(batch=batch, outcomes=outcomes,
-                               stream_store=stats)
-
-
-class ProcessPoolSweepExecutor:
-    """Fan batches out across a single-host process pool (the default)."""
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-
-    def submit_batches(self, experiment: str, batches: Iterable[JobBatch]
-                       ) -> Iterator[BatchOutcome]:
-        """Yield batch outcomes as workers complete them (any order)."""
-        batches = list(batches)
-        if not batches:
-            return
-        max_workers = (self.max_workers if self.max_workers
-                       else _default_max_workers(len(batches)))
-        max_workers = min(max_workers, len(batches))
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_execute_job_batch_tracked, experiment, batch): batch
-                for batch in batches
-            }
-            for future in concurrent.futures.as_completed(futures):
-                batch = futures[future]
-                try:
-                    outcomes, stats = future.result()
-                except Exception as error:  # a dead worker fails its batch only
-                    yield BatchOutcome(batch=batch,
-                                       error=f"{type(error).__name__}: {error}")
-                    continue
-                yield BatchOutcome(batch=batch, outcomes=outcomes,
-                                   stream_store=stats)
-
-
-def make_executor(backend: str = "process", max_workers: Optional[int] = None):
-    """Instantiate a sweep executor by backend name.
-
-    Unknown names raise :class:`ValueError`.
-    """
-    if backend == "process":
-        return ProcessPoolSweepExecutor(max_workers=max_workers)
-    if backend == "serial":
-        return SerialSweepExecutor()
-    known = ", ".join(SWEEP_BACKENDS)
-    raise ValueError(f"unknown sweep backend '{backend}'; known backends: {known}")
+                yield future.result()
+            except Exception as error:  # a dead worker fails its batch only
+                message = f"{type(error).__name__}: {error}"
+                yield [(index, None, 0.0, os.getpid(), message)
+                       for index, _params in futures[future]], None
 
 
 def _merge_store_stats(total: Optional[Dict[str, Any]],
@@ -367,7 +273,7 @@ def _merge_store_stats(total: Optional[Dict[str, Any]],
 
 
 class SweepRunner:
-    """Expand a parameter grid and run it through a sweep executor.
+    """Expand a parameter grid and run it inline or on a process pool.
 
     Parameters
     ----------
@@ -375,24 +281,19 @@ class SweepRunner:
         Result cache shared by all jobs; ``None`` disables caching.
     max_workers:
         Parallelism of the fan-out (worker processes and the affinity-batch
-        splitting target). ``None`` picks a default from the
-        CPU count (overridable with ``DNN_LIFE_MAX_WORKERS``); ``1`` with
-        the default backend runs every job serially in the calling process.
+        splitting target). ``None`` picks a default from the usable CPU
+        count (overridable with ``DNN_LIFE_MAX_WORKERS``); ``1`` runs every
+        job in the calling process.
     registry:
         Experiment registry (defaults to the global one).
-    backend:
-        Executor backend: one of :data:`SWEEP_BACKENDS` (default
-        ``"process"``), or any object implementing ``submit_batches``.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  max_workers: Optional[int] = None,
-                 registry: Optional[ExperimentRegistry] = None,
-                 backend: Union[str, Any, None] = None):
+                 registry: Optional[ExperimentRegistry] = None):
         self.cache = cache
         self.max_workers = max_workers
         self.registry = registry
-        self.backend = backend
 
     # -- job construction --------------------------------------------------- #
     def build_jobs(self, experiment: str, grid: Mapping[str, Sequence[Any]],
@@ -444,57 +345,33 @@ class SweepRunner:
 
         max_workers = (self.max_workers if self.max_workers is not None
                        else _default_max_workers(len(pending)))
-        executor = self._resolve_executor(max_workers, len(pending))
+        batches: List[JobBatch] = [
+            [(job.index, job.params) for job in batch]
+            for batch in (self._affinity_batches(experiment, pending, max_workers)
+                          if pending else [])]
+        # One worker or one batch runs inline: no process start-up to pay.
+        inline = max_workers <= 1 or len(batches) <= 1
+        batch_outcomes = ((_execute_job_batch(experiment, batch) for batch in batches)
+                          if inline else _pool_batches(experiment, batches, max_workers))
+        jobs_by_index = {job.index: job for job in pending}
         store_totals: Optional[Dict[str, Any]] = None
-        if pending:
-            batches = self._affinity_batches(experiment, pending, max_workers)
-            payload_batches: List[JobBatch] = [
-                [(job.index, job.params) for job in batch] for batch in batches]
-            jobs_by_index = {job.index: job for job in pending}
-            for outcome in executor.submit_batches(experiment, payload_batches):
-                if outcome.error is not None:
-                    for index, _params in outcome.batch:
-                        results[index] = self._failure(jobs_by_index[index],
-                                                       outcome.error)
-                else:
-                    for index, payload, seconds, pid, error in (
-                            outcome.outcomes or []):
-                        job = jobs_by_index[index]
-                        if error is None:
-                            results[index] = self._record(job, payload,
-                                                          seconds, pid)
-                        else:
-                            results[index] = SweepJobResult(job, None, False,
-                                                            0.0, pid,
-                                                            error=error)
-                store_totals = _merge_store_stats(store_totals,
-                                                  outcome.stream_store)
+        for outcomes, store_delta in batch_outcomes:
+            for index, payload, seconds, pid, error in outcomes:
+                job = jobs_by_index[index]
+                results[index] = (self._record(job, payload, seconds, pid)
+                                  if error is None else
+                                  SweepJobResult(job, None, False, 0.0, pid,
+                                                 error=error))
+            store_totals = _merge_store_stats(store_totals, store_delta)
 
-        report = SweepReport(
+        return SweepReport(
             experiment=experiment,
             grid={name: list(values) for name, values in grid.items()},
             results=[results[index] for index in sorted(results)],
             seconds=time.perf_counter() - start,
-            backend=getattr(executor, "name", "custom"),
+            backend="serial" if inline else "process",
             stream_store=store_totals,
         )
-        return report
-
-    def _resolve_executor(self, max_workers: int, num_pending: int) -> Any:
-        """The executor instance for this run.
-
-        The default backend keeps the historical shortcut: one worker (or a
-        single pending batch-of-one) runs inline instead of paying process
-        startup.  Named backends are instantiated fresh per run; an executor
-        *instance* is used as-is.
-        """
-        backend = self.backend
-        if backend is not None and not isinstance(backend, str):
-            return backend
-        name = backend or "process"
-        if name == "process" and (max_workers <= 1 or num_pending == 1):
-            name = "serial"
-        return make_executor(name, max_workers=max_workers)
 
     def _affinity_batches(self, experiment: str, pending: List[SweepJob],
                           max_workers: int) -> List[List[SweepJob]]:
@@ -534,10 +411,3 @@ class SweepRunner:
             self.cache.put(job.cache_key, payload, experiment=job.experiment,
                            params=job.params, normalized=True)
         return SweepJobResult(job, payload, False, seconds, pid)
-
-    @staticmethod
-    def _failure(job: SweepJob, error: Union[Exception, str]) -> SweepJobResult:
-        """Result record for a job that raised (nothing cached)."""
-        message = (error if isinstance(error, str)
-                   else f"{type(error).__name__}: {error}")
-        return SweepJobResult(job, None, False, 0.0, os.getpid(), error=message)

@@ -3,9 +3,11 @@
 This package contains small, dependency-free helpers used across the rest of
 the library: deterministic random-number handling, argument validation,
 ASCII table / histogram rendering for experiment reports, unit conversions and
-light-weight serialization of experiment results.
+light-weight serialization of experiment results, plus the count of CPUs
+the process may run on.
 """
 
+from repro.utils.host import host_cpus
 from repro.utils.rng import RngMixin, as_rng, spawn_rngs
 from repro.utils.tables import AsciiTable, format_histogram, format_series
 from repro.utils.units import (
@@ -27,6 +29,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "host_cpus",
     "RngMixin",
     "as_rng",
     "spawn_rngs",

@@ -284,7 +284,7 @@ class TestStreamStoreCli:
     SWEEP = ["sweep", "aging", "--grid", "network=custom_mnist",
              "--grid", "weight_memory_kb=8", "--grid", "num_inferences=2",
              "--grid", "policy=none,inversion", "--grid", "seed=0",
-             "--workers", "1", "--backend", "serial"]
+             "--workers", "1"]
 
     def test_sweep_reports_cold_build_then_reload(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -373,17 +373,13 @@ class TestStreamStoreCli:
         assert main(argv + self.SWEEP) == 0
         assert "stream store at" not in capsys.readouterr().out
 
-    def test_removed_dask_backend_is_usage_error(self, capsys):
+    def test_removed_backend_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "aging", "--grid", "policy=none",
-                  "--backend", "dask"])
+                  "--backend", "serial"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert "invalid choice: 'dask'" in errors[0]
+        assert "unrecognized arguments" in errors[0]
         assert "Traceback" not in err
-
-    def test_unknown_backend_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "aging", "--backend", "threads"])

@@ -1,6 +1,7 @@
 """Tests for the orchestration subsystem: registry, cache and sweeps."""
 
 import json
+import os
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.orchestration import (
     run_experiment,
 )
 from repro.orchestration.registry import ExperimentRegistry
+from repro.utils.serialization import canonical_json
 
 
 # --------------------------------------------------------------------------- #
@@ -352,7 +354,7 @@ class TestSweepRunner:
 
 
 # --------------------------------------------------------------------------- #
-# Executor backends and stream-store accounting
+# Inline vs. process-pool sweeps and stream-store accounting
 # --------------------------------------------------------------------------- #
 class TestSweepBackends:
     #: One network, four policies: with two workers this makes two affinity
@@ -361,41 +363,29 @@ class TestSweepBackends:
             "num_inferences": [2], "seed": [0],
             "policy": ["none", "inversion", "barrel_shifter", "dnn_life"]}
 
-    @pytest.mark.parametrize("backend", ["threads", "dask"])
-    def test_make_executor_unknown_backend(self, backend):
-        from repro.orchestration import make_executor
-
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            make_executor(backend)
-
-    def test_named_backends_construct(self):
-        from repro.orchestration import (
-            ProcessPoolSweepExecutor,
-            SerialSweepExecutor,
-            make_executor,
-        )
-
-        assert isinstance(make_executor("serial"), SerialSweepExecutor)
-        assert isinstance(make_executor("process", max_workers=2),
-                          ProcessPoolSweepExecutor)
-
     def test_single_worker_shortcut_reports_serial(self, tmp_path):
         report = SweepRunner(max_workers=1).run("fig2", FIG2_GRID)
         assert report.backend == "serial"
         assert report.summary()["backend"] == "serial"
 
-    def test_explicit_serial_backend(self):
-        report = SweepRunner(max_workers=2, backend="serial").run(
-            "fig2", {"num_points": [4, 5]})
-        assert report.backend == "serial"
-        assert report.num_computed == 2
+    def test_default_workers_follow_usable_cpus(self, monkeypatch):
+        """A CPU-pinned sweep starts no more workers than it may run on."""
+        from repro.orchestration.sweep import MAX_WORKERS_ENV, _default_max_workers
 
-    def test_custom_executor_instance(self):
-        from repro.orchestration import SerialSweepExecutor
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
-        report = SweepRunner(backend=SerialSweepExecutor()).run(
-            "fig2", {"num_points": [4]})
-        assert report.backend == "serial" and report.num_computed == 1
+        def pin(count):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)), raising=False)
+
+        pin(3)
+        assert _default_max_workers(10) == 3
+        assert _default_max_workers(2) == 2  # never more than the jobs
+        pin(1)
+        assert _default_max_workers(10) == 2  # floor of two
+        pin(32)
+        assert _default_max_workers(10) == 8  # cap of eight
 
     def test_store_disabled_reports_no_accounting(self, monkeypatch):
         monkeypatch.setenv("DNN_LIFE_STREAM_STORE", "0")
@@ -404,44 +394,43 @@ class TestSweepBackends:
 
     def test_one_cold_build_across_batches_with_lru_disabled(
             self, monkeypatch, tmp_path):
-        """Regression: with ``DNN_LIFE_STREAM_CACHE=0`` every affinity batch
-        used to rebuild the stream; the store must absorb all but the first."""
+        """Regression: with ``DNN_LIFE_STREAM_CACHE=0`` every job used to
+        rebuild the stream; the store must absorb all but the first."""
         from repro.experiments.aging_runner import clear_stream_cache
 
         monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
         monkeypatch.setenv("DNN_LIFE_STREAM_STORE", str(tmp_path / "streams"))
         clear_stream_cache()
-        runner = SweepRunner(max_workers=2, backend="serial")
-        assert len(runner._affinity_batches(
-            "aging", runner.build_jobs("aging", self.GRID), max_workers=2)) == 2
-        report = runner.run("aging", self.GRID)
+        report = SweepRunner(max_workers=1).run("aging", self.GRID)
+        assert report.backend == "serial"
         assert report.num_failed == 0 and report.num_jobs == 4
         assert report.stream_store is not None
         assert report.stream_store["puts"] == 1  # exactly one cold build
         assert report.stream_store["failed_puts"] == 0
-        assert report.stream_store["hits"] >= 1  # second batch loads it
+        assert report.stream_store["hits"] >= 1  # later jobs load it
 
     @pytest.mark.slow
-    def test_process_and_serial_backends_identical_payloads(
-            self, monkeypatch, tmp_path):
+    def test_one_and_two_workers_identical_payloads(self, monkeypatch, tmp_path):
         from repro.experiments.aging_runner import clear_stream_cache
 
         monkeypatch.setenv("DNN_LIFE_STREAM_CACHE", "0")
         monkeypatch.setenv("DNN_LIFE_STREAM_STORE", str(tmp_path / "streams"))
         clear_stream_cache()
-        serial = SweepRunner(max_workers=2, backend="serial").run(
-            "aging", self.GRID)
-        assert serial.stream_store["puts"] == 1
+        inline = SweepRunner(max_workers=1).run("aging", self.GRID)
+        assert inline.backend == "serial"
+        assert inline.stream_store["puts"] == 1
         clear_stream_cache()
-        process = SweepRunner(max_workers=2, backend="process").run(
-            "aging", self.GRID)
-        assert process.backend == "process"
-        assert process.num_failed == 0
-        assert [r.payload for r in process.results] \
-            == [r.payload for r in serial.results]
-        # the workers found the serial run's entry: zero further cold builds
-        assert process.stream_store["puts"] == 0
-        assert process.stream_store["hits"] >= 2
+        runner = SweepRunner(max_workers=2)
+        assert len(runner._affinity_batches(
+            "aging", runner.build_jobs("aging", self.GRID), max_workers=2)) == 2
+        pool = runner.run("aging", self.GRID)
+        assert pool.backend == "process"
+        assert pool.num_failed == 0
+        assert canonical_json([r.payload for r in pool.results]) \
+            == canonical_json([r.payload for r in inline.results])
+        # the workers found the inline run's entry: zero further cold builds
+        assert pool.stream_store["puts"] == 0
+        assert pool.stream_store["hits"] >= 2
 
 
 # --------------------------------------------------------------------------- #

@@ -395,7 +395,15 @@ class TestConcurrency:
 
         store = StreamStore(root)
         key = stream_store_key("synthetic", {"case": "race"})
-        assert packed_content_sha256(store.get(key)) == expected
+        entry_dir = store.manifest_path(key).parent
+        listing = sorted(path.name for path in entry_dir.iterdir()) \
+            if entry_dir.is_dir() else None
+        packed = store.get(key)
+        assert packed is not None, (
+            f"parent read a miss after both writers read the entry: "
+            f"misses={store.misses} corrupt={store.corrupt} "
+            f"entry dir {entry_dir} before the read: {listing}")
+        assert packed_content_sha256(packed) == expected
         assert not list(store.root.glob("**/*.tmp"))  # losers cleaned up
 
 
