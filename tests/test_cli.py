@@ -383,3 +383,9 @@ class TestStreamStoreCli:
         assert len(errors) == 1
         assert "unrecognized arguments" in errors[0]
         assert "Traceback" not in err
+
+    def test_unknown_backend_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "aging", "--backend", "threads"])
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err

@@ -21,6 +21,7 @@ from repro.orchestration import (
     load_all_experiments,
     run_experiment,
 )
+from repro.orchestration import sweep as sweep_module
 from repro.orchestration.registry import ExperimentRegistry
 from repro.utils.serialization import canonical_json
 
@@ -353,6 +354,16 @@ class TestSweepRunner:
         assert summary["num_jobs"] == 1 and summary["jobs"][0]["payload"]
 
 
+_REAL_EXECUTE_JOB_BATCH = sweep_module._execute_job_batch
+
+
+def _batch_failing_on_index_one(experiment, batch):
+    """Pool-side stand-in for the batch entry point that loses job 1's batch."""
+    if any(index == 1 for index, _params in batch):
+        raise RuntimeError("worker lost its batch")
+    return _REAL_EXECUTE_JOB_BATCH(experiment, batch)
+
+
 # --------------------------------------------------------------------------- #
 # Inline vs. process-pool sweeps and stream-store accounting
 # --------------------------------------------------------------------------- #
@@ -386,6 +397,51 @@ class TestSweepBackends:
         assert _default_max_workers(10) == 2  # floor of two
         pin(32)
         assert _default_max_workers(10) == 8  # cap of eight
+
+    def test_one_pending_batch_runs_inline(self):
+        """Two workers but a single batch: no pool is started."""
+        report = SweepRunner(max_workers=2).run("fig2", {"num_points": [4]})
+        assert report.backend == "serial"
+        assert report.num_computed == 1
+        assert report.worker_pids == [os.getpid()]
+
+    def test_fully_cached_sweep_runs_inline(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=cache, max_workers=1).run("fig2", FIG2_GRID)
+        report = SweepRunner(cache=cache, max_workers=2).run("fig2", FIG2_GRID)
+        assert report.backend == "serial"
+        assert report.num_from_cache == report.num_jobs == 4
+        assert report.stream_store is None  # no batch ran
+
+    def test_batch_entry_point_isolates_failures_and_counts_store(
+            self, monkeypatch, tmp_path):
+        from repro.streamstore import STORE_COUNTERS
+
+        monkeypatch.setenv("DNN_LIFE_STREAM_STORE", str(tmp_path / "streams"))
+        outcomes, store_delta = sweep_module._execute_job_batch(
+            "fig2", [(3, {"num_points": 4}), (5, {"num_points": -3})])
+        assert [outcome[0] for outcome in outcomes] == [3, 5]
+        assert all(outcome[3] == os.getpid() for outcome in outcomes)
+        (_, ok_payload, _, _, ok_error), (_, bad_payload, _, _, bad_error) = outcomes
+        assert ok_error is None and ok_payload
+        assert bad_payload is None and bad_error.startswith("ValueError: ")
+        assert store_delta is not None
+        assert all(store_delta[counter] == 0 for counter in STORE_COUNTERS)
+
+    @pytest.mark.slow
+    def test_failed_pool_batch_fails_only_its_jobs(self, monkeypatch):
+        """A batch whose worker call raises fails its own jobs, not others."""
+        grid = {"num_points": [4, 5, 6]}  # fig2 has no affinity: 3 batches
+        inline = SweepRunner(max_workers=1).run("fig2", grid)
+        monkeypatch.setattr(sweep_module, "_execute_job_batch",
+                            _batch_failing_on_index_one)
+        report = SweepRunner(max_workers=2).run("fig2", grid)
+        assert report.backend == "process"
+        assert [r.failed for r in report.results] == [False, True, False]
+        assert report.results[1].error.startswith("RuntimeError: ")
+        assert report.results[1].payload is None
+        assert [report.results[0].payload, report.results[2].payload] \
+            == [inline.results[0].payload, inline.results[2].payload]
 
     def test_store_disabled_reports_no_accounting(self, monkeypatch):
         monkeypatch.setenv("DNN_LIFE_STREAM_STORE", "0")

@@ -1,8 +1,11 @@
-"""Tests for repro.utils.{validation, units, tables, serialization}."""
+"""Tests for repro.utils.{validation, units, tables, serialization, host}."""
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.utils.host import host_cpus
 from repro.utils.serialization import load_json, save_json, to_jsonable
 from repro.utils.tables import AsciiTable, format_histogram, format_series
 from repro.utils.units import (
@@ -142,3 +145,18 @@ class TestSerialization:
             y: float
 
         assert to_jsonable(Point(1, 2.5)) == {"x": 1, "y": 2.5}
+
+
+class TestHostCpus:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                            raising=False)
+        assert host_cpus() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert host_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert host_cpus() == 1
