@@ -34,14 +34,10 @@ from repro.accelerator.scheduler import (
     WeightBlock,
     WeightStreamScheduler,
 )
-from repro.accelerator.tiling_optimizer import TilingCandidate, TilingOptimizer, TilingSolution
 from repro.accelerator.tpu import TpuLikeNpu
 
 __all__ = [
     "PackedBitTensor",
-    "TilingCandidate",
-    "TilingOptimizer",
-    "TilingSolution",
     "BaselineAccelerator",
     "TABLE_I_CONFIGS",
     "AcceleratorConfig",

@@ -214,9 +214,9 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
     int64).  ``max_value`` is the caller's bound on the entries of ``view``
     — bool data is implicitly bounded by 1; anything else keeps the wide
     accumulator unless a bound is declared, so an unknown value range can
-    never overflow silently.  ``weights`` (shape ``(B, W)``, optional)
-    scales each block word before the reduction.  All supported inputs are
-    integral, so the float64 result is exact.
+    never overflow silently.  The sums come back in the accumulator's
+    dtype.  ``weights`` (shape ``(B, W)``, optional) scales each block word
+    before the reduction.
     """
     num_blocks = view.shape[0]
     if max_value is None and view.dtype == np.bool_:
@@ -228,7 +228,7 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
                  and max_value * num_blocks <= _UINT16_BUDGET)
         accumulator = np.uint16 if small else (
             np.int64 if view.dtype.kind in "bui" else np.float64)
-        out = np.empty(columns, dtype=np.float64)
+        out = np.empty(columns, dtype=accumulator)
         chunk = max(4096, _REDUCE_CHUNK_BYTES
                     // max(num_blocks * view.dtype.itemsize, 1))
         for start in range(0, columns, chunk):
@@ -239,7 +239,6 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
         return (view * np.asarray(weights, dtype=np.float64)).sum(
             axis=0, dtype=np.float64)
     words, word_bits = view.shape[1], view.shape[2]
-    out = np.empty((words, word_bits), dtype=np.float64)
     chunk = max(64, _REDUCE_CHUNK_BYTES
                 // max(num_blocks * word_bits * view.dtype.itemsize, 1))
     weight_max = int(weights.max()) if weights.size else 0
@@ -247,6 +246,7 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
              and max_value is not None
              and max_value * weight_max <= 255
              and max_value * weight_max * num_blocks <= _UINT16_BUDGET)
+    out = np.empty((words, word_bits), dtype=np.uint16 if small else np.float64)
     if small:
         weights = weights.astype(np.uint8, copy=False)
         for start in range(0, words, chunk):
@@ -501,19 +501,21 @@ class PackedBitTensor:
 
         ``max_value`` bounds the entries of ``array`` and unlocks the narrow
         SIMD accumulator in :func:`block_axis_sum`; leave it ``None`` when
-        the range is unknown.
+        the range is unknown.  The totals take the widest region accumulator.
         """
-        out = np.zeros((self.geometry.rows,) + array.shape[2:], dtype=np.float64)
+        out = np.zeros((self.geometry.rows,) + array.shape[2:], dtype=np.uint8)
         for row_slice, indexer in self.region_indexers():
             view = array[indexer]
             if view.shape[0]:
-                out[row_slice] = block_axis_sum(
+                region_sum = block_axis_sum(
                     view, None if weights is None else weights[indexer],
                     max_value=max_value)
+                out = out.astype(np.result_type(out, region_sum), copy=False)
+                out[row_slice] = region_sum
         return out
 
     def rows_ones(self) -> np.ndarray:
-        """Per-cell count of '1' bits written in one inference (cached).
+        """Per-cell integer count of '1' bits written in one inference (cached).
 
         Policy-independent, so every kernel evaluating the same stream —
         a policy suite, a sweep batch — shares one reduction pass.  The
@@ -525,7 +527,7 @@ class PackedBitTensor:
 
     def rows_writes(self) -> np.ndarray:
         """Per-row count of genuine writes in one inference (cached,
-        read-only)."""
+        read-only; integers in the dtype of :meth:`rows_ones`)."""
         if self._rows_writes is None:
             self._rows_writes = _freeze(self.rows_sum(self.valid_mask()))
         return self._rows_writes

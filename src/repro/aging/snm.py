@@ -212,28 +212,29 @@ class CellClasses:
     def from_counts(cls, ones: np.ndarray, writes: np.ndarray) -> Optional["CellClasses"]:
         """The table of ``ones / writes`` keyed by its integer counts.
 
-        ``ones`` is the ``(rows, word_bits)`` matrix of accumulated ones and
-        ``writes`` the per-row write count.  Each distinct write count ``w``
-        owns the ``w + 1`` indices ``offset(w) + i`` of the cells holding
-        ``i`` ones, repeated per bit column, so one narrow-dtype bincount
-        gives every column's populations without a float sort.  Equal
-        duty-cycles (0/20, 0/40 and unwritten rows) merge into one class, and
-        the key is gathered from the indices through that merge.  Returns
-        ``None`` when a count is not an
-        integer with ``0 <= ones <= writes`` of its row, or when the
+        ``ones`` is the ``(rows, word_bits)`` integer matrix of accumulated
+        ones and ``writes`` the integer per-row write count (float counts
+        raise ``TypeError``).  Each distinct write count ``w`` owns the
+        ``w + 1`` indices ``offset(w) + i`` of the cells holding ``i`` ones,
+        repeated per bit column, so one narrow-dtype bincount gives every
+        column's populations without a float sort.  Equal duty-cycles (0/20,
+        0/40 and unwritten rows) merge into one class, and the key is
+        gathered from the indices through that merge.  Returns ``None`` when
+        a count is outside ``0 <= ones <= writes`` of its row, or when the
         (column, index) table would exceed both the cell count and ``2**16``
         entries (:meth:`per_cell` is cheaper then).
         """
-        ones = np.asarray(ones, dtype=np.float64)
-        writes = np.asarray(writes, dtype=np.float64)
+        ones, writes = np.asarray(ones), np.asarray(writes)
+        if ones.dtype.kind not in "iu" or writes.dtype.kind not in "iu":
+            raise TypeError(f"cell-class counts must be integers, got {ones.dtype} "
+                            f"ones over {writes.dtype} writes")
         if ones.ndim != 2 or writes.shape != ones.shape[:1] or not ones.size:
             return None
         rows, columns = ones.shape
-        with np.errstate(invalid="ignore"):
-            row_writes = writes.astype(np.int64)
-        low, high = row_writes.min(), row_writes.max()
-        if not np.array_equal(row_writes, writes) or low < 0 or high >= ones.size:
+        low, high = int(writes.min()), int(writes.max())
+        if low < 0 or high >= ones.size or (ones.dtype.kind == "i" and ones.min() < 0):
             return None
+        row_writes = writes.astype(np.int64)
         levels = (row_writes[:1] if low == high  # one write count: every padded stream
                   else np.flatnonzero(np.bincount(row_writes)))
         widths = levels + 1
@@ -242,17 +243,14 @@ class CellClasses:
         table = span * columns
         if table > max(ones.size, 1 << 16):
             return None
+        # No cell holds more ones than the smallest write count: all in range,
+        # so the cast to the index dtype (which holds the largest) is exact.
+        high = ones.max()
+        if high > levels[0] and (high > levels[-1] or (ones > row_writes[:, None]).any()):
+            return None
         dtype = _index_dtype(table)
-        with np.errstate(invalid="ignore"):
-            index = ones.astype(dtype)
+        index = ones.astype(dtype)
         flat, parts = index.reshape(-1), _chunks(index.size)
-        # Equal to its unsigned cast: a non-negative integer count.
-        if not all(np.array_equal(flat[part], ones.reshape(-1)[part]) for part in parts):
-            return None
-        # No cell holds more ones than the smallest write count: all in range.
-        high = index.max()
-        if high > levels[0] and (high > levels[-1] or (index > row_writes[:, None]).any()):
-            return None
         if levels.size > 1:  # one write count: every offset is 0
             offset_of = np.zeros(levels[-1] + 1, dtype=dtype)
             offset_of[levels] = offsets
@@ -266,8 +264,8 @@ class CellClasses:
         occupied = np.flatnonzero(population.any(axis=0))
         class_writes = np.repeat(levels, widths)[occupied]
         class_ones = occupied - np.repeat(offsets, widths)[occupied]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(class_writes > 0, class_ones / class_writes, 0.0)
+        ratios = np.divide(class_ones, class_writes, out=np.zeros(occupied.size),
+                           where=class_writes > 0)
         values, merged = np.unique(ratios, return_inverse=True)
         column_counts = np.zeros((values.size, columns), dtype=np.int64)
         np.add.at(column_counts, merged, population[:, occupied].T)

@@ -18,9 +18,9 @@ accelerator:
   exactly for deterministic policies (and in distribution for the
   stochastic DNN-Life policy).
 
-Both produce an :class:`AgingResult` holding per-cell duty-cycles and the
-SNM-degradation statistics derived from them, evaluated once per distinct
-(ones, writes) cell class (:class:`~repro.aging.snm.CellClasses`).
+Both count each cell's stored ones and writes as unsigned integers and produce an
+:class:`AgingResult` holding their duty-cycles and the SNM statistics derived from
+them, once per distinct (ones, writes) cell class (:class:`~repro.aging.snm.CellClasses`).
 
 Every deterministic policy has exactly one closed form, a
 :class:`PackedSpanKernel` (fixed basis matrices with per-span scalar
@@ -64,7 +64,7 @@ from repro.core.policies import (
     PeriodicInversionPolicy,
 )
 from repro.core.span_compose import (BatchedCounts, compact_basis, compact_dtype,
-                                    compose_leveled)
+                                    compose_leveled, count_dtype)
 from repro.leveling.remap import WearLeveler, check_leveler
 from repro.quantization.bitops import unpack_bits
 from repro.utils.rng import SeedLike, as_rng
@@ -74,8 +74,8 @@ from repro.utils.validation import check_positive_int
 #: write of inference ``t`` leaves behind (NaN on unwritten rows).
 LastBitsKernel = Callable[[int], np.ndarray]
 
-#: ``coefficients(starts, lengths)`` — the ``(C, num_spans)`` float64 basis
-#: coefficients of every span ``[starts[k], starts[k] + lengths[k])``.
+#: ``coefficients(starts, lengths)`` — the ``(C, num_spans)`` int64 basis coefficients
+#: of every span ``[starts[k], starts[k] + lengths[k])``, each in ``[0, lengths[k]]``.
 SpanCoefficients = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -90,14 +90,13 @@ class PackedSpanKernel:
     :class:`~repro.core.span_compose.SpanComposer`); calling the kernel as
     ``counts(start, n)`` evaluates the single-span batch, which is how the
     unleveled runs, the scenario driver and the cross-check tests consume
-    it.  Every basis entry and coefficient is an exact integer, so both
-    evaluations produce the same float64 bits as any other summation order.
+    it.  Every basis entry and coefficient is a non-negative integer, so
+    both evaluations give the same counts as any other summation order.
 
-    The bases are held read-only, in the narrowest exact integer dtype
-    (``uint8`` on every shipped stream), except the no-mitigation basis,
-    which is the stream's own float64 ``rows_ones()``; ``writes`` is the
-    stream's ``rows_writes()``.  :meth:`counts_batch` hands out every basis
-    in integer form with its magnitude, compacted on its first call.  A
+    The bases are held read-only as unsigned integers (the no-mitigation one
+    is the stream's ``rows_ones()``); ``writes`` is the stream's
+    ``rows_writes()``.  :meth:`counts_batch` hands out every basis in its
+    narrowest dtype with its magnitude, compacted on its first call.  A
     kernel depends only on its stream and policy parameters, so
     :meth:`AgingSimulator._packed_kernel` builds it once per stream and
     keeps it as long as the stream lives: the compaction runs once per
@@ -110,20 +109,22 @@ class PackedSpanKernel:
             basis.flags.writeable = False
         self._bases = list(bases)
         self._writes = writes
+        self._max_writes = int(writes.max(initial=0))
         self._coefficients = coefficients
         self._compact: Optional[Tuple[List[np.ndarray], List[int]]] = None
 
     def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-logical-cell ones and per-row writes over ``[start, start + n)``."""
+        dtype = count_dtype(n, self._max_writes)
         coeffs = self._coefficients(np.asarray([start], dtype=np.int64),
                                     np.asarray([n], dtype=np.int64))[:, 0]
-        ones = np.multiply(coeffs[0], self._bases[0], dtype=np.float64)
+        ones = np.multiply(self._bases[0], int(coeffs[0]), dtype=dtype)
         scaled = None
         for coeff, basis in zip(coeffs[1:], self._bases[1:]):
             if coeff:
-                scaled = np.multiply(coeff, basis, out=scaled, dtype=np.float64)
+                scaled = np.multiply(basis, int(coeff), out=scaled, dtype=dtype)
                 ones += scaled
-        return ones, self._writes * n
+        return ones, np.multiply(self._writes, n, dtype=dtype)
 
     def counts_batch(self, starts: np.ndarray,
                      lengths: np.ndarray) -> BatchedCounts:
@@ -143,7 +144,7 @@ class PackedSpanKernel:
 
 def _span_lengths(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Single-channel coefficients: every span weighs its basis by its length."""
-    return lengths.astype(np.float64)[None, :]
+    return lengths[None, :]
 
 
 # --------------------------------------------------------------------------- #
@@ -177,12 +178,12 @@ class AgingResult:
     @classmethod
     def from_counts(cls, ones: np.ndarray, writes: np.ndarray,
                     **fields: object) -> "AgingResult":
-        """The result of per-cell ``ones`` over per-row ``writes`` counts.
+        """The result of integer per-cell ``ones`` over per-row ``writes``.
 
-        In-range integer counts are keyed into a cell-class table, and the
-        result holds only that table; any other counts go through
-        :func:`_duty_from_counts` (which rejects out-of-range values).  Both
-        give the same duty-cycles and the same table bit for bit.
+        The counts are keyed into a cell-class table, the only thing the result
+        holds; a wide key span goes through :func:`_duty_from_counts` (which rejects
+        out-of-range counts), bit for bit alike.  Float counts raise ``TypeError``
+        (``AgingResult(duty_cycles=...)`` takes non-integer duty-cycles).
         """
         classes = CellClasses.from_counts(ones, writes)
         if classes is None:
@@ -424,24 +425,26 @@ def replay_epochs(stream: Union[PackedBitTensor, WeightStreamScheduler],
     ``prior_rows``, which are advanced in place by this window's totals.
     ``stored`` is passed through to :func:`replay_inference`.
 
-    Returns the window's physical ``(ones, writes)`` counts.
+    Returns the window's physical ``(ones, writes)`` counts, as unsigned
+    integers (a row takes at most one write per block and inference).
     """
     rows, word_bits = stream.geometry.rows, stream.geometry.word_bits
-    ones = np.zeros((rows, word_bits), dtype=np.float64)
-    writes = np.zeros(rows, dtype=np.float64)
+    dtype = count_dtype(stop - start, stream.num_blocks)
+    ones = np.zeros((rows, word_bits), dtype=dtype)
+    writes = np.zeros(rows, dtype=dtype)
     feedback = leveler is not None and leveler.uses_feedback
     policy.reset()
     for epoch in range(start, stop):
         remap = None if leveler is None else leveler.permutation(epoch)
         replay_inference(stream, policy, ones, writes, remap, stored=stored)
         if feedback:
-            row_ones, row_writes = ones.sum(axis=1), writes
+            row_ones, row_writes = ones.sum(axis=1, dtype=np.float64), writes
             if prior_rows is not None:
                 row_ones = prior_rows[0] + row_ones
                 row_writes = prior_rows[1] + row_writes
             leveler.observe(epoch + 1, row_ones, row_writes * float(word_bits))
     if feedback and prior_rows is not None:
-        prior_rows[0][...] += ones.sum(axis=1)
+        prior_rows[0][...] += ones.sum(axis=1, dtype=np.float64)
         prior_rows[1][...] += writes
     return ones, writes
 
@@ -763,12 +766,12 @@ class AgingSimulator:
         # class 1 is the odd class on every row.
         odd_classes = ([(slice(0, None, 2), 1), (slice(1, None, 2), 0)]
                        if alternates_within_block else [(slice(None), 1)])
-        # Stored counts lie in [0, writes]; the drift channel in
-        # [-writes, writes].  Rows no block writes stay zero.
-        high = int(writes.max(initial=0))
-        base = np.zeros((rows, word_bits), dtype=compact_dtype(0, high))
-        drifted = (None if drift_per_row is None else
-                   np.zeros((rows, word_bits), dtype=compact_dtype(-high, high)))
+        # Both channels hold stored counts, in [0, writes].  Rows no block
+        # writes stay zero.
+        compact = compact_dtype(0, int(writes.max(initial=0)))
+        base = np.zeros((rows, word_bits), dtype=compact)
+        flipped = (None if drift_per_row is None else
+                   np.zeros((rows, word_bits), dtype=compact))
         # One class sum per region is derived by subtraction from the cached
         # whole-region sums, so the policy costs a single pass over the
         # minority class — zero extra passes when a region is single-class.
@@ -794,30 +797,31 @@ class AgingSimulator:
                     ones_odd = region_ones[parity_rows] - ones_odd
                     writes_odd = region_writes[parity_rows] - writes_odd
                 # Stored value: plain when the parity is even, inverted when
-                # odd: (ones - ones_odd) + (writes_odd - ones_odd).
-                stored = region_ones[parity_rows] - 2.0 * ones_odd
+                # odd: (ones - ones_odd) + (writes_odd - ones_odd), never negative.
+                stored = region_ones[parity_rows] - ones_odd
                 stored += writes_odd[:, None]
+                stored -= ones_odd
                 base[row_slice][parity_rows] = stored
-                if drifted is not None:
+                if flipped is not None:
                     # Inference t adds a parity offset of (t * d_r) mod 2,
                     # so a row with drift stores the flipped pattern
                     # ``writes - base`` on the span's odd inferences.
-                    stored *= -2.0
-                    stored += region_writes[parity_rows][:, None]
-                    stored *= drift_per_row[row_slice][parity_rows][:, None]
-                    drifted[row_slice][parity_rows] = stored
-        if drifted is None:
+                    drifts = drift_per_row[row_slice][parity_rows][:, None]
+                    flipped[row_slice][parity_rows] = np.where(
+                        drifts == 1, region_writes[parity_rows][:, None] - stored,
+                        stored)
+        if flipped is None:
             return PackedSpanKernel([base], writes, _span_lengths)
         # The span counts
         #   base * (n - d_r * odd) + (writes - base) * (d_r * odd)
-        #     = n * base + odd * [(writes - 2 * base) * d_r]
-        # are two fixed channels with per-span scalar coefficients (n, odd).
+        #     = (n - odd) * base + odd * [d_r ? writes - base : base]
+        # are two fixed channels with per-span scalar coefficients (n - odd, odd).
 
         def coefficients(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             odd = (starts + lengths) // 2 - starts // 2
-            return np.stack([lengths, odd]).astype(np.float64)
+            return np.stack([lengths - odd, odd])
 
-        return PackedSpanKernel([base, drifted], writes, coefficients)
+        return PackedSpanKernel([base, flipped], writes, coefficients)
 
     def _packed_barrel_shifter_kernel(
             self, policy: BarrelShifterPolicy) -> PackedSpanKernel:
@@ -898,7 +902,7 @@ class AgingSimulator:
         def coefficients(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             spans = (rotation_counts(starts + lengths)
                      - rotation_counts(starts))[:, rotations]
-            return spans.T.astype(np.float64)
+            return spans.T
 
         return PackedSpanKernel(bases, writes, coefficients)
 
@@ -977,11 +981,6 @@ class TrbgReduction:
         self.num_groups = -(-packed.words_per_block // self.group)
         self.ones = packed.rows_ones()
         self.writes = packed.rows_writes()
-        #: The per-inference write count every row shares (a padded stream
-        #: writes each row equally often), or ``None`` when rows differ.
-        self.uniform_writes: Optional[float] = (
-            float(self.writes[0]) if self.writes.size
-            and bool((self.writes == self.writes[0]).all()) else None)
         #: The most writes any row takes per inference.
         self.max_writes = int(self.writes.max(initial=0))
         self._row_ones: Optional[np.ndarray] = None
@@ -991,19 +990,20 @@ class TrbgReduction:
 
     def counts(self, enables: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """One span's ``(numerator, writes)`` from its drawn enable counts."""
-        return self.numerators(enables[None], np.asarray([n]))[0], self.writes * n
+        return (self.numerators(enables[None], np.asarray([n]))[0],
+                np.multiply(self.writes, n, dtype=count_dtype(n, self.max_writes)))
 
     def numerators(self, enables: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The dense float64 ``(K, rows, word_bits)`` numerators of ``K``
-        enable sets, from one :meth:`numerator_chunks` pass (zero on rows no
-        block writes)."""
-        dense = np.zeros((enables.shape[0],) + self.ones.shape, dtype=np.float64)
+        """The dense unsigned ``(K, rows, word_bits)`` numerators of ``K`` enable
+        sets, from one :meth:`numerator_chunks` pass (zero on rows no block writes)."""
+        dense = np.zeros((enables.shape[0],) + self.ones.shape,
+                         dtype=count_dtype(np.max(lengths), self.max_writes))
         for rows, numerators in self.numerator_chunks(enables, lengths):
             dense[:, rows] = numerators
         return dense
 
     def row_totals(self, enables: np.ndarray, n: int) -> np.ndarray:
-        """``counts(enables, n)[0].sum(axis=1)`` from a ``(B, W)`` pass.
+        """``counts(enables, n)[0].sum(axis=1)`` in int64, from a ``(B, W)`` pass.
 
         Summed over the bit axis, ``enables_total`` counts ``word_bits``
         times and ``sum_c crossed[row, c] = sum_b E[b, g(w)] *
@@ -1013,7 +1013,7 @@ class TrbgReduction:
         """
         packed = self.packed
         if self._row_ones is None:
-            self._row_ones = np.einsum("ij->i", self.ones)
+            self._row_ones = np.einsum("ij->i", self.ones, dtype=np.int64)
         totals = self._row_ones * n
         # |sum| <= num_blocks * n * word_bits: int16 is exact below 2**15,
         # int32 below 2**31.
@@ -1183,25 +1183,17 @@ def _unbiased_binomial(rng: np.random.Generator, trials: int,
     return rng.binomial(trials, 0.5, size=size)
 
 
-#: Tolerance above 1.0 (and below 0.0) past which a computed duty-cycle is
-#: treated as a numerator-accounting bug rather than float round-off.
-_DUTY_TOLERANCE = 1e-9
-
-
 def _duty_from_counts(ones: np.ndarray, writes: np.ndarray) -> np.ndarray:
     """Duty-cycle = accumulated ones / accumulated writes; unwritten rows hold 0.
 
     ``ones`` is ``(rows, word_bits)`` over per-row ``writes``, or a batch of
     ``(K, rows, word_bits)`` over ``(K, rows)``: each slice of the batch is
-    bit for bit the single call on that slice.
-
-    Every closed-form kernel accounts integral (one, write) counts, so a
-    ratio outside ``[0, 1]`` can only come from a numerator-accounting bug.
-    Such values are reported loudly instead of being clipped away silently;
-    the final clip only absorbs genuine float round-off within
-    :data:`_DUTY_TOLERANCE`, and is skipped when nothing needs it.
+    bit for bit the single call on that slice.  The counts are integers, so
+    a duty ``i / K`` with ``0 <= i <= K`` lies in ``[0, 1]`` as divided;
+    a ratio outside it can only come from a numerator-accounting bug, and
+    is reported loudly instead of being clipped away.
     """
-    writes_matrix = np.asarray(writes, dtype=np.float64)
+    writes_matrix = np.asarray(writes)
     if writes_matrix.ndim == np.ndim(ones) - 1:
         writes_matrix = writes_matrix[..., None]
     written = writes_matrix > 0
@@ -1212,13 +1204,10 @@ def _duty_from_counts(ones: np.ndarray, writes: np.ndarray) -> np.ndarray:
         np.divide(ones, writes_matrix, out=duty, where=written)
     if duty.size:
         low, high = float(duty.min()), float(duty.max())
-        if 0.0 <= low and high <= 1.0:
-            return duty
-        if high > 1.0 + _DUTY_TOLERANCE or low < -_DUTY_TOLERANCE:
-            out_of_range = int(np.count_nonzero((duty > 1.0 + _DUTY_TOLERANCE)
-                                                | (duty < -_DUTY_TOLERANCE)))
+        if low < 0.0 or high > 1.0:
+            out_of_range = int(np.count_nonzero((duty > 1.0) | (duty < 0.0)))
             raise FloatingPointError(
                 f"duty-cycle accounting produced {out_of_range} value(s) outside "
                 f"[0, 1] (min {low!r}, max {high!r}); this indicates a numerator "
-                "bug in a closed-form kernel, not float round-off")
-    return np.clip(duty, 0.0, 1.0, out=duty)
+                "bug in a closed-form kernel")
+    return duty

@@ -29,10 +29,9 @@ each given by the inverse map the leveler keeps; those compose by
 gathering each basis through every span's inverse, while the per-chunk
 feedback signal is maintained as ``(rows,)`` running row totals — never a
 full-matrix reduction.  Shifted adds and gathers share one blocked pass
-(:func:`_weighted_gather`): the basis is read in the narrowest integer
-dtype that holds it, the mappings sharing a coefficient are summed as
-integers a block of rows at a time, and each block is scaled into the
-float64 counts once.
+(:func:`_weighted_gather`): the basis is read in the narrowest unsigned
+dtype that holds it, the mappings sharing a coefficient are summed a block
+of rows at a time, and each block is scaled into the counts once.
 
 DNN-Life's kernel has no fixed basis — its TRBG draws fresh randomness per
 span, in call order — but it splits into a *draw* stage (the per-span
@@ -47,13 +46,12 @@ through the same blocked integer pass.
 Both forms meet in :func:`compose_leveled`, the one leveled walk of the
 packed single-run and scenario engines.
 
-Exactness: every basis entry, coefficient, and weight is an exact integer
-(a basis is held in a compact integer dtype, or in float64 far below 2**53),
-so products and partial sums are exact and *any* regrouping of the summation
-— by channel, by offset, through a sliding window, or via integer gathers —
-produces bit-identical float64 results to the iterative span loop.
-The golden-SHA and packed-vs-explicit batteries in the test suite pin this
-down.
+Exactness: every basis entry, coefficient, and weight is a non-negative
+integer, and the counts are held in the unsigned dtype of their bound
+(:func:`count_dtype`: at most one stored '1' per write), so *any* regrouping
+of the summation — by channel, by offset, through a sliding window, or via
+gathers — produces the same counts as the iterative span loop.  The
+golden-SHA and packed-vs-explicit batteries in the test suite pin this down.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.leveling.remap import SpanTable, WearLeveler
 
 __all__ = ["BatchedCounts", "SpanComposer", "compact_basis", "compact_dtype",
-           "compose_leveled"]
+           "compose_leveled", "count_dtype"]
 
 #: Offset supports up to this size are composed as direct shifted adds;
 #: larger supports go through the sliding-window decomposition.
@@ -92,8 +90,8 @@ class BatchedCounts:
     """A policy kernel's closed form over a batch of spans.
 
     ``span_ones_k = sum_c coeffs[c, k] * bases[c]`` and ``span_writes_k =
-    lengths[k] * writes`` are span ``k``'s counts; every entry is an exact
-    integer, so any regrouping yields the same float64 bits.  ``bases`` must
+    lengths[k] * writes`` are span ``k``'s counts; every entry is a non-negative
+    integer, so any regrouping yields the same counts.  ``bases`` must
     be identical objects across every ``counts_batch`` call of one kernel —
     the composer folds coefficients across chunks under that identity.  A
     deterministic kernel lives as long as its stream, so every composition
@@ -101,11 +99,11 @@ class BatchedCounts:
     """
 
     #: ``C`` fixed read-only basis matrices, each ``(rows, word_bits)``, in
-    #: their narrowest integer dtype (:func:`compact_basis`).
+    #: their narrowest unsigned dtype (:func:`compact_basis`).
     bases: List[np.ndarray]
-    #: ``(C, num_spans)`` float64 per-span basis coefficients.
+    #: ``(C, num_spans)`` int64 per-span basis coefficients.
     coeffs: np.ndarray
-    #: ``(rows,)`` float64 per-inference write counts.
+    #: ``(rows,)`` integer per-inference write counts.
     writes: np.ndarray
     #: The largest magnitude each basis holds, so no pass re-scans it.
     magnitudes: List[int]
@@ -116,6 +114,13 @@ def compact_dtype(low: int, high: int) -> np.dtype:
     if low >= 0:
         return np.min_scalar_type(high)
     return np.result_type(np.min_scalar_type(low), np.min_scalar_type(-high - 1))
+
+
+def count_dtype(inferences: int, max_writes: int) -> np.dtype:
+    """The unsigned dtype of counts (and span coefficients) over ``inferences``:
+    a cell stores at most one '1' per write, and a row takes at most
+    ``max_writes`` writes an inference."""
+    return np.min_scalar_type(int(inferences) * max(int(max_writes), 1))
 
 
 #: A row mapping of one span: a per-region roll offset, or the span's
@@ -147,12 +152,12 @@ def _add_mapped(total: np.ndarray, source: np.ndarray, mapping: RowMapping,
 
 
 def _mapped_sum(out: np.ndarray, terms: Sequence[Tuple[np.ndarray, RowMapping]],
-                dtype: np.dtype, region_rows: int, weight: float = 1.0) -> None:
+                dtype: np.dtype, region_rows: int, weight: int = 1) -> None:
     """``out[p] += weight * sum_t source_t[mapping_t(p)]`` a block at a time.
 
-    Each block of physical rows sums its terms exactly in ``dtype`` (a
-    narrow integer for integer sources) and is scaled into ``out`` with one
-    float64 add, so no temporary outgrows a block.
+    Each block of physical rows sums its terms in ``dtype`` (which holds
+    their total) and is scaled into ``out`` in ``out``'s own dtype (which
+    holds the composed counts), so no temporary outgrows a block.
     """
     step = min(_GATHER_ROWS, region_rows)
     total = np.empty((step,) + out.shape[1:], dtype=dtype)
@@ -164,51 +169,48 @@ def _mapped_sum(out: np.ndarray, terms: Sequence[Tuple[np.ndarray, RowMapping]],
             for source, mapping in terms:
                 _add_mapped(block, source, mapping, start, region_start,
                             region_rows)
-            rows = slice(start, start + block.shape[0])
-            if weight == 1.0:
-                out[rows] += block
-            else:
-                out[rows] += weight * block
+            _add_scaled(out[start:start + block.shape[0]], block, weight)
+
+
+def _add_scaled(out: np.ndarray, block: np.ndarray, weight: int) -> None:
+    """``out += weight * block``, the product formed in ``out``'s dtype."""
+    if weight != 1:
+        block = np.multiply(block, weight, dtype=out.dtype)
+    out += block
 
 
 def compact_basis(base: np.ndarray) -> Tuple[np.ndarray, int]:
-    """``base`` in an integer dtype (a float64 one compacted to the
-    narrowest that holds it) and the largest magnitude it holds."""
+    """Integer ``base`` in the narrowest dtype that holds it, and the
+    largest magnitude it holds."""
     low, high = int(base.min(initial=0)), int(base.max(initial=0))
-    if base.dtype.kind not in "iu":
-        base = base.astype(compact_dtype(low, high))
-    return base, max(-low, high)
+    return base.astype(compact_dtype(low, high), copy=False), max(-low, high)
 
 
 def _weighted_gather(out: np.ndarray, base: np.ndarray,
                      mappings: Sequence[RowMapping], weights: np.ndarray,
                      region_rows: int, magnitude: Optional[int] = None) -> None:
-    """``out[p] += sum_k weights[k] * base[mappings[k](p)]`` in exact integers.
+    """``out[p] += sum_k weights[k] * base[mappings[k](p)]`` in integers.
 
-    Every entry of ``base`` and every weight is an exact integer, so the
-    base is read in the narrowest integer dtype that holds it
-    (:func:`compact_basis`; an integer ``base`` given with its
+    The non-negative integer base is read in the narrowest dtype that
+    holds it (:func:`compact_basis`; a ``base`` given with its
     ``magnitude`` is read as is), the mappings sharing a weight are summed
     in the narrowest dtype that holds their total, and each such group is
-    scaled into ``out`` once per block of rows (:func:`_mapped_sum`):
-    bitwise equal to any float64 summation order, at a fraction of its
-    memory traffic.  ``mappings`` may be roll offsets
-    (``range(region_rows)`` for one weight per offset) or inverse
-    permutations.
+    scaled into ``out`` once per block of rows (:func:`_mapped_sum`): equal
+    to any other summation order, at a fraction of its memory traffic.
+    ``mappings`` may be roll offsets (``range(region_rows)`` for one weight
+    per offset) or inverse permutations.
     """
     if magnitude is None:
         base, magnitude = compact_basis(base)
-    signed = base.dtype.kind == "i"
-    for weight in np.unique(weights[weights != 0.0]):
+    for weight in np.unique(weights[weights != 0]):
         members = np.flatnonzero(weights == weight)
-        bound = members.size * magnitude
         dtype = np.result_type(base.dtype,
-                               compact_dtype(-bound if signed else 0, bound))
+                               compact_dtype(0, members.size * magnitude))
         _mapped_sum(out, [(base, mappings[k]) for k in members], dtype,
-                    region_rows, float(weight))
+                    region_rows, int(weight))
 
 
-def _window_axpy(out: np.ndarray, base: np.ndarray, weight: float,
+def _window_axpy(out: np.ndarray, base: np.ndarray, weight: int,
                  first: int, count: int, region_rows: int,
                  magnitude: int) -> None:
     """Add ``weight * sum_{o in [first, first+count)} roll_o(base)``.
@@ -217,12 +219,14 @@ def _window_axpy(out: np.ndarray, base: np.ndarray, weight: float,
     (circularly) and lands on row ``m + first + count - 1``.  Consecutive
     windows differ by one row in and one row out, so a block of windows is
     the cumulative sum of those differences, carried over from the block
-    before: O(rows) however wide the window, with every partial sum an
-    exact integer below ``2 * count * magnitude`` (``magnitude`` bounds
-    ``|base|``), held in the narrowest dtype for that bound.
+    before: O(rows) however wide the window, with every partial sum below
+    ``2 * count * magnitude`` in magnitude (``magnitude`` bounds the
+    non-negative ``base``), held in the narrowest signed dtype for that
+    bound; the window sums land as the buffer's unsigned view.
     """
     bound = 2 * count * magnitude
     dtype = np.result_type(base.dtype, compact_dtype(-bound, bound))
+    unsigned = np.dtype(f"u{dtype.itemsize}")
     shift = (first + count - 1) % region_rows
     step = min(_GATHER_ROWS, region_rows)
     window = np.empty((step,) + base.shape[1:], dtype=dtype)
@@ -239,14 +243,14 @@ def _window_axpy(out: np.ndarray, base: np.ndarray, weight: float,
             np.cumsum(block, axis=0, dtype=dtype, out=block)
             block += carry
             carry = block[-1].copy()
-            if weight != 1.0:
-                block = weight * block
+            sums = block.view(unsigned)
             # Window ``m`` lands on row ``m + shift``: at most two slices.
             size = block.shape[0]
             land = region_start + (start + shift) % region_rows
             head = min(size, region_start + region_rows - land)
-            out[land:land + head] += block[:head]
-            out[region_start:region_start + size - head] += block[head:]
+            _add_scaled(out[land:land + head], sums[:head], weight)
+            _add_scaled(out[region_start:region_start + size - head],
+                        sums[head:], weight)
 
 
 def _circular_run(support: np.ndarray, region_rows: int
@@ -269,12 +273,12 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
     """``out += sum_o weights[o] * region_roll_o(base)`` in O(1) passes.
 
     ``out``/``base`` are ``(rows, ...)`` with regions contiguous along the
-    row axis; ``weights`` is the ``(region_rows,)`` exact-integer weight per
-    roll offset.  Small supports are direct shifted adds; a contiguous run
+    row axis; ``weights`` is the ``(region_rows,)`` non-negative integer weight
+    per roll offset.  Small supports are direct shifted adds; a contiguous run
     splits into a uniform sliding window plus a small residual of shifted
     adds; anything else is one shifted add per occupied offset.  Every sum
-    runs a block of rows at a time in exact integers — the path choice
-    only affects speed.  ``magnitude`` is as in :func:`_weighted_gather`.
+    runs a block of rows at a time in integers — the path choice only
+    affects speed.  ``magnitude`` is as in :func:`_weighted_gather`.
     """
     support = np.flatnonzero(weights)
     if not support.size:
@@ -284,7 +288,7 @@ def _apply_offset_weights(out: np.ndarray, base: np.ndarray,
     if support.size > _DIRECT_ROLLS:
         run = _circular_run(support, region_rows)
         if run is not None:
-            uniform = float(weights[support].min())
+            uniform = int(weights[support].min())
             residual = weights.copy()
             residual[support] -= uniform
             if (np.count_nonzero(residual)
@@ -303,8 +307,9 @@ class SpanComposer:
     its :class:`BatchedCounts` through :meth:`add_table` (or, for the
     DNN-Life kernel, its TRBG draws through :meth:`add_draws`);
     :meth:`finalize` then produces the composed ``(ones, writes)`` physical
-    counts in a constant number of passes.  With ``track_feedback`` the
-    composer also maintains ``(rows,)`` running totals of the physical
+    counts in a constant number of passes, in the :func:`count_dtype` of
+    every span composed.  With ``track_feedback`` the composer also
+    maintains float64 ``(rows,)`` running totals of the physical
     ones/writes after each chunk (:meth:`row_totals`) — the wear-map stress
     signal feedback-driven levelers observe between chunks — at per-chunk
     vector cost instead of a full-matrix reduction.
@@ -320,14 +325,18 @@ class SpanComposer:
         self._writes_base: Optional[np.ndarray] = None
         self._row_bases: Optional[List[np.ndarray]] = None
         #: The per-inference write count every row shares, if they all do.
-        self._uniform_writes: Optional[float] = None
+        self._uniform_writes: Optional[int] = None
+        #: The most writes a row takes per inference, and the inferences
+        #: composed so far: together they bound every count (:meth:`_counts`).
+        self._max_writes = 0
+        self._length = 0
         self._gathered: Optional[np.ndarray] = None
         #: Offset-form contributions: (offsets, coeffs, lengths) per table.
         self._offset_records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         #: Permutation-form contributions, one entry per span.
         self._perm_inverses: List[np.ndarray] = []
         self._perm_coeffs: List[np.ndarray] = []
-        self._perm_lengths: List[float] = []
+        self._perm_lengths: List[int] = []
         self._track = bool(track_feedback)
         self._row_ones = (np.zeros(self.rows, dtype=np.float64)
                           if self._track else None)
@@ -342,15 +351,22 @@ class SpanComposer:
         self._draw_maps: List[RowMapping] = []
         self._draw_enables: List[np.ndarray] = []
         self._draw_lengths: List[int] = []
-        #: Dense ``(ones, writes)`` accumulators of the folded TRBG mappings.
+        #: Dense ``(ones, writes)`` accumulators (:meth:`_counts`).
         self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _bind_writes(self, writes: np.ndarray) -> None:
+        """Take the kernel's per-inference ``(rows,)`` write counts."""
+        if writes is self._writes_base:
+            return
+        self._writes_base = writes
+        self._max_writes = int(writes.max(initial=0))
+        self._uniform_writes = (self._max_writes if writes.size and bool(
+            (writes == self._max_writes).all()) else None)
 
     def _bind(self, batched: BatchedCounts) -> None:
         if self._bases is None:
             self._bases, self._magnitudes = batched.bases, batched.magnitudes
-            self._writes_base = writes = batched.writes
-            self._uniform_writes = (float(writes[0]) if writes.size and bool(
-                (writes == writes[0]).all()) else None)
+            self._bind_writes(batched.writes)
             if self._track:
                 # Formed once per composition (exact in float64); einsum is
                 # several times faster than ``sum(axis=1)`` over a few columns.
@@ -376,6 +392,7 @@ class SpanComposer:
             return
         self._bind(batched)
         self._check_trackable(table)
+        self._length += int(table.lengths.sum(dtype=np.int64))
         if table.offsets is not None:
             self._offset_records.append(
                 (table.offsets, batched.coeffs, table.lengths))
@@ -383,8 +400,8 @@ class SpanComposer:
         for k in range(table.num_spans):
             inverse = table.inverse(k)
             self._perm_inverses.append(inverse)
-            coeffs = np.asarray(batched.coeffs[:, k], dtype=np.float64)
-            length = float(table.lengths[k])
+            coeffs = batched.coeffs[:, k]
+            length = int(table.lengths[k])
             self._perm_coeffs.append(coeffs)
             self._perm_lengths.append(length)
             if self._track:
@@ -392,9 +409,9 @@ class SpanComposer:
                 # per chunk would page-fault in new memory every time.
                 gathered = self._gathered
                 for coeff, row_base in zip(coeffs, self._row_bases):
-                    if coeff != 0.0:
+                    if coeff:
                         np.take(row_base, inverse, out=gathered, mode="clip")
-                        if coeff != 1.0:
+                        if coeff != 1:
                             gathered *= coeff
                         self._row_ones += gathered
                 self._add_writes(self._row_writes, [inverse], [length])
@@ -413,10 +430,10 @@ class SpanComposer:
         """
         self._check_trackable(table)
         reduction = self._reduction = kernel.reduction
-        self._writes_base = reduction.writes
-        self._uniform_writes = reduction.uniform_writes
+        self._bind_writes(reduction.writes)
         for index, (start, length) in enumerate(table.iter_spans()):
             enables = kernel.draw(start - origin, length)
+            self._length += int(length)
             if table.offsets is None:
                 mapping, slot = table.inverse(index), None
             else:
@@ -441,33 +458,35 @@ class SpanComposer:
                     or self._pending_bytes() >= _FOLD_BYTES):
                 self._fold_draws()
 
-    def _numerator_dtype(self, length: int) -> np.dtype:
-        """Narrowest exact dtype of a ``length``-inference span's counts.
-
-        A cell stores at most one '1' per write, so its count is at most
-        ``length`` times its row's per-inference writes.
-        """
-        return np.min_scalar_type(int(length) * self._reduction.max_writes)
-
     def _pending_bytes(self) -> int:
         """Bytes the pending TRBG mappings hold, or will hold at the fold."""
         if not self._draw_maps:
             return 0
         return (sum(e.nbytes for e in self._draw_enables)
                 + len(self._draw_maps) * self.rows * self.word_bits
-                * self._numerator_dtype(max(self._draw_lengths)).itemsize)
+                * count_dtype(max(self._draw_lengths), self._max_writes).itemsize)
+
+    def _counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The dense ``(ones, writes)`` accumulators, widened to the
+        :func:`count_dtype` of every span composed so far."""
+        dtype = count_dtype(self._length, self._max_writes)
+        if self._dense is None:
+            self._dense = (np.zeros((self.rows, self.word_bits), dtype),
+                           np.zeros(self.rows, dtype))
+        self._dense = tuple(counts.astype(dtype, copy=False) for counts in self._dense)
+        return self._dense
 
     def _add_writes(self, writes: np.ndarray, mappings: Sequence[RowMapping],
-                    lengths: Sequence[float]) -> None:
+                    lengths: Sequence[int]) -> None:
         """Add the physical writes of spans of ``lengths`` inferences under
         ``mappings``: one scalar when every row is written equally often
         (any mapping moves equal counts onto equal counts), else the
         per-row counts gathered through each mapping."""
         if self._uniform_writes is not None:
-            writes += float(sum(lengths)) * self._uniform_writes
+            writes += sum(lengths) * self._uniform_writes
         else:
             _weighted_gather(writes, self._writes_base, mappings,
-                             np.asarray(lengths, dtype=np.float64),
+                             np.asarray(lengths, dtype=np.int64),
                              self.region_rows)
 
     def _fold_draws(self) -> None:
@@ -475,32 +494,26 @@ class SpanComposer:
 
         One :meth:`~repro.core.simulation.TrbgReduction.numerator_chunks`
         pass over the packed tensor yields every mapping's logical counts a
-        chunk of rows at a time; they are kept whole, in the narrowest
-        exact dtype of the longest mapping's counts.  The fold then adds
+        chunk of rows at a time; they are kept whole, in the
+        :func:`count_dtype` of the longest mapping.  The fold then adds
         them into the dense physical counts a block of rows at a time —
         roll offsets by slice adds, inverse permutations by gathers — summed
-        in the narrowest integer dtype of all pending counts, with one
-        float64 add per block (:func:`_mapped_sum`).  With feedback tracking
-        the running row totals already hold every span's physical writes,
-        so the fold leaves the writes to them.
+        in the dtype of all pending counts (:func:`_mapped_sum`).
         """
         if not self._draw_maps:
             return
-        if self._dense is None:
-            self._dense = (np.zeros((self.rows, self.word_bits), dtype=np.float64),
-                           np.zeros(self.rows, dtype=np.float64))
-        ones, writes = self._dense
+        ones, writes = self._counts()
         mappings, lengths = self._draw_maps, self._draw_lengths
         # Zeros: regions no block writes are never yielded.
         logical = np.zeros((len(mappings), self.rows, self.word_bits),
-                           dtype=self._numerator_dtype(max(lengths)))
+                           dtype=count_dtype(max(lengths), self._max_writes))
         for rows, numerators in self._reduction.numerator_chunks(
                 np.stack(self._draw_enables), np.asarray(lengths)):
             logical[:, rows] = numerators
         _mapped_sum(ones, list(zip(logical, mappings)),
-                    self._numerator_dtype(sum(lengths)), self.region_rows)
-        if not self._track:
-            self._add_writes(writes, mappings, lengths)
+                    count_dtype(sum(lengths), self._max_writes),
+                    self.region_rows)
+        self._add_writes(writes, mappings, lengths)
         self._draw_slots.clear()
         self._draw_maps.clear()
         self._draw_enables.clear()
@@ -515,34 +528,23 @@ class SpanComposer:
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts.
 
-        With feedback tracking the writes are the running row totals, which
-        already cover every span (exact integers: any order is the same);
-        the composer hands them over, so call this once, last.
+        Both are unsigned integers in the :func:`count_dtype` of every span
+        composed; call this once, last.
         """
         self._gathered = None
         self._fold_draws()
-        if self._dense is not None:
-            ones, writes = self._dense
-        else:
-            ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
-            writes = np.zeros(self.rows, dtype=np.float64)
-        if self._track:
-            writes = self._row_writes
+        ones, writes = self._counts()
         if self._bases is None:  # no batched spans
             return ones, writes
         num_channels = len(self._bases)
         if self._offset_records:
             region_rows = self.region_rows
-            gamma = np.zeros((num_channels, region_rows), dtype=np.float64)
-            gamma_writes = np.zeros(region_rows, dtype=np.float64)
+            gamma = np.zeros((num_channels, region_rows), dtype=np.int64)
+            gamma_writes = np.zeros(region_rows, dtype=np.int64)
             for offsets, coeffs, lengths in self._offset_records:
                 for channel in range(num_channels):
-                    gamma[channel] += np.bincount(
-                        offsets, weights=coeffs[channel],
-                        minlength=region_rows)
-                gamma_writes += np.bincount(
-                    offsets, weights=lengths.astype(np.float64),
-                    minlength=region_rows)
+                    np.add.at(gamma[channel], offsets, coeffs[channel])
+                np.add.at(gamma_writes, offsets, lengths)
             for channel in range(num_channels):
                 _apply_offset_weights(ones, self._bases[channel],
                                       gamma[channel], region_rows,
@@ -555,9 +557,7 @@ class SpanComposer:
                 _weighted_gather(ones, self._bases[channel],
                                  self._perm_inverses, coeffs[channel],
                                  self.region_rows, self._magnitudes[channel])
-            if not self._track:
-                self._add_writes(writes, self._perm_inverses,
-                                 self._perm_lengths)
+            self._add_writes(writes, self._perm_inverses, self._perm_lengths)
         return ones, writes
 
 

@@ -40,7 +40,7 @@ hundred lines and has no false negatives on the patterns the rules target.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 #: Zero-argument methods whose results are cached on the receiver and shared
 #: across policy evaluations / sweep jobs — mutating them corrupts every
@@ -341,14 +341,3 @@ class ProvenanceTracker:
             return set()
         return set()
 
-
-def walk_scoped(tree: ast.Module) -> Iterator[Tuple[ast.AST, ast.AST]]:
-    """Yield ``(node, enclosing function or module)`` pairs for a module."""
-    stack: List[Tuple[ast.AST, ast.AST]] = [(tree, tree)]
-    while stack:
-        node, owner = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            next_owner = child if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-            yield child, next_owner
-            stack.append((child, next_owner))

@@ -256,14 +256,6 @@ class BatchNorm2d(Layer):
     counts_toward_weight_memory: bool = False
 
 
-def receptive_field(layers, input_shape: ShapeHW) -> ShapeHW:
-    """Propagate a shape through a list of layers (helper for model builders)."""
-    shape = input_shape
-    for layer in layers:
-        shape = layer.output_shape(shape)
-    return shape
-
-
 def kaiming_std(layer: Layer, gain: float = math.sqrt(2.0)) -> float:
     """He-initialisation standard deviation for a weight-carrying layer."""
     fan_in = max(layer.fan_in, 1)

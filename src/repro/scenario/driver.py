@@ -74,7 +74,7 @@ from repro.core.simulation import (
     _duty_from_counts,
     replay_epochs,
 )
-from repro.core.span_compose import _FOLD_BYTES, compose_leveled
+from repro.core.span_compose import _FOLD_BYTES, compose_leveled, count_dtype
 from repro.leveling.remap import check_leveler
 from repro.scenario.operating_point import RetentionModel
 from repro.scenario.phases import LifetimeScenario, Phase
@@ -679,9 +679,10 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
             reduction = members[0][1].reduction
             lengths = np.asarray([phases[position].duration
                                   for position, _ in members], dtype=np.int64)
-            # A set costs its enables and two float64 cell grids: its
-            # numerators and its duties.
-            set_bytes = (2 * reduction.ones.nbytes
+            # A set costs its enables and two cell grids: its integer
+            # numerators and its float64 duties.
+            numerator = count_dtype(lengths.max(), reduction.max_writes)
+            set_bytes = (reduction.ones.size * (numerator.itemsize + 8)
                          + reduction.packed.num_blocks * reduction.num_groups
                          * np.min_scalar_type(int(lengths.max())).itemsize)
             size = max(1, _FOLD_BYTES // set_bytes)

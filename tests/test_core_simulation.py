@@ -251,6 +251,75 @@ class TestPackedEngineEquivalence:
             num_inferences=num_inferences).run()
         assert np.array_equal(packed.duty_cycles, explicit.duty_cycles)
 
+    @pytest.mark.parametrize("leveler", [None, "rotation", "start_gap",
+                                         "wear_swap"])
+    @pytest.mark.parametrize("policy_name",
+                             sorted(DETERMINISTIC_POLICY_FACTORIES) + ["dnn_life"])
+    def test_counts_reach_the_table_as_unsigned_integers(
+            self, monkeypatch, policy_name, leveler):
+        """Both engines hand ``AgingResult.from_counts`` unsigned counts;
+        the deterministic ones are the explicit engine's, the DNN-Life ones
+        lie in ``[0, writes]``."""
+        stream = _drifting_stream()
+        handed = []
+        from_counts = AgingResult.from_counts.__func__
+
+        def recording(cls, ones, writes, **fields):
+            handed.append((ones, writes))
+            return from_counts(cls, ones, writes, **fields)
+
+        monkeypatch.setattr(AgingResult, "from_counts", classmethod(recording))
+
+        def build(engine, **options):
+            policy = (DnnLifePolicy(8, seed=3) if policy_name == "dnn_life"
+                      else _deterministic_policy(policy_name, 8))
+            return engine(stream, policy, num_inferences=5, leveler=None
+                          if leveler is None else make_leveler(
+                              leveler, stream.geometry, stream.fifo_depth_tiles),
+                          **options).run()
+
+        build(AgingSimulator, seed=0)
+        build(ExplicitAgingSimulator)
+        (ones, writes), (explicit_ones, explicit_writes) = handed
+        for counts in handed[0] + handed[1]:
+            assert counts.dtype.kind == "u"
+        if policy_name == "dnn_life":
+            assert (ones <= writes[:, None]).all()
+        else:
+            assert np.array_equal(ones, explicit_ones)
+            assert np.array_equal(writes, explicit_writes)
+
+    @pytest.mark.parametrize("leveler", [None, "start_gap", "wear_swap"])
+    @pytest.mark.parametrize("policy_name", sorted(DETERMINISTIC_POLICY_FACTORIES))
+    @pytest.mark.parametrize("num_inferences, dtype", [(255, np.uint8),
+                                                       (256, np.uint16)])
+    def test_counts_across_the_uint8_bound(self, policy_name, leveler,
+                                           num_inferences, dtype):
+        """One block per region: a row takes one write an inference, so 255
+        inferences fit ``uint8`` counts and 256 need ``uint16``.  The first
+        region stores all ones, so its plain counts reach the bound itself
+        and a too-narrow dtype would wrap."""
+        bits = np.random.default_rng(2).integers(0, 2, (2, 16, 8)).astype(np.uint8)
+        bits[0] = 1
+        stream = PackedBitTensor(bits, np.arange(2), np.full(2, 16),
+                                 MemoryGeometry(capacity_bytes=32, word_bits=8),
+                                 fifo_depth_tiles=2)
+
+        def run(engine, **options):
+            return engine(stream, _deterministic_policy(policy_name, 8),
+                          num_inferences=num_inferences, leveler=None
+                          if leveler is None else make_leveler(leveler, stream.geometry, 2),
+                          **options)
+
+        simulator = run(AgingSimulator, seed=0)
+        ones, writes = simulator._simulate_counts()
+        assert ones.dtype == writes.dtype == dtype
+        assert (writes == num_inferences).all()
+        explicit = run(ExplicitAgingSimulator).run()
+        assert np.array_equal(simulator.run().duty_cycles, explicit.duty_cycles)
+        if policy_name == "none" and leveler is None:
+            assert (ones[:16] == num_inferences).all()
+
     def test_packed_dnn_life_distribution_matches_explicit(self, tiny_scheduler):
         fast = AgingSimulator(tiny_scheduler, DnnLifePolicy(8, seed=11),
                               num_inferences=30, seed=11).run()
@@ -283,33 +352,30 @@ class TestPackedEngineEquivalence:
 
 class TestDutyFromCountsGuard:
     def test_valid_counts_pass(self):
-        ones = np.array([[3.0, 0.0], [2.0, 4.0]])
-        writes = np.array([4, 4])
+        ones = np.array([[3, 0], [2, 4]], dtype=np.uint8)
+        writes = np.array([4, 4], dtype=np.uint8)
         duty = _duty_from_counts(ones, writes)
         assert np.array_equal(duty, [[0.75, 0.0], [0.5, 1.0]])
 
     def test_unwritten_rows_are_zero(self):
-        duty = _duty_from_counts(np.array([[1.0], [0.0]]), np.array([2, 0]))
+        duty = _duty_from_counts(np.array([[1], [0]], dtype=np.uint8),
+                                 np.array([2, 0], dtype=np.uint8))
         assert np.array_equal(duty, [[0.5], [0.0]])
 
     def test_numerator_overflow_raises(self):
         # a numerator-accounting bug (more ones than writes) must not be
         # silently clipped into [0, 1]
         with pytest.raises(FloatingPointError, match="numerator"):
-            _duty_from_counts(np.array([[5.0]]), np.array([4]))
+            _duty_from_counts(np.array([[5]], dtype=np.uint8), np.array([4]))
 
     def test_negative_numerator_raises(self):
         with pytest.raises(FloatingPointError, match="numerator"):
-            _duty_from_counts(np.array([[-1.0]]), np.array([4]))
-
-    def test_round_off_within_tolerance_is_clipped(self):
-        duty = _duty_from_counts(np.array([[4.0 + 1e-12]]), np.array([4]))
-        assert duty[0, 0] == 1.0
+            _duty_from_counts(np.array([[-1]], dtype=np.int8), np.array([4]))
 
     def test_batch_equals_per_slice_calls(self):
         rng = np.random.default_rng(7)
-        writes = rng.integers(0, 9, (5, 33)).astype(np.float64)
-        ones = np.floor(rng.random((5, 33, 8)) * (writes[..., None] + 1))
+        writes = rng.integers(0, 9, (5, 33), dtype=np.uint8)
+        ones = np.floor(rng.random((5, 33, 8)) * (writes[..., None] + 1)).astype(np.uint8)
         batch = _duty_from_counts(ones, writes)
         assert batch.shape == ones.shape
         assert not batch[writes == 0].any()
@@ -317,38 +383,29 @@ class TestDutyFromCountsGuard:
             assert (batch[k].tobytes()
                     == _duty_from_counts(ones[k], writes[k]).tobytes())
 
-    def test_batch_slice_beyond_tolerance_raises(self):
-        ones = np.array([[[1.0]], [[4.0 + 1e-6]]])
+    def test_batch_slice_out_of_range_raises(self):
+        ones = np.array([[[1]], [[5]]], dtype=np.uint8)
         with pytest.raises(FloatingPointError, match="numerator"):
-            _duty_from_counts(ones, np.array([[4], [4]]))
+            _duty_from_counts(ones, np.array([[4], [4]], dtype=np.uint8))
 
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_plain_and_masked_divides_agree(self, batch):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_plain_and_masked_divides_agree(self, batch, dtype):
         """Every row written takes the plain divide; one unwritten row more
-        takes the masked one.  The written rows agree bit for bit, -0.0
-        included, and the unwritten row holds 0."""
+        takes the masked one.  The written rows agree bit for bit, equal the
+        float64 divide of the same counts, and the unwritten row holds 0."""
         rng = np.random.default_rng(11)
-        writes = rng.integers(1, 9, batch + (40,)).astype(np.float64)
-        ones = np.floor(rng.random(batch + (40, 8)) * (writes[..., None] + 1))
-        ones[..., 0, 0] = -0.0
+        writes = rng.integers(1, 9, batch + (40,)).astype(dtype)
+        ones = np.floor(rng.random(batch + (40, 8))
+                        * (writes[..., None] + 1)).astype(dtype)
         plain = _duty_from_counts(ones, writes)
         masked = _duty_from_counts(
-            np.concatenate([ones, np.ones(batch + (1, 8))], axis=-2),
-            np.concatenate([writes, np.zeros(batch + (1,))], axis=-1))
-        assert np.signbit(plain[..., 0, 0]).all()
+            np.concatenate([ones, np.ones(batch + (1, 8), dtype=dtype)], axis=-2),
+            np.concatenate([writes, np.zeros(batch + (1,), dtype=dtype)], axis=-1))
+        assert plain.dtype == np.float64
+        assert plain.tobytes() == (ones / writes[..., None].astype(np.float64)).tobytes()
         assert plain.tobytes() == np.ascontiguousarray(masked[..., :40, :]).tobytes()
         assert not masked[..., 40, :].any()
-
-    @pytest.mark.parametrize("round_off", [0.0, 1e-12])
-    def test_negative_zero_is_kept(self, round_off):
-        # Whether or not some other value needs the clip, -0.0 stays -0.0
-        # (np.clip keeps it), so skipping the clip is bit-identical.
-        ones = np.array([[[-0.0, 1.0]], [[4.0 + round_off, 2.0]]])
-        duty = _duty_from_counts(ones, np.array([[4], [4]]))
-        assert np.signbit(duty[0, 0, 0]) and duty[0, 0, 0] == 0.0
-        assert duty[1, 0, 0] == 1.0
-        assert duty.tobytes() == np.stack(
-            [_duty_from_counts(ones[k], np.array([4])) for k in range(2)]).tobytes()
 
 
 class TestCellClassTables:
@@ -395,7 +452,7 @@ def _drifting_stream(seed=0):
 
 
 def _explicit_ones(stream, policy, n):
-    """The write-by-write float64 ones counts of inferences ``[0, n)``."""
+    """The write-by-write integer ones counts of inferences ``[0, n)``."""
     return replay_epochs(stream, policy, 0, n)[0]
 
 
@@ -471,9 +528,9 @@ class TestStreamKernelCache:
         for granularity in ("write", "location"):
             policy = PeriodicInversionPolicy(word_bits, granularity)
             bases = AgingSimulator(stream, policy).counts_kernel()._bases
-            # counts(0, 1) = base and counts(0, 2) = 2 * base + drifted.
+            # counts(0, 1) = base and counts(0, 2) = base + flipped.
             one = _explicit_ones(stream, policy, 1)
-            reference = [one, _explicit_ones(stream, policy, 2) - 2.0 * one]
+            reference = [one, _explicit_ones(stream, policy, 2) - one]
             assert len(bases) == (2 if drifting else 1)
             self._assert_compact_equal(bases, reference[:len(bases)])
         policy = BarrelShifterPolicy(word_bits)
@@ -510,7 +567,7 @@ class TestStreamKernelCache:
         ones = stream.rows_ones()
         assert batched.bases[0].dtype == np.uint8
         assert not batched.bases[0].flags.writeable
-        assert batched.bases[0].astype(np.float64).tobytes() == ones.tobytes()
+        assert np.array_equal(batched.bases[0], ones)
         assert batched.magnitudes == [int(ones.max())]
 
     @staticmethod
@@ -519,7 +576,7 @@ class TestStreamKernelCache:
         for basis, expected in zip(bases, reference):
             assert basis.dtype.kind in "iu" and basis.dtype.itemsize == 1
             assert not basis.flags.writeable
-            assert basis.astype(np.float64).tobytes() == expected.tobytes()
+            assert np.array_equal(basis, expected)
 
     @pytest.mark.parametrize("leveler", ["start_gap", "wear_swap"])
     @pytest.mark.parametrize("policy", [

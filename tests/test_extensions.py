@@ -1,18 +1,15 @@
-"""Tests for the extension modules: tiling optimiser, wear maps, quantization
-calibration and the workload report generator."""
+"""Tests for the extension modules: wear maps, quantization calibration and
+the workload report generator."""
 
 import numpy as np
 import pytest
 
-from repro.accelerator.config import baseline_config
-from repro.accelerator.tiling_optimizer import TilingOptimizer
 from repro.aging.snm import CellClasses
 from repro.analysis.report import WorkloadReport, generate_report
 from repro.core.framework import DnnLife
 from repro.core.policies import DnnLifePolicy, NoMitigationPolicy
 from repro.core.simulation import AgingSimulator
 from repro.memory.wear_map import WearMap, wear_map_from_result
-from repro.nn.layers import Conv2d, Linear
 from repro.nn.models import build_model
 from repro.nn.weights import attach_synthetic_weights
 from repro.quantization.calibration import (
@@ -22,57 +19,6 @@ from repro.quantization.calibration import (
     percentile_symmetric_params,
 )
 from repro.quantization.linear import compute_symmetric_params, quantization_error
-
-
-class TestTilingOptimizer:
-    @pytest.fixture
-    def optimizer(self):
-        return TilingOptimizer(baseline_config(), bytes_per_weight=1.0)
-
-    def test_conv_candidates_respect_capacity(self, optimizer):
-        layer = Conv2d(name="c", out_channels=64, in_channels=64, kernel_size=(3, 3))
-        candidates = list(optimizer.candidates_for_conv(layer, (64, 56, 56)))
-        assert candidates
-        weight_capacity = baseline_config().weight_memory_bytes
-        for candidate in candidates:
-            resident = candidate.tile.weights_per_filter * min(8, 64)
-            assert resident <= weight_capacity
-
-    def test_optimize_layer_picks_minimum_traffic(self, optimizer):
-        layer = Conv2d(name="c", out_channels=64, in_channels=64, kernel_size=(3, 3))
-        solution = optimizer.optimize_layer(layer, (64, 56, 56))
-        assert solution.best.total_dram_traffic_bytes == min(
-            candidate.total_dram_traffic_bytes for candidate in solution.candidates)
-        assert solution.traffic_reduction_vs_worst >= 1.0
-
-    def test_conv_requires_input_shape(self, optimizer):
-        layer = Conv2d(name="c", out_channels=8, in_channels=8, kernel_size=(3, 3))
-        with pytest.raises(ValueError):
-            optimizer.optimize_layer(layer)
-
-    def test_linear_candidates(self, optimizer):
-        layer = Linear(name="fc", out_features=128, in_features=1024)
-        solution = optimizer.optimize_layer(layer)
-        assert solution.best.weight_traffic_bytes >= layer.weight_count
-        assert 0 < solution.best.pe_utilization <= 1.0
-
-    def test_unsupported_layer_type(self, optimizer):
-        from repro.nn.layers import ReLU
-
-        with pytest.raises(TypeError):
-            optimizer.optimize_layer(ReLU(name="r"))
-
-    def test_optimize_network_covers_all_weight_layers(self, optimizer, mnist_network):
-        solutions = optimizer.optimize_network(mnist_network)
-        assert len(solutions) == len(mnist_network.weight_layers())
-        assert optimizer.total_dram_traffic(mnist_network) > 0
-
-    def test_weight_dominated_layer_prefers_large_tiles(self, optimizer):
-        # With a huge activation buffer and a weight-dominated FC layer, the
-        # optimiser should avoid splitting channels (no partial-sum spills).
-        layer = Linear(name="fc", out_features=64, in_features=4096)
-        solution = optimizer.optimize_layer(layer)
-        assert solution.best.partial_sum_traffic_bytes == 0.0
 
 
 class TestWearMap:

@@ -259,5 +259,5 @@ class TestReadOnlySharedBuffers:
     def test_copies_stay_writable(self, tiny_scheduler):
         packed = PackedBitTensor.from_stream(tiny_scheduler)
         scratch = packed.rows_ones().copy()
-        scratch += 1.0  # the sanctioned pattern: mutate a private copy
+        scratch += 1  # the sanctioned pattern: mutate a private copy
         assert scratch.flags.writeable

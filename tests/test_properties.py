@@ -275,7 +275,7 @@ class TestAgingResultPayloadRoundTrip:
 
 @st.composite
 def counts_strategy(draw):
-    """Integer ``(ones, writes)`` counts with ``0 <= ones <= writes`` per row.
+    """Unsigned ``(ones, writes)`` counts with ``0 <= ones <= writes`` per row.
 
     Write patterns: one write count for every row, a few distinct ones,
     rows never written, and write counts so large that the key span exceeds
@@ -294,7 +294,10 @@ def counts_strategy(draw):
     fractions = draw(hnp.arrays(np.float64, (rows, columns),
                                 elements=st.floats(0.0, 1.0)))
     ones = np.floor(fractions * (writes[:, None] + 1)).clip(0, writes[:, None])
-    return ones.astype(np.float64), writes.astype(np.float64)
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    if pattern == "wide":
+        dtype = np.uint16
+    return ones.astype(dtype), writes.astype(dtype)
 
 
 def _same_table(left, right):
@@ -423,7 +426,7 @@ class TestCellClassEquivalence:
         # 256 rows x 2 columns written 256..511 times: every count is below
         # the cell count, but the (column, index) table would need
         # 2 * sum(w + 1) = 196,864 entries, more than max(cells, 2**16)
-        writes = np.arange(256, 512, dtype=np.float64)
+        writes = np.arange(256, 512, dtype=np.uint16)
         ones = np.stack([np.zeros_like(writes), writes // 3], axis=1)
         assert writes.max() < ones.size
         assert CellClasses.from_counts(ones, writes) is None
@@ -434,30 +437,28 @@ class TestCellClassEquivalence:
         np.testing.assert_array_equal(duty, ones / writes[:, None])
         _same_table(result.cell_classes, CellClasses.per_cell(duty))
         # one write count keeps the table small: keyed from the counts
-        uniform = np.full_like(writes, 511.0)
+        uniform = np.full_like(writes, 511)
         assert CellClasses.from_counts(ones, uniform) is not None
 
-    def test_non_integral_counts_are_keyed_from_the_duty_matrix(self):
-        from repro.aging.snm import CellClasses
+    @pytest.mark.parametrize("dtype", [(np.float64, np.uint8),
+                                       (np.uint8, np.float64)])
+    def test_float_counts_raise_type_error(self, dtype):
         from repro.core.simulation import AgingResult
 
-        ones = np.array([[0.5, 1.5, 2.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
-        writes = np.array([4.0, 4.0])
-        assert CellClasses.from_counts(ones, writes) is None
-        result = AgingResult.from_counts(ones, writes, policy_name="none",
-                                         policy_description={}, num_inferences=1,
-                                         num_blocks=1)
-        assert np.array_equal(result.duty_cycles, [[0.125, 0.375, 0.5, 0.25],
-                                                   [0.0, 0.25, 0.5, 0.75]])
-        assert np.array_equal(result.cell_classes.counts, [1, 1, 2, 1, 2, 1])
+        ones = np.array([[0.0, 1.0, 2.0, 3.0]]).astype(dtype[0])
+        writes = np.array([4.0]).astype(dtype[1])
+        with pytest.raises(TypeError, match="integers"):
+            AgingResult.from_counts(ones, writes, policy_name="none",
+                                    policy_description={}, num_inferences=1,
+                                    num_blocks=1)
 
     def test_table_is_compact_with_narrow_keys(self):
         from repro.core.simulation import AgingResult
 
         # equal duty-cycles of different write counts share one class
-        writes = np.array([4.0, 4.0, 2.0, 0.0])
-        ones = np.array([[0.0, 4.0, 4.0, 0.0], [2.0, 2.0, 2.0, 2.0],
-                         [1.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        writes = np.array([4, 4, 2, 0], dtype=np.uint8)
+        ones = np.array([[0, 4, 4, 0], [2, 2, 2, 2],
+                         [1, 2, 1, 2], [0, 0, 0, 0]], dtype=np.uint8)
         result = AgingResult.from_counts(ones, writes, policy_name="none",
                                          policy_description={}, num_inferences=1,
                                          num_blocks=1)
@@ -472,28 +473,30 @@ class TestCellClassEquivalence:
                                                         [1, 2, 1], [2, 1, 1]])
         assert np.array_equal(classes.row_band_counts(2), [[2, 4, 2], [4, 2, 2]])
 
-    @pytest.mark.parametrize("ones", [5.0, -1.0])
-    def test_out_of_range_counts_still_raise(self, ones):
+    @pytest.mark.parametrize("ones, dtype", [(5, np.uint8), (-1, np.int8),
+                                             (259, np.uint16)])
+    def test_out_of_range_counts_still_raise(self, ones, dtype):
+        """More ones than writes, or fewer than none: 259 would read 3 in
+        the uint8 key, so the range check runs on the counts as given."""
         from repro.core.simulation import AgingResult
 
         with pytest.raises(FloatingPointError, match="numerator"):
-            AgingResult.from_counts(np.array([[ones, 1.0]]), np.array([4.0]),
+            AgingResult.from_counts(np.array([[ones, 1]], dtype=dtype),
+                                    np.array([4], dtype=np.uint8),
                                     policy_name="none", policy_description={},
                                     num_inferences=1, num_blocks=1)
 
-    @pytest.mark.parametrize("ones, writes, duty", [
-        ([[4.0 + 1e-12, 0.0]], [4.0], [[1.0, 0.0]]),   # round-off is clipped
-        ([[1.0, 0.0], [3.0, 0.0]], [2.0, 0.0], [[0.5, 0.0], [0.0, 0.0]]),
-    ])
-    def test_counts_off_the_integer_grid_keep_the_per_cell_duty(self, ones, writes, duty):
+    def test_ones_on_an_unwritten_row_keep_the_per_cell_duty(self):
         from repro.aging.snm import CellClasses
         from repro.core.simulation import AgingResult
 
-        assert CellClasses.from_counts(np.array(ones), np.array(writes)) is None
-        result = AgingResult.from_counts(np.array(ones), np.array(writes),
+        ones = np.array([[1, 0], [3, 0]], dtype=np.uint8)
+        writes = np.array([2, 0], dtype=np.uint8)
+        assert CellClasses.from_counts(ones, writes) is None
+        result = AgingResult.from_counts(ones, writes,
                                          policy_name="none", policy_description={},
                                          num_inferences=1, num_blocks=1)
-        assert np.array_equal(result.duty_cycles, duty)
+        assert np.array_equal(result.duty_cycles, [[0.5, 0.0], [0.0, 0.0]])
 
 
 def _float_ratio_swap(perm, row_ones, row_hold, pair_count):

@@ -418,6 +418,7 @@ def _assert_fused_matches_walk(stream, make_policy_, leveler_name, options,
                                stop=stop, prior_rows=prior)[:2]
         results.append((ones, writes, prior))
     (fused_ones, fused_writes, fused_prior), (ones, writes, prior) = results
+    assert fused_ones.dtype.kind == fused_writes.dtype.kind == "u"
     assert np.array_equal(fused_ones, ones)
     assert np.array_equal(fused_writes, writes)
     if prior_rows is not None:
@@ -451,61 +452,59 @@ class TestBatchedMatchesLoop:
             "rotation", {"period": 8, "step": 1}, case.fifo_depth_tiles,
             case.num_inferences)
 
-    def test_permutation_gather_matches_float_loop(self):
-        """The integer gathers of permutation-form spans equal the float64
-        gather-accumulate: unsigned, signed and wide bases, with repeated
-        and zero weights."""
+    def test_permutation_gather_matches_loop(self):
+        """The compacted gathers of permutation-form spans equal the int64
+        gather-accumulate: byte, wider and wide bases, with repeated and
+        zero weights, into unsigned counts."""
         generator = np.random.default_rng(3)
         rows = 64
         inverses = [generator.permutation(rows) for _ in range(6)]
-        weights = np.array([2.0, 2.0, 0.0, 5.0, 2.0, 1.0])
-        for low, high in [(0, 255), (-128, 127), (-200, 300), (0, 2 ** 40)]:
-            base = generator.integers(low, high, (rows, 8),
-                                      endpoint=True).astype(np.float64)
-            base[0, 0], base[1, 1] = low, high  # the extremes pick the dtypes
-            expected = np.zeros((rows, 8))
+        weights = np.array([2, 2, 0, 5, 2, 1])
+        for high in [255, 300, 2 ** 40]:
+            base = generator.integers(0, high, (rows, 8), endpoint=True)
+            base[1, 1] = high  # the extreme picks the dtypes
+            expected = np.zeros((rows, 8), dtype=np.int64)
             for inverse, weight in zip(inverses, weights):
                 expected += weight * base[inverse]
-            got = np.zeros((rows, 8))
+            got = np.zeros((rows, 8), dtype=np.uint64)
             span_compose._weighted_gather(got, base, inverses, weights, rows)
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("gather_rows", [8192, 5])
     @pytest.mark.parametrize("support", ["direct", "window", "full", "wrapped",
                                          "scattered"])
-    def test_offset_weights_match_float_loop(self, monkeypatch, support,
-                                             gather_rows):
-        """Blocked integer shifted adds and sliding windows equal the float64
-        sum of per-region rolls: unsigned, signed and float bases, a 1-D
-        (writes) base, and blocks that split a region (``gather_rows`` 5)."""
+    def test_offset_weights_match_loop(self, monkeypatch, support,
+                                       gather_rows):
+        """Blocked shifted adds and sliding windows equal the int64 sum of
+        per-region rolls: byte and wider bases, a 1-D (writes) base, and
+        blocks that split a region (``gather_rows`` 5)."""
         monkeypatch.setattr(span_compose, "_GATHER_ROWS", gather_rows)
         generator = np.random.default_rng(4)
         regions, region_rows = 3, 37
-        weights = np.zeros(region_rows)
+        weights = np.zeros(region_rows, dtype=np.int64)
         if support == "direct":
-            weights[[0, 5, 36]] = [3.0, 1.0, 3.0]
+            weights[[0, 5, 36]] = [3, 1, 3]
         elif support == "window":  # a uniform run plus a residual
-            weights[4:34] = 2.0
-            weights[[7, 20]] = [5.0, -1.0]
+            weights[4:34] = 2
+            weights[[7, 20]] = [5, 3]
         elif support == "full":
-            weights[:] = 2.0
-            weights[3] = 5.0
+            weights[:] = 2
+            weights[3] = 5
         elif support == "wrapped":
-            weights[list(range(30, 37)) + list(range(0, 25))] = 1.0
+            weights[list(range(30, 37)) + list(range(0, 25))] = 1
         else:  # two runs: one shifted add per offset
             weights[np.r_[0:14, 16:30]] = generator.integers(1, 4, 28)
         rows = regions * region_rows
         bases = [generator.integers(0, 22, (rows, 8)).astype(np.uint8),
-                 generator.integers(-4, 5, (rows, 8)).astype(np.int8),
-                 generator.integers(0, 300, (rows, 2)).astype(np.float64),
-                 generator.integers(0, 9, rows).astype(np.float64)]
+                 generator.integers(0, 300, (rows, 2)).astype(np.uint16),
+                 generator.integers(0, 9, rows).astype(np.uint8)]
         for base in bases:
             rolled = base.reshape((regions, region_rows) + base.shape[1:])
-            rolled = rolled.astype(np.float64)
+            rolled = rolled.astype(np.int64)
             expected = np.zeros_like(rolled)
             for offset in np.flatnonzero(weights):
                 expected += weights[offset] * np.roll(rolled, offset, axis=1)
-            got = np.zeros(base.shape)
+            got = np.zeros(base.shape, dtype=np.uint32)
             span_compose._apply_offset_weights(got, base, weights, region_rows)
             assert np.array_equal(got, expected.reshape(base.shape))
 
@@ -531,9 +530,9 @@ def _unpadded_fifo_stream(tiny_network, tiny_fifo_scheduler):
 class TestFusedTrbgMatchesWalk:
     """The fused dnn_life composition against the literal per-span walk.
 
-    The draw stage keeps the RNG call order, and every count is an exact
-    integer in float64, so summing enables per mapping and reducing all
-    mappings in one pass must reproduce the walk bit for bit.
+    The draw stage keeps the RNG call order, and every count is an
+    integer, so summing enables per mapping and reducing all mappings in
+    one pass must reproduce the walk bit for bit.
     """
 
     @pytest.mark.parametrize("words_per_enable", [1, 8, 3])
@@ -712,9 +711,10 @@ class TestTrbgReduction:
         numerator, writes = reduction.counts(enables, n)
         assert np.array_equal(numerator,
                               self._literal_numerator(packed, enables, group, n))
-        assert np.array_equal(writes, packed.rows_writes() * n)
+        assert numerator.dtype.kind == writes.dtype.kind == "u"
+        assert np.array_equal(writes, packed.rows_writes().astype(np.int64) * n)
         assert np.array_equal(reduction.row_totals(enables, n),
-                              numerator.sum(axis=1))
+                              numerator.sum(axis=1, dtype=np.int64))
 
     @pytest.mark.parametrize("one_group_per_chunk", [False, True])
     @pytest.mark.parametrize("region_map", ["round_robin", "scattered"])
